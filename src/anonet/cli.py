@@ -17,6 +17,7 @@ from . import __version__
 from .catalog import ConfigError, counts_of, parse_inputs, resolve_protocol
 from .engine import (
     GraphError,
+    ProtocolViolation,
     build_graph,
     measure_meeting_time,
     parse_rewire,
@@ -196,6 +197,7 @@ def cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes:
         raise ConfigError("empty size grid")
+    rewire_policy = parse_rewire(args.rewire)
     family = args.graph
     rows = []
     samples: dict = {}
@@ -218,7 +220,7 @@ def cmd_sweep(args) -> int:
                     max_steps=args.max_steps,
                     confirmation_window=args.confirm_window,
                     expected=0 if expected is None else expected,
-                    rewire_policy=parse_rewire(args.rewire),
+                    rewire_policy=rewire_policy,
                     rate=args.rate,
                 )
             except (ConfigError, GraphError) as exc:
@@ -389,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "meet": cmd_meet,
         }[args.command]
         return handler(args)
-    except (ConfigError, GraphError) as exc:
+    except (ValueError, ProtocolViolation) as exc:  # ConfigError and GraphError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

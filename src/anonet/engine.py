@@ -15,12 +15,19 @@ fixed, documented order:
    orientation (low bit), then one exponential holding-time draw,
 3. at rewire steps: the edge-pair, pairing and connectivity draws.
 
+The run loop inlines the two per-activation draws as CPython's `random`
+computes them: `getrandbits(k)` with k = (2|E|).bit_length(), redrawn while
+the result is >= 2|E| (what `randrange(2|E|)` does), and
+`-log(1 - random()) / (rate |E|)` (what `expovariate(rate |E|)` does), so
+the stream is the one `schedule_next` draws, unchanged.
+
 Identical (protocol, graph, input, seed, limits) therefore give bit-identical
 traces and results.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -33,6 +40,7 @@ __all__ = [
     "RewirePolicy",
     "GraphError",
     "ProtocolViolation",
+    "TransitionTable",
     "build_graph",
     "parse_rewire",
     "load_edge_list",
@@ -51,6 +59,35 @@ class GraphError(ValueError):
 
 class ProtocolViolation(RuntimeError):
     """A transition produced a state the protocol declares impossible."""
+
+
+class TransitionTable:
+    """The states of one protocol interned as dense int ids, and its rule over
+    them: `objs[i]` is state i, `outs[i]` its output, and `rows[a][b]` the
+    successor ids when a initiates and b responds. `fill` computes a pair the
+    first time it meets; filling eagerly would also meet pairs no run reaches,
+    which raise ProtocolViolation for `bit` and `estimate`. So every interned
+    state is an initial state or the result of an applied transition.
+    """
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.ids: dict = {}
+        self.objs, self.outs, self.rows = [], [], []
+
+    def intern(self, state) -> int:
+        i = self.ids.get(state)
+        if i is None:
+            i = self.ids[state] = len(self.objs)
+            self.objs.append(state)
+            self.outs.append(self.protocol.output(state))
+            self.rows.append({})
+        return i
+
+    def fill(self, a: int, b: int) -> tuple[int, int]:
+        x, y = self.protocol.transition(self.objs[a], self.objs[b])
+        pair = self.rows[a][b] = (self.intern(x), self.intern(y))
+        return pair
 
 
 @dataclass
@@ -337,6 +374,11 @@ def _default_window(graph: Graph) -> int:
     return 10 * graph.n * graph.m
 
 
+def _check_rate(rate: float) -> None:
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
+
+
 def run(
     protocol,
     graph: Graph,
@@ -350,6 +392,7 @@ def run(
     rate: float = 1.0,
     record_trace: bool = False,
     on_step: Optional[Callable[[int, list], None]] = None,
+    table: Optional[TransitionTable] = None,
 ) -> RunResult:
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
 
@@ -363,6 +406,9 @@ def run(
     With expected=None the window fallback is "no output changed for a full
     window". `first_correct_step` is the start of the final matching stretch
     (0 means the initial configuration already matched).
+
+    Agents hold ids of `table` (pass one to share it across runs);
+    `quiescent` and `on_step` still receive state objects.
     """
     n = graph.n
     if len(inputs) != n:
@@ -372,11 +418,15 @@ def run(
         for c in inputs:
             if not (0 <= c < arity):
                 raise ValueError(f"input color {c} invalid for {protocol.name}")
+    _check_rate(rate)
+    if table is None:
+        table = TransitionTable(protocol)
+    elif table.protocol is not protocol:
+        raise ValueError("transition table belongs to another protocol")
 
     rng = random.Random(seed)
-    states: list = [protocol.init(c) for c in inputs]
-    transition = protocol.transition
-    output = protocol.output
+    states = [table.intern(protocol.init(c)) for c in inputs]
+    objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent
     ones_mode = getattr(protocol, "match_mode", "per_node") == "ones_count"
 
@@ -385,18 +435,7 @@ def run(
     m = len(edges)
     period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
 
-    # memoized pure transition and output maps
-    pair_cache: dict = {}
-    out_cache: dict = {}
-
-    def out_of(s):
-        o = out_cache.get(s)
-        if o is None:
-            o = output(s)
-            out_cache[s] = o
-        return o
-
-    outputs = [out_of(s) for s in states]
+    outputs = [outs[s] for s in states]
     if expected is None:
         match_count = None
         matched = False
@@ -414,39 +453,39 @@ def run(
     stopped_by = "max_steps"
     stabilized = False
     check_period = max(n, 1)
-    expovariate = rng.expovariate
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    log = math.log
+    two_m = 2 * m
+    bits = two_m.bit_length()
     rate_m = rate * m
 
     def is_quiescent() -> bool:
-        return quiescent is not None and quiescent(states)
+        return quiescent is not None and quiescent([objs[s] for s in states])
 
     if is_quiescent():
         stopped_by = "quiescence"
         stabilized = matched if expected is not None else True
     else:
         while step < max_steps:
-            k = randrange(2 * m)
+            k = getrandbits(bits)
+            while k >= two_m:
+                k = getrandbits(bits)
             u, v = edges[k >> 1]
             if k & 1:
                 u, v = v, u
-            now += expovariate(rate_m)
+            now += -log(1.0 - uniform()) / rate_m
             step += 1
 
-            su, sv = states[u], states[v]
-            key = (su, sv)
-            nxt = pair_cache.get(key)
-            if nxt is None:
-                nxt = transition(su, sv)
-                pair_cache[key] = nxt
-            nsu, nsv = nxt
-            if nsu is not su or nsv is not sv:
+            a, b = states[u], states[v]
+            na, nb = rows[a].get(b) or fill(a, b)
+            if na != a or nb != b:
                 if expected is None:
-                    if out_of(nsu) != out_of(su) or out_of(nsv) != out_of(sv):
+                    if outs[na] != outs[a] or outs[nb] != outs[b]:
                         streak_start = step  # an output changed; restart stretch
                 elif ones_mode:
-                    match_count += (out_of(nsu) == 1) - (out_of(su) == 1)
-                    match_count += (out_of(nsv) == 1) - (out_of(sv) == 1)
+                    match_count += (outs[na] == 1) - (outs[a] == 1)
+                    match_count += (outs[nb] == 1) - (outs[b] == 1)
                     now_matched = match_count == expected
                     if now_matched and not matched:
                         streak_start = step
@@ -454,25 +493,24 @@ def run(
                         streak_start = None
                     matched = now_matched
                 else:
-                    match_count += (out_of(nsu) == expected) - (out_of(su) == expected)
-                    match_count += (out_of(nsv) == expected) - (out_of(sv) == expected)
+                    match_count += (outs[na] == expected) - (outs[a] == expected)
+                    match_count += (outs[nb] == expected) - (outs[b] == expected)
                     now_matched = match_count == n
                     if now_matched and not matched:
                         streak_start = step
                     elif not now_matched:
                         streak_start = None
                     matched = now_matched
-                states[u] = nsu
-                states[v] = nsv
+                states[u] = na
+                states[v] = nb
 
             if record_trace:
                 activations.append(Activation(u, v, now, step))
             if on_step is not None:
-                on_step(step, states)
+                on_step(step, [objs[s] for s in states])
 
             if period and step % period == 0:
-                if _attempt_swap(edges, n, rng):
-                    pass  # edges mutated in place; oriented draw uses the list
+                _attempt_swap(edges, n, rng)  # edges mutate in place
 
             if expected is None:
                 if streak_start is not None and step - streak_start >= window:
@@ -489,12 +527,12 @@ def run(
                 stabilized = matched if expected is not None else True
                 break
 
-    outputs = tuple(out_of(s) for s in states)
+    outputs = tuple(outs[s] for s in states)
     if expected is not None and not matched:
         first_correct = None
     else:
         first_correct = streak_start
-    result = RunResult(
+    return RunResult(
         protocol=getattr(protocol, "name", "protocol"),
         n=n,
         first_correct_step=first_correct,
@@ -505,10 +543,9 @@ def run(
         elapsed_time=now,
         stopped_by=stopped_by,
         matched=matched if expected is not None else stabilized,
-        final_states=tuple(states),
+        final_states=tuple(objs[s] for s in states),
         trace=Trace(activations, outputs) if record_trace else None,
     )
-    return result
 
 
 @dataclass
@@ -535,6 +572,7 @@ def measure_meeting_time(
         raise GraphError("need n >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_rate(rate)
     rng = random.Random(seed)
     edges = graph.edges
     m = len(edges)

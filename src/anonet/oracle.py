@@ -12,13 +12,12 @@ stabilization for all fair schedules, not just sampled ones.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from scipy import stats as _scipy_stats
-
 from . import circuits as _circuits
-from .engine import Graph, run
+from .engine import Graph, TransitionTable, run
 
 __all__ = [
     "oracle_value",
@@ -107,56 +106,46 @@ def verify_exhaustive(
     activations), finds its terminal SCCs iteratively, and requires every
     terminal configuration to match the expected output. SKIPPED when the
     reachable set exceeds `max_configs`.
+
+    A configuration is a tuple of state ids; configuration i has one arc per
+    ordered edge, succ[i*d : (i+1)*d].
     """
     ordered = []
     for u, v in graph.edges:
         ordered.append((u, v))
         ordered.append((v, u))
+    d = len(ordered)
 
-    transition = protocol.transition
-    pair_cache: dict = {}
-
-    init = tuple(protocol.init(c) for c in inputs)
+    table = TransitionTable(protocol)
+    rows, fill = table.rows, table.fill
+    init = tuple(table.intern(protocol.init(c)) for c in inputs)
     index = {init: 0}
     configs = [init]
-    succ: list[tuple[int, ...]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for ci in frontier:
-            cfg = configs[ci]
-            row = []
-            for u, v in ordered:
-                su, sv = cfg[u], cfg[v]
-                key = (su, sv)
-                res = pair_cache.get(key)
-                if res is None:
-                    res = transition(su, sv)
-                    pair_cache[key] = res
-                nsu, nsv = res
-                if nsu == su and nsv == sv:
-                    row.append(ci)
-                    continue
-                lst = list(cfg)
-                lst[u] = nsu
-                lst[v] = nsv
-                ncfg = tuple(lst)
-                ni = index.get(ncfg)
-                if ni is None:
-                    ni = len(configs)
-                    index[ncfg] = ni
-                    configs.append(ncfg)
-                    nxt.append(ni)
-                    if len(configs) > max_configs:
-                        return VerifyResult(
-                            "SKIPPED",
-                            len(configs),
-                            expected,
-                            f"reachable set exceeds guard ({max_configs})",
-                        )
-                row.append(ni)
-            succ.append(row)
-        frontier = nxt
+    succ = array("I")
+    for ci, cfg in enumerate(configs):  # configs grows as it is walked: breadth first
+        for u, v in ordered:
+            a, b = cfg[u], cfg[v]
+            na, nb = rows[a].get(b) or fill(a, b)
+            if na == a and nb == b:
+                succ.append(ci)
+                continue
+            lst = list(cfg)
+            lst[u] = na
+            lst[v] = nb
+            ncfg = tuple(lst)
+            ni = index.get(ncfg)
+            if ni is None:
+                ni = len(configs)
+                index[ncfg] = ni
+                configs.append(ncfg)
+                if len(configs) > max_configs:
+                    return VerifyResult(
+                        "SKIPPED",
+                        len(configs),
+                        expected,
+                        f"reachable set exceeds guard ({max_configs})",
+                    )
+            succ.append(ni)
 
     n_cfg = len(configs)
     # Tarjan's SCC algorithm, iterative.
@@ -180,9 +169,9 @@ def verify_exhaustive(
                 stack.append(v)
                 on_stack[v] = 1
             advanced = False
-            row = succ[v]
-            while pi < len(row):
-                w = row[pi]
+            base = v * d
+            while pi < d:
+                w = succ[base + pi]
                 pi += 1
                 if ids[w] == UNVISITED:
                     work[-1] = (v, pi)
@@ -209,15 +198,14 @@ def verify_exhaustive(
     terminal = bytearray(1 for _ in range(n_comp))
     for v in range(n_cfg):
         cv = comp_of[v]
-        for w in succ[v]:
+        for w in succ[v * d : (v + 1) * d]:
             if comp_of[w] != cv:
                 terminal[cv] = 0
 
-    output = protocol.output
     for v in range(n_cfg):
         if not terminal[comp_of[v]]:
             continue
-        outs = [output(s) for s in configs[v]]
+        outs = [table.outs[s] for s in configs[v]]
         if not _matches(protocol, outs, expected):
             return VerifyResult(
                 "FAIL",
@@ -258,31 +246,23 @@ def audit_memory(
     max_steps: int = 200_000,
     note: str = "",
 ) -> AuditReport:
-    """Enumerate distinct agent states seen across sampled runs of every
+    """Count the distinct agent states reached across sampled runs of every
     (graph, input, seed) combination and compare ceil(log2 count) against
-    the declared bit budget."""
-    seen: set = set()
+    the declared bit budget.
 
-    def collector(step, states):
-        seen.update(states)
-
+    All runs share one TransitionTable, whose interned states are exactly
+    the initial states and the results of applied transitions.
+    """
+    table = TransitionTable(protocol)
     graphs = list(graphs)
     input_sets = list(input_sets)
     for graph in graphs:
         for inputs in input_sets:
             if len(inputs) != graph.n:
                 continue
-            seen.update(protocol.init(c) for c in inputs)
             for seed in seeds:
-                run(
-                    protocol,
-                    graph,
-                    inputs,
-                    seed=seed,
-                    max_steps=max_steps,
-                    on_step=collector,
-                )
-    count = len(seen)
+                run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
+    count = len(table.objs)
     measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
     return AuditReport(protocol.name, protocol.budget_bits, count, measured, note)
 
@@ -313,11 +293,18 @@ def scaling_report(samples: dict) -> ScalingFit:
     means = [sum(samples[n]) / len(samples[n]) for n in sizes]
     xs = [math.log(n) for n in sizes]
     ys = [math.log(m) for m in means]
-    fit = _scipy_stats.linregress(xs, ys)
+    # ordinary least squares, with r and the slope's standard error as
+    # scipy.stats.linregress computes them (r clipped to [-1, 1])
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - xm) ** 2 for x in xs)
+    syy = sum((y - ym) ** 2 for y in ys)
+    sxy = sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy))) if syy else math.nan
+    slope = sxy / sxx
     return ScalingFit(
-        exponent=float(fit.slope),
-        stderr=float(fit.stderr),
-        intercept=float(fit.intercept),
+        exponent=slope,
+        stderr=math.sqrt((1 - r * r) * syy / sxx / (len(xs) - 2)),
+        intercept=ym - slope * xm,
         sizes=tuple(sizes),
         means=tuple(means),
     )

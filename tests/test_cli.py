@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,36 @@ class TestConfigFile:
         cfg.write_text("protocol lsb:2\n")
         code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
         assert code == 1
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "0"],
+            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "-1"],
+            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rewire", "swap:x"],
+            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "x:3,1:rest"],
+            ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,x"],
+            ["run", "--protocol", "bit:0:4", "--graph", "complete:8", "--input", "0:8"],
+            ["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
+             "--input", "0:8"],
+            ["audit", "bit:0:4", "--n", "8"],
+        ],
+        ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
+             "run-violation", "sweep-violation", "audit-violation"],
+    )
+    def test_error_line_and_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_import_loads_stdlib_only():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, anonet.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

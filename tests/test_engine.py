@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -10,6 +11,9 @@ from scipy import stats
 from anonet.engine import (
     Graph,
     GraphError,
+    ProtocolViolation,
+    TransitionTable,
+    _attempt_swap,
     build_graph,
     is_connected,
     load_edge_list,
@@ -20,7 +24,7 @@ from anonet.engine import (
     schedule_next,
     write_trace,
 )
-from anonet.protocols import lsb_counter_protocol, or_protocol
+from anonet.protocols import bit_protocol, lsb_counter_protocol, or_protocol
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -156,17 +160,35 @@ class TestRunSemantics:
         assert r1.final_outputs == r2.final_outputs
         assert r1.elapsed_time == r2.elapsed_time
 
-    def test_trace_matches_schedule_next_stream(self):
-        g = build_graph("cycle:6")
-        p = or_protocol()
-        res = run(p, g, [0, 1, 0, 0, 0, 0], seed=11, expected=1, record_trace=True)
-        rng = random.Random(11)
-        t = 0.0
+    # 2m = 18 is no power of two, so edge draws get redrawn; 2m = 16 is one,
+    # where randrange draws one bit more than 2m - 1 needs. The swaps mutate
+    # the run's edge list in place, and the replay does too.
+    @pytest.mark.parametrize("spec", ["cycle:9", "cycle:8"])
+    def test_trace_matches_schedule_next_stream(self, spec):
+        g = build_graph(spec)
+        rate, period = 2.5, 4
+        inputs = [i % 3 % 2 for i in range(g.n)]
+        res = run(lsb_counter_protocol(2), g, inputs, seed=21, expected=inputs.count(0) % 4,
+                  rate=rate, rewire_policy=parse_rewire(f"swap:{period}"), record_trace=True)
+        rng = random.Random(21)
+        edges = list(g.edges)
+        view = SimpleNamespace(m=len(edges), edges=edges)  # what schedule_next reads
+        ref = SimpleNamespace(time=0.0)
         for step, act in enumerate(res.trace.activations):
-            ref = schedule_next(g, 1.0, rng, time=t, step=step)
-            t = ref.time
-            assert (act.initiator, act.responder) == (ref.initiator, ref.responder)
-            assert act.time == pytest.approx(ref.time)
+            ref = schedule_next(view, rate, rng, time=ref.time, step=step)
+            assert act == ref  # times compared with ==
+            if ref.step % period == 0:
+                _attempt_swap(edges, g.n, rng)
+        assert res.elapsed_time == ref.time
+        assert sorted(edges) != list(g.edges)  # some swap was applied
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        g = build_graph("path:3")
+        with pytest.raises(ValueError, match="rate"):
+            run(or_protocol(), g, [0, 1, 0], expected=1, rate=rate)
+        with pytest.raises(ValueError, match="rate"):
+            measure_meeting_time(g, trials=1, rate=rate)
 
     def test_max_steps_reported_not_fatal(self):
         g = build_graph("cycle:8")
@@ -209,6 +231,44 @@ class TestRunSemantics:
                 u, v = v, u
             states[u], states[v] = p.transition(states[u], states[v])
             assert [p.output(s) for s in states] == outputs
+
+
+class TestTransitionTable:
+    def test_each_meeting_pair_computed_once(self):
+        import dataclasses
+
+        calls = []
+        base = lsb_counter_protocol(2)
+
+        def transition(a, b):
+            calls.append((a, b))
+            return base.transition(a, b)
+
+        p = dataclasses.replace(base, transition=transition)
+        table = TransitionTable(p)
+        g = build_graph("complete:6")
+        for seed in range(3):
+            run(p, g, [0, 0, 0, 1, 1, 1], seed=seed, expected=3, table=table)
+        assert len(calls) == len(set(calls)) == sum(len(r) for r in table.rows)
+        assert [table.intern(s) for s in table.objs] == list(range(len(table.objs)))
+        assert table.outs == [p.output(s) for s in table.objs]
+
+    def test_rows_fill_lazily(self):
+        # with n = n_max every reached pair is fine, but some pair of reached
+        # states would push a token past the top level
+        p = bit_protocol(0, 4)
+        table = TransitionTable(p)
+        res = run(p, build_graph("complete:4"), [0, 0, 0, 0], seed=1, expected=0, table=table)
+        assert res.stabilized
+        with pytest.raises(ProtocolViolation):
+            for a in range(len(table.objs)):
+                for b in range(len(table.objs)):
+                    table.fill(a, b)
+
+    def test_table_of_another_protocol_rejected(self):
+        g = build_graph("path:3")
+        with pytest.raises(ValueError):
+            run(or_protocol(), g, [0, 1, 0], expected=1, table=TransitionTable(or_protocol()))
 
 
 class TestRewiring:

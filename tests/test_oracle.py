@@ -1,9 +1,12 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonet.catalog import resolve_protocol
 from anonet.circuits import complete_max_tree, parse_circuit
 from anonet.engine import build_graph, run
 from anonet.oracle import (
@@ -126,6 +129,31 @@ class TestAuditMemory:
         assert report.distinct_states <= 8
         assert report.ok
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["lsb:2", "threshold:2:1", "max-gate", "min-gate", "plurality:4", "bit:2:64", "estimate:64"],
+    )
+    def test_counts_exactly_the_states_runs_reach(self, spec):
+        # the graphs, inputs and seeds of the benchmark's `anonet audit --n 16`
+        proto = resolve_protocol(spec).protocol
+        n = 16
+        graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
+        if proto.colors == 2:
+            input_sets = [[0] * r + [1] * (n - r) for r in range(n + 1)]
+        else:
+            input_sets = [sorted(i % proto.colors for i in range(n))]
+        seeds = range(5)
+        report = audit_memory(proto, graphs, input_sets, seeds=seeds)
+
+        seen = set()
+        for graph in graphs:
+            for inputs in input_sets:
+                seen.update(proto.init(c) for c in inputs)
+                for seed in seeds:
+                    run(proto, graph, inputs, seed=seed, max_steps=200_000,
+                        on_step=lambda step, states: seen.update(states))
+        assert report.distinct_states == len(seen)
+
     def test_overbudget_detected(self):
         import dataclasses
 
@@ -142,6 +170,30 @@ class TestScalingReport:
         samples = {n: [float(n**2)] for n in (8, 16, 32, 64)}
         fit = scaling_report(samples)
         assert fit.exponent == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_linregress(self, seed):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(seed)
+        k = 3 if seed < 5 else rng.randint(4, 8)  # 3 sizes: one degree of freedom
+        sizes = sorted(rng.sample(range(2, 2000), k))
+        samples = {n: [rng.uniform(1, 1e6) for _ in range(rng.randint(1, 5))] for n in sizes}
+        fit = scaling_report(samples)
+        ref = stats.linregress(
+            [math.log(n) for n in sizes],
+            [math.log(sum(samples[n]) / len(samples[n])) for n in sizes],
+        )
+        for got, want in ((fit.exponent, ref.slope), (fit.intercept, ref.intercept),
+                          (fit.stderr, ref.stderr)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_exact_power_law_has_zero_stderr(self):
+        stats = pytest.importorskip("scipy.stats")
+        sizes = (8, 16, 32)
+        fit = scaling_report({n: [float(n**2)] for n in sizes})
+        ref = stats.linregress([math.log(n) for n in sizes], [math.log(n**2) for n in sizes])
+        assert fit.stderr == ref.stderr == 0.0
+        assert fit.exponent == ref.slope == 2.0
 
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
