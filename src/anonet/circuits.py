@@ -237,18 +237,18 @@ class GateState(NamedTuple):
     out: int
 
 
-def max_gate_protocol() -> ProtocolDef:
-    """3-bit MAX gate: type-0 agents start (+1, live, out 1), type-1 agents
-    (-1, live, out 1). Opposite live charges collide: the initiator keeps
-    (0, live, 1), the responder turns (0, dead, 0). Everything else swaps.
-    Stabilizes with max(a1, a2) ones."""
+def _gate_protocol(name: str, out: int) -> ProtocolDef:
+    """3-bit comparison gate: type-0 agents start (+1, live, out), type-1
+    agents (-1, live, out). Opposite live charges collide: the initiator
+    keeps (0, live, out), the responder turns (0, dead, 1 - out). Everything
+    else swaps."""
 
     def init(color: int) -> GateState:
-        return GateState(1, 1, 1) if color == 0 else GateState(-1, 1, 1)
+        return GateState(1 if color == 0 else -1, 1, out)
 
     def transition(x: GateState, y: GateState):
         if x.charge and y.charge and x.charge == -y.charge:
-            return (GateState(0, 1, 1), GateState(0, 0, 0))
+            return (GateState(0, 1, out), GateState(0, 0, 1 - out))
         return (y, x)
 
     def output(s: GateState) -> int:
@@ -259,7 +259,7 @@ def max_gate_protocol() -> ProtocolDef:
         return not (1 in signs and -1 in signs)
 
     return ProtocolDef(
-        name="max-gate",
+        name=name,
         init=init,
         transition=transition,
         output=output,
@@ -268,37 +268,18 @@ def max_gate_protocol() -> ProtocolDef:
         colors=2,
         match_mode="ones_count",
     )
+
+
+def max_gate_protocol() -> ProtocolDef:
+    """MAX gate: outputs start at 1 and each collision turns the responder's
+    output to 0, so max(a1, a2) agents end with 1."""
+    return _gate_protocol("max-gate", 1)
 
 
 def min_gate_protocol() -> ProtocolDef:
     """Mirror of the MAX gate with outputs initialized to 0; each collision
     sets the responder's output to 1, so min(a1, a2) agents end with 1."""
-
-    def init(color: int) -> GateState:
-        return GateState(1, 1, 0) if color == 0 else GateState(-1, 1, 0)
-
-    def transition(x: GateState, y: GateState):
-        if x.charge and y.charge and x.charge == -y.charge:
-            return (GateState(0, 1, 0), GateState(0, 0, 1))
-        return (y, x)
-
-    def output(s: GateState) -> int:
-        return s.out
-
-    def quiescent(states) -> bool:
-        signs = {s.charge for s in states if s.charge}
-        return not (1 in signs and -1 in signs)
-
-    return ProtocolDef(
-        name="min-gate",
-        init=init,
-        transition=transition,
-        output=output,
-        quiescent=quiescent,
-        budget_bits=3,
-        colors=2,
-        match_mode="ones_count",
-    )
+    return _gate_protocol("min-gate", 0)
 
 
 # ---------------------------------------------------------------------------

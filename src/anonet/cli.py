@@ -140,6 +140,14 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _flag(flag: str, parse, value, *args, **kwargs):
+    """`parse(value, ...)`; a ValueError becomes a ConfigError naming the flag."""
+    try:
+        return parse(value, *args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {value!r}: {exc}") from exc
+
+
 def _histogram(outputs) -> dict:
     hist: dict = {}
     for o in outputs:
@@ -150,7 +158,8 @@ def _histogram(outputs) -> dict:
 def cmd_run(args) -> int:
     resolved = resolve_protocol(args.protocol)
     graph = build_graph(args.graph, seed=args.seed)
-    inputs = parse_inputs(args.input, graph.n, resolved.protocol.colors, seed=args.seed)
+    inputs = _flag("--input", parse_inputs, args.input, graph.n, resolved.protocol.colors,
+                   seed=args.seed)
     counts = counts_of(inputs, resolved.protocol.colors)
     try:
         expected = resolved.oracle_fn(counts)
@@ -166,7 +175,7 @@ def cmd_run(args) -> int:
         max_steps=args.max_steps,
         confirmation_window=args.confirm_window,
         expected=run_expected,
-        rewire_policy=parse_rewire(args.rewire),
+        rewire_policy=_flag("--rewire", parse_rewire, args.rewire),
         rate=args.rate,
         record_trace=args.trace is not None,
     )
@@ -194,10 +203,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     resolved = resolve_protocol(args.protocol)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = _flag("--sizes", lambda spec: [int(s) for s in spec.split(",") if s], args.sizes)
     if not sizes:
         raise ConfigError("empty size grid")
-    rewire_policy = parse_rewire(args.rewire)
+    rewire_policy = _flag("--rewire", parse_rewire, args.rewire)
     family = args.graph
     rows = []
     samples: dict = {}
@@ -207,9 +216,10 @@ def cmd_sweep(args) -> int:
         spec = f"gnp:{n}:{family.split(':', 1)[1]}" if family.startswith("gnp:") else f"{family}:{n}"
         samples[n] = []
         for seed in range(args.seeds):
+            inputs = _flag("--input", parse_inputs, args.input, n, resolved.protocol.colors,
+                           seed=seed)
             try:
                 graph = build_graph(spec, seed=seed)
-                inputs = parse_inputs(args.input, graph.n, resolved.protocol.colors, seed=seed)
                 counts = counts_of(inputs, resolved.protocol.colors)
                 expected = resolved.oracle_fn(counts)
                 result = run(
@@ -223,7 +233,7 @@ def cmd_sweep(args) -> int:
                     rewire_policy=rewire_policy,
                     rate=args.rate,
                 )
-            except (ConfigError, GraphError) as exc:
+            except GraphError as exc:
                 rows.append([args.protocol, n, "", spec, seed, "", "", f"error:{exc}"])
                 failures += 1
                 continue
@@ -276,6 +286,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_configs < 1:
+        raise ConfigError(f"--max-configs must be >= 1, got {args.max_configs}")
     resolved = resolve_protocol(args.protocol)
     graph = build_graph(args.graph, seed=args.seed)
     colors = resolved.protocol.colors
@@ -291,7 +303,7 @@ def cmd_verify(args) -> int:
                 x //= colors
             input_sets.append(vals)
     else:
-        input_sets = [parse_inputs(args.input, graph.n, colors, seed=args.seed)]
+        input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
     any_fail = False
     lines = []
     for inputs in input_sets:

@@ -7,6 +7,11 @@ components of that configuration graph, and passes iff every configuration
 in every terminal component gives the correct output everywhere. Under any
 fair schedule the run ends up in a terminal component, so a PASS certifies
 stabilization for all fair schedules, not just sampled ones.
+
+Agents are anonymous, so configurations are explored up to the graph's
+symmetry: `states_explored` counts multisets on complete graphs, classes
+under rotation and reflection on cycles, and labelled configurations on any
+other graph, as the result's `symmetry` ("complete" | "cycle" | "none") says.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import circuits as _circuits
@@ -71,25 +77,69 @@ def oracle_value(function: str, counts: Sequence[int], **params):
 @dataclass
 class VerifyResult:
     verdict: str  # "PASS" | "FAIL" | "SKIPPED"
-    states_explored: int
+    states_explored: int  # configurations up to `symmetry`
     value: object
     detail: str = ""
+    symmetry: str = "none"  # "complete" | "cycle" | "none"
 
     def record(self, protocol: str, graph: str, inputs: Sequence[int]) -> dict:
-        return {
+        rec = {
             "protocol": protocol,
             "graph": graph,
             "input": "".join(str(c) for c in inputs),
             "verdict": self.verdict,
             "states_explored": self.states_explored,
+            "symmetry": self.symmetry,
             "value": self.value,
         }
+        if self.detail:
+            rec["detail"] = self.detail
+        return rec
 
 
 def _matches(protocol, outputs, expected) -> bool:
     if getattr(protocol, "match_mode", "per_node") == "ones_count":
         return sum(1 for o in outputs if o == 1) == expected
     return all(o == expected for o in outputs)
+
+
+def _labelled(graph: Graph):
+    """(symmetry, node order, arcs, canonicalizer) of the unreduced search."""
+    ordered = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
+    return "none", range(graph.n), lambda cfg: ordered, tuple
+
+
+def _multiset_arcs(cfg) -> list:
+    """Arcs of a sorted configuration on a complete graph: one per distinct
+    ordered pair of states, (a, b) with a != b, and (a, a) if a occurs twice."""
+    firsts = [i for i in range(len(cfg)) if i == 0 or cfg[i] != cfg[i - 1]]
+    arcs = [(i, j) for i in firsts for j in firsts if i != j]
+    arcs += [(i, i + 1) for i in firsts if i + 1 < len(cfg) and cfg[i + 1] == cfg[i]]
+    return arcs
+
+
+def _symmetry(graph: Graph):
+    """The reduction the edges admit, as `_labelled` returns it: on complete
+    graphs a configuration is its sorted tuple; on cycles, walked from node 0,
+    the least of its n rotations and n reflections; otherwise no reduction."""
+    n, adj = graph.n, graph.adjacency()
+    if graph.m == n * (n - 1) // 2:
+        return "complete", range(n), _multiset_arcs, lambda cfg: tuple(sorted(cfg))
+    if all(len(nbrs) == 2 for nbrs in adj):  # connected, so a single cycle
+        order = [0, adj[0][0]]
+        while len(order) < n:
+            a, b = adj[order[-1]]
+            order.append(b if a == order[-2] else a)
+        ordered = [arc for i in range(n) for arc in ((i, (i + 1) % n), ((i + 1) % n, i))]
+        images = [(s, itemgetter(*((s + k) % n for k in range(n)))) for s in range(n)]
+        images += [(s, itemgetter(*((s - k) % n for k in range(n)))) for s in range(n)]
+
+        def least_image(cfg):  # the least image starts at position s with a least state
+            low = min(cfg)
+            return min([g(cfg) for s, g in images if cfg[s] == low])
+
+        return "cycle", order, lambda cfg: ordered, least_image
+    return _labelled(graph)
 
 
 def verify_exhaustive(
@@ -102,28 +152,35 @@ def verify_exhaustive(
 ) -> VerifyResult:
     """Exhaustively check stabilization to `expected` from `inputs`.
 
-    Builds the reachable configuration graph (arcs labeled by ordered edge
-    activations), finds its terminal SCCs iteratively, and requires every
-    terminal configuration to match the expected output. SKIPPED when the
-    reachable set exceeds `max_configs`.
+    Builds the reachable configuration graph up to the graph's symmetry
+    (`_symmetry`), finds its terminal SCCs iteratively, and requires every
+    terminal configuration to match the expected output. SKIPPED when more
+    than `max_configs` configurations are reachable up to symmetry.
 
-    A configuration is a tuple of state ids; configuration i has one arc per
-    ordered edge, succ[i*d : (i+1)*d].
+    Soundness: a transition reads only states, so an automorphism g maps an
+    arc c -> d to g(c) -> g(d), and the orbit of c reaches that of d iff
+    c ->* g(d) for some g. So the orbit of a terminal c is terminal.
+    Conversely, let c's orbit be terminal and c ->* d; then d ->* g(c) for
+    some g, and d ->* g(c) ->* g(d) ->* g^2(c) ->* ... ->* g^k(c) = c with k
+    the order of g. Members of an orbit have permuted outputs, which
+    `_matches` ignores, so the representatives decide the verdict.
     """
-    ordered = []
-    for u, v in graph.edges:
-        ordered.append((u, v))
-        ordered.append((v, u))
-    d = len(ordered)
+    return _explore(protocol, inputs, expected, max_configs, *_symmetry(graph))
 
+
+def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
+    """The verifier over `canon`ical tuples of state ids in node `order`;
+    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
-    init = tuple(table.intern(protocol.init(c)) for c in inputs)
+    start = [table.intern(protocol.init(c)) for c in inputs]
+    init = canon([start[v] for v in order])
     index = {init: 0}
     configs = [init]
     succ = array("I")
+    offsets = array("I", [0])
     for ci, cfg in enumerate(configs):  # configs grows as it is walked: breadth first
-        for u, v in ordered:
+        for u, v in arcs(cfg):
             a, b = cfg[u], cfg[v]
             na, nb = rows[a].get(b) or fill(a, b)
             if na == a and nb == b:
@@ -132,20 +189,17 @@ def verify_exhaustive(
             lst = list(cfg)
             lst[u] = na
             lst[v] = nb
-            ncfg = tuple(lst)
+            ncfg = canon(lst)
             ni = index.get(ncfg)
             if ni is None:
                 ni = len(configs)
                 index[ncfg] = ni
                 configs.append(ncfg)
                 if len(configs) > max_configs:
-                    return VerifyResult(
-                        "SKIPPED",
-                        len(configs),
-                        expected,
-                        f"reachable set exceeds guard ({max_configs})",
-                    )
+                    return VerifyResult("SKIPPED", len(configs), expected,
+                                        f"reachable set exceeds guard ({max_configs})", symmetry)
             succ.append(ni)
+        offsets.append(len(succ))
 
     n_cfg = len(configs)
     # Tarjan's SCC algorithm, iterative.
@@ -169,8 +223,9 @@ def verify_exhaustive(
                 stack.append(v)
                 on_stack[v] = 1
             advanced = False
-            base = v * d
-            while pi < d:
+            base = offsets[v]
+            deg = offsets[v + 1] - base
+            while pi < deg:
                 w = succ[base + pi]
                 pi += 1
                 if ids[w] == UNVISITED:
@@ -198,7 +253,7 @@ def verify_exhaustive(
     terminal = bytearray(1 for _ in range(n_comp))
     for v in range(n_cfg):
         cv = comp_of[v]
-        for w in succ[v * d : (v + 1) * d]:
+        for w in succ[offsets[v] : offsets[v + 1]]:
             if comp_of[w] != cv:
                 terminal[cv] = 0
 
@@ -207,13 +262,9 @@ def verify_exhaustive(
             continue
         outs = [table.outs[s] for s in configs[v]]
         if not _matches(protocol, outs, expected):
-            return VerifyResult(
-                "FAIL",
-                n_cfg,
-                expected,
-                f"terminal configuration with outputs {outs}",
-            )
-    return VerifyResult("PASS", n_cfg, expected)
+            return VerifyResult("FAIL", n_cfg, expected,
+                                f"terminal configuration with outputs {outs}", symmetry)
+    return VerifyResult("PASS", n_cfg, expected, "", symmetry)
 
 
 @dataclass

@@ -154,6 +154,14 @@ def test_criterion_1_exhaustive():
                 res = verify_exhaustive(resolved.protocol, graph, list(bits), expected)
                 assert res.verdict == "PASS", (spec, graph.generator_tag, bits, res.detail)
                 checked += 1
+    # past the unreduced verifier's reach, through the complete graph's symmetry
+    for spec, red, blue in (("lsb:2", 5, 4), ("estimate:16", 7, 5)):
+        resolved = resolve_protocol(spec)
+        graph = build_graph(f"complete:{red + blue}")
+        res = verify_exhaustive(resolved.protocol, graph, [0] * red + [1] * blue,
+                                resolved.oracle_fn([red, blue]))
+        assert (res.verdict, res.symmetry) == ("PASS", "complete"), (spec, res.detail)
+        checked += 1
     return f"{checked} instances PASS"
 
 

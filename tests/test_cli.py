@@ -207,7 +207,9 @@ class TestVerifyCommand:
              "--input", "0,0,0,1", "--max-configs", "5"],
         )
         assert code == 0
-        assert json.loads(out)["verdict"] == "SKIPPED"
+        rec = json.loads(out)
+        assert rec["verdict"] == "SKIPPED" and rec["symmetry"] == "cycle"
+        assert rec["detail"] == "reachable set exceeds guard (5)"
 
 
 class TestAuditCommand:
@@ -255,25 +257,40 @@ class TestConfigFile:
 
 class TestBadInputs:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,names",
         [
-            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "0"],
-            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "-1"],
-            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rewire", "swap:x"],
-            ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "x:3,1:rest"],
-            ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,x"],
-            ["run", "--protocol", "bit:0:4", "--graph", "complete:8", "--input", "0:8"],
-            ["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
-             "--input", "0:8"],
-            ["audit", "bit:0:4", "--n", "8"],
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "0"],
+             "rate"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "-1"],
+             "rate"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--rewire", "swap:x"], "--rewire 'swap:x'"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "x:3,1:rest"],
+             "--input 'x:3,1:rest'"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,x"],
+             "--sizes '8,x'"),
+            (["run", "--protocol", "bit:0:4", "--graph", "complete:8", "--input", "0:8"], ""),
+            (["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
+              "--input", "0:8"], ""),
+            (["audit", "bit:0:4", "--n", "8"], ""),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8",
+              "--input", "x:3,1:rest"], "--input 'x:3,1:rest'"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,8",
+              "--input", "0:5,1:rest"], "--input '0:5,1:rest'"),
+            (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--max-configs", "0"], "--max-configs"),
+            (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,x,0"],
+             "--input '0,1,x,0'"),
         ],
         ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
-             "run-violation", "sweep-violation", "audit-violation"],
+             "run-violation", "sweep-violation", "audit-violation", "sweep-input-color",
+             "sweep-input-too-large", "max-configs-0", "verify-input-list"],
     )
-    def test_error_line_and_exit_1(self, capsys, argv):
+    def test_error_line_and_exit_1(self, capsys, argv, names):
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert names in err
 
 
 def test_cli_import_loads_stdlib_only():

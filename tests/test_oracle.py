@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonet.catalog import resolve_protocol
-from anonet.circuits import complete_max_tree, parse_circuit
+from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
 from anonet.engine import build_graph, run
 from anonet.oracle import (
+    _explore,
+    _labelled,
     audit_memory,
     oracle_value,
     scaling_report,
@@ -212,3 +215,124 @@ class TestScalingReport:
                 samples[n].append(max(1, res.first_correct_step))
         fit = scaling_report(samples)
         assert fit.exponent <= 2.0
+
+
+def catalog_cases():
+    """(protocol, oracle) for every catalog protocol kind; `circuit` as a
+    gossip circuit with a MIN gate and as a ledger circuit."""
+    cases = []
+    for spec in ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate",
+                 "min-gate", "plurality:2"):
+        resolved = resolve_protocol(spec)
+        cases.append((resolved.protocol, resolved.oracle_fn))
+    for text in ("(max (min 0 1) 2)", "(max (max 0 1) 2)"):
+        circ = parse_circuit(text)
+        cases.append((compile_circuit(circ), functools.partial(evaluate, circ)))
+    return cases
+
+
+# From these colour counts the MIN-gate gossip circuit can stabilize to a
+# wrong ones-count under some fair schedule; both verifiers find it.
+GOSSIP_FAILS = {(1, 2, 1), (1, 3, 1)}
+
+
+def labelled(protocol, graph, inputs, expected):
+    """The unreduced verifier, the reference for the reduced one."""
+    return _explore(protocol, inputs, expected, 10_000_000, *_labelled(graph))
+
+
+CASES = catalog_cases()
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("protocol,oracle", CASES, ids=[p.name for p, _ in CASES])
+    def test_verdicts_agree_with_the_labelled_verifier(self, protocol, oracle):
+        rng = random.Random(1)
+        gossip = protocol.name.startswith("circuit[gossip]")
+        checked = 0
+        for spec in ("cycle:4", "cycle:5", "complete:4", "complete:5"):
+            graph = build_graph(spec)
+            inputs_list = list(itertools.product(range(protocol.colors), repeat=graph.n))
+            if protocol.colors > 2:
+                # from a 2/2/1 split on five nodes the labelled reference can
+                # pass a million configurations (plurality:3 reaches 1.4M), so
+                # a sample of lopsided splits stands in
+                inputs_list = rng.sample([i for i in inputs_list
+                                          if max(map(i.count, set(i))) >= graph.n - 2], 8)
+            for inputs in inputs_list:
+                counts = [inputs.count(c) for c in range(protocol.colors)]
+                try:
+                    value = oracle(counts)
+                except ValueError:  # a plurality tie has no answer
+                    continue
+                value = 0 if value is None else value
+                known_bad = gossip and tuple(counts) in GOSSIP_FAILS
+                for expected, verdict in ((value, "FAIL" if known_bad else "PASS"),
+                                          (value + 1, "FAIL")):
+                    reduced = verify_exhaustive(protocol, graph, inputs, expected)
+                    reference = labelled(protocol, graph, inputs, expected)
+                    assert reduced.verdict == reference.verdict == verdict, (spec, inputs, expected)
+                    assert reduced.symmetry == spec.split(":")[0]
+                    assert reduced.states_explored <= reference.states_explored
+                    checked += 1
+        assert checked >= 32
+
+    def test_no_reduction_off_cycles_and_complete_graphs(self):
+        p = lsb_counter_protocol(2)
+        for spec in ("path:4", "star:4"):
+            graph = build_graph(spec)
+            for bits in itertools.product((0, 1), repeat=4):
+                expected = bits.count(0) % 4
+                reduced = verify_exhaustive(p, graph, bits, expected)
+                reference = labelled(p, graph, bits, expected)
+                assert reduced.symmetry == "none"
+                assert reduced.states_explored == reference.states_explored
+                assert reduced.verdict == reference.verdict == "PASS"
+
+    def test_orbits_on_the_benchmark_instances(self):
+        # the numbers the benchmark's traced verify workload repeats
+        res = verify_exhaustive(threshold_protocol(2, 1, 1), build_graph("cycle:7"),
+                                [0, 0, 1, 0, 1, 1, 1], 0)
+        assert (res.verdict, res.states_explored) == ("PASS", 5334)
+        res = verify_exhaustive(lsb_counter_protocol(2), build_graph("complete:6"),
+                                [0, 0, 0, 1, 1, 1], 3)
+        assert (res.verdict, res.states_explored) == ("PASS", 52)
+
+    def test_relabelled_cycle_file(self, tmp_path):
+        n = 6
+        perm = list(range(n))
+        random.Random(5).shuffle(perm)  # node i of cycle:6 is node perm[i] of the file
+        path = tmp_path / "cycle.txt"
+        path.write_text("".join(f"{perm[i]} {perm[(i + 1) % n]}\n" for i in range(n)))
+        graph = build_graph(f"file:{path}")
+        p = lsb_counter_protocol(2)
+        for bits in ((0, 0, 1, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 0, 0, 1, 1)):
+            inputs = [0] * n
+            for i, b in enumerate(bits):
+                inputs[perm[i]] = b
+            expected = bits.count(0) % 4
+            on_file = verify_exhaustive(p, graph, inputs, expected)
+            on_cycle = verify_exhaustive(p, build_graph(f"cycle:{n}"), list(bits), expected)
+            reference = labelled(p, graph, inputs, expected)
+            assert on_file.symmetry == "cycle"
+            assert on_file.states_explored == on_cycle.states_explored
+            assert on_file.states_explored < reference.states_explored
+            assert on_file.verdict == on_cycle.verdict == reference.verdict == "PASS"
+            wrong = verify_exhaustive(p, graph, inputs, expected + 1)
+            assert wrong.verdict == labelled(p, graph, inputs, expected + 1).verdict == "FAIL"
+
+    def test_fail_record_carries_the_terminal_outputs(self):
+        res = verify_exhaustive(or_protocol(), build_graph("path:3"), [0, 1, 0], 0)
+        rec = res.record("or", "path:3", [0, 1, 0])
+        assert rec["verdict"] == "FAIL"
+        assert rec["detail"] == "terminal configuration with outputs [1, 1, 1]"
+        assert rec["symmetry"] == "none"
+        ok = verify_exhaustive(or_protocol(), build_graph("path:3"), [0, 1, 0], 1)
+        assert "detail" not in ok.record("or", "path:3", [0, 1, 0])
+
+    def test_skipped_record_carries_the_guard(self):
+        res = verify_exhaustive(bit_protocol(0, 8), build_graph("complete:4"), [0, 0, 0, 1], 1,
+                                max_configs=10)
+        rec = res.record("bit:0:8", "complete:4", [0, 0, 0, 1])
+        assert rec["verdict"] == "SKIPPED" and rec["symmetry"] == "complete"
+        assert rec["detail"] == "reachable set exceeds guard (10)"

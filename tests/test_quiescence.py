@@ -1,0 +1,87 @@
+"""The hand-written `quiescent` predicates decide when a run stops and claims
+that it has stabilized. Check them mechanically: on small graphs, from every
+input, every labelled configuration reachable from one where `quiescent`
+holds must give the same outputs (per node, or as a multiset for protocols
+that are matched on their ones-count, whose agents swap states)."""
+
+import itertools
+
+import pytest
+
+from anonet.catalog import resolve_protocol
+from anonet.circuits import compile_circuit, parse_circuit
+from anonet.engine import TransitionTable, build_graph
+
+GRAPHS = ("path:4", "star:4", "cycle:4", "complete:4", "cycle:5")
+# 3^5 inputs of the three-colour ledger circuit on cycle:5 alone take ~15 s
+SMALL_GRAPHS = GRAPHS[:4]
+
+
+def stop_rule_violation(protocol, graph, inputs):
+    """A (quiescent configuration, reachable configuration with other
+    outputs) pair as state-object tuples, or None."""
+    table = TransitionTable(protocol)
+    ordered = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
+
+    def successors(cfg):
+        for u, v in ordered:
+            a, b = cfg[u], cfg[v]
+            na, nb = table.rows[a].get(b) or table.fill(a, b)
+            if na != a or nb != b:
+                nxt = list(cfg)
+                nxt[u], nxt[v] = na, nb
+                yield tuple(nxt)
+
+    def outputs(cfg):
+        outs = tuple(table.outs[s] for s in cfg)
+        return tuple(sorted(outs)) if protocol.match_mode == "ones_count" else outs
+
+    init = tuple(table.intern(protocol.init(c)) for c in inputs)
+    reachable = {init}
+    frontier = [init]
+    while frontier:
+        for d in successors(frontier.pop()):
+            if d not in reachable:
+                reachable.add(d)
+                frontier.append(d)
+
+    # Everything reached from a quiescent configuration gives that one's
+    # outputs, so a later search may stop at it after comparing outputs.
+    settled = set()
+    for root in reachable:
+        if root in settled or not protocol.quiescent([table.objs[s] for s in root]):
+            continue
+        want = outputs(root)
+        settled.add(root)
+        stack = [root]
+        while stack:
+            for d in successors(stack.pop()):
+                if outputs(d) != want:
+                    return tuple(table.objs[s] for s in root), tuple(table.objs[s] for s in d)
+                if d not in settled:
+                    settled.add(d)
+                    stack.append(d)
+    return None
+
+
+def with_predicate():
+    protos = [resolve_protocol(spec).protocol
+              for spec in ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8",
+                           "max-gate", "min-gate")]
+    protos.append(compile_circuit(parse_circuit("(max (max 0 1) 2)"), semantics="ledger"))
+    return protos
+
+
+@pytest.mark.parametrize("protocol", with_predicate(), ids=lambda p: p.name)
+def test_quiescence_is_never_left_for_other_outputs(protocol):
+    for spec in GRAPHS if protocol.colors == 2 else SMALL_GRAPHS:
+        graph = build_graph(spec)
+        for inputs in itertools.product(range(protocol.colors), repeat=graph.n):
+            bad = stop_rule_violation(protocol, graph, inputs)
+            assert bad is None, (spec, inputs, bad)
+
+
+def test_gossip_protocols_have_no_stop_predicate():
+    # plurality and circuits with MIN gates stop only by the window rule
+    assert resolve_protocol("plurality:3").protocol.quiescent is None
+    assert compile_circuit(parse_circuit("(max (min 0 1) 2)")).quiescent is None
