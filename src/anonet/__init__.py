@@ -9,11 +9,13 @@ from .engine import (  # noqa: F401
     RewirePolicy,
     RunResult,
     Trace,
+    arc_chunks,
     build_graph,
+    clock,
     measure_meeting_time,
     rewire,
     run,
-    schedule_next,
+    stream,
 )
 from .protocols import (  # noqa: F401
     ProtocolDef,

@@ -7,17 +7,18 @@ Threshold infers the minimal c with a, b <= 2^c when omitted.
 Input specs are either an explicit comma-separated color list ("0,1,0,0")
 or "color:count" blocks ("0:5,1:3"); counts may be given as integers, as
 percentages of n ("0:25%"), or "rest" to absorb the remainder. Block inputs
-are laid out in ascending color blocks and then shuffled with the run seed
-(the protocols are symmetric, so placement only affects reproducibility).
+are laid out in ascending color blocks and then shuffled with the seed's
+`inputs` stream (the protocols are symmetric, so placement only affects
+reproducibility).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import circuits, oracle, protocols
+from .engine import stream
 
 __all__ = ["ResolvedProtocol", "resolve_protocol", "parse_inputs", "ConfigError"]
 
@@ -168,5 +169,5 @@ def parse_inputs(spec: str, n: int, colors: int, seed: int = 0) -> list[int]:
     values: list[int] = []
     for color, count in enumerate(counts):
         values.extend([color] * count)
-    random.Random(seed).shuffle(values)
+    stream("inputs", seed).shuffle(values)
     return values

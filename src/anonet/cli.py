@@ -18,6 +18,7 @@ from .catalog import ConfigError, counts_of, parse_inputs, resolve_protocol
 from .engine import (
     GraphError,
     ProtocolViolation,
+    TransitionTable,
     build_graph,
     measure_meeting_time,
     parse_rewire,
@@ -208,6 +209,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("empty size grid")
     rewire_policy = _flag("--rewire", parse_rewire, args.rewire)
     family = args.graph
+    table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
     rows = []
     samples: dict = {}
     excluded = 0
@@ -232,6 +234,7 @@ def cmd_sweep(args) -> int:
                     expected=0 if expected is None else expected,
                     rewire_policy=rewire_policy,
                     rate=args.rate,
+                    table=table,
                 )
             except GraphError as exc:
                 rows.append([args.protocol, n, "", spec, seed, "", "", f"error:{exc}"])

@@ -7,22 +7,27 @@ the side: every edge carries an independent exponential clock of rate `rate`,
 so the superposed process selects edges uniformly and the holding time
 between activations is exponential with rate `rate * |E|`.
 
-All randomness of a run comes from one `random.Random(seed)` stream in a
-fixed, documented order:
+Randomness follows stream version 2 (`STREAM_VERSION`). Every purpose has its
+own `random.Random`, seeded from the string `anonet-2:<purpose>:<seed>`
+(`stream`; string seeds go through sha512, the same on every platform):
+`graph` (gnp sampling), `inputs` (the block-input shuffle), `schedule`
+(activated arcs), `rewire` (swap proposals), `time` (the clock) and `tokens`
+(meeting-time start nodes).
 
-1. optional input shuffle (done by callers, before the run loop),
-2. per activation: one `randrange(2|E|)` draw encoding edge index and
-   orientation (low bit), then one exponential holding-time draw,
-3. at rewire steps: the edge-pair, pairing and connectivity draws.
+- Arcs: the 2|E| ordered edges, arc 2i is edge i as stored and arc 2i+1 its
+  reverse (`Graph.arcs`). `arc_chunks` reads CHUNK raw draws at a time: for 2|E| <= 256,
+  CHUNK bytes, each masked to the next power of two >= 2|E| with values
+  >= 2|E| rejected (two `bytes.translate` calls); above, CHUNK `getrandbits`
+  draws of that width, rejected likewise. Accepted draws are exactly uniform.
+- Clock: stop rules read steps, never time, so a run stopping at step T
+  draws its elapsed time once, Gamma(T, 1/(rate |E|)), and then, with a
+  trace only, the T - 1 earlier activation times as sorted uniforms times
+  that total: the order statistics of a Poisson process (`clock`).
 
-The run loop inlines the two per-activation draws as CPython's `random`
-computes them: `getrandbits(k)` with k = (2|E|).bit_length(), redrawn while
-the result is >= 2|E| (what `randrange(2|E|)` does), and
-`-log(1 - random()) / (rate |E|)` (what `expovariate(rate |E|)` does), so
-the stream is the one `schedule_next` draws, unchanged.
-
-Identical (protocol, graph, input, seed, limits) therefore give bit-identical
-traces and results.
+The arcs of a run are prefix-stable: with a smaller `max_steps` the trace's
+arcs are a prefix of the longer run's, rewiring included. Times are a
+function of (seed, T) and are not. Identical (protocol, graph, input, seed,
+limits) give bit-identical traces and results.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -46,7 +52,10 @@ __all__ = [
     "load_edge_list",
     "write_trace",
     "is_connected",
-    "schedule_next",
+    "STREAM_VERSION",
+    "stream",
+    "arc_chunks",
+    "clock",
     "run",
     "rewire",
     "measure_meeting_time",
@@ -94,8 +103,9 @@ class TransitionTable:
 class Graph:
     """Undirected connected graph on nodes 0..n-1.
 
-    Edges are stored as sorted unique (u, v) tuples with u < v. Connectivity
-    is part of the model contract and is validated on construction.
+    Edges are stored as unique (u, v) tuples with u < v, in the order given
+    (which fixes the arcs a seed draws). Connectivity is part of the model
+    contract and is validated on construction.
     """
 
     n: int
@@ -115,13 +125,18 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge {key}")
             seen.add(key)
-        self.edges = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
+        self.edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
         if not is_connected(self.n, self.edges):
             raise GraphError("graph is not connected")
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def arcs(self) -> list[tuple[int, int]]:
+        """The 2m ordered edges: arc 2i is edge i, arc 2i + 1 its reverse."""
+        return [arc for u, v in self.edges for arc in ((u, v), (v, u))]
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -236,7 +251,7 @@ def build_graph(spec: str, seed: int = 0) -> Graph:
             return Graph(n, edges, spec)
         if kind == "gnp":
             n, p = int(parts[1]), float(parts[2])
-            rng = random.Random(seed)
+            rng = stream("graph", seed)
             for _ in range(_GNP_ATTEMPTS):
                 edges = tuple(
                     (u, v)
@@ -297,77 +312,104 @@ def write_trace(path: str, trace: Trace) -> None:
         fh.write("outputs " + " ".join(str(o) for o in trace.final_outputs) + "\n")
 
 
-def schedule_next(
-    graph: Graph,
-    rate: float,
-    rng: random.Random,
-    *,
-    time: float = 0.0,
-    step: int = 0,
-) -> Activation:
-    """Draw the next activation: uniform ordered edge, exponential holding time.
-
-    The run loop inlines exactly this draw order, so a trace can be replayed
-    against repeated calls to this function.
-    """
-    m = graph.m
-    if m == 0:
-        raise GraphError("graph has no edges")
-    k = rng.randrange(2 * m)
-    u, v = graph.edges[k >> 1]
-    if k & 1:
-        u, v = v, u
-    dt = rng.expovariate(rate * m)
-    return Activation(u, v, time + dt, step + 1)
+STREAM_VERSION = 2
+CHUNK = 4096
 
 
-def _attempt_swap(
-    edges: list[tuple[int, int]], n: int, rng: random.Random
-) -> bool:
-    """One connectivity-preserving double edge swap; returns True if applied.
+def stream(purpose: str, seed: int) -> random.Random:
+    """The independent random stream `purpose` of `seed` (see the module docstring)."""
+    return random.Random(f"anonet-{STREAM_VERSION}:{purpose}:{seed}")
 
-    Draws are made unconditionally so the stream stays aligned whether or not
-    the proposal is accepted.
-    """
-    m = len(edges)
-    if m < 2:
-        return False
-    i = rng.randrange(m)
-    j = rng.randrange(m - 1)
-    if j >= i:
-        j += 1
-    flip = rng.randrange(2)
-    u, v = edges[i]
-    x, y = edges[j]
-    if flip:
-        x, y = y, x
-    # propose (u,v),(x,y) -> (u,x),(v,y)
-    if len({u, v, x, y}) < 4:
-        return False
-    e1 = (min(u, x), max(u, x))
-    e2 = (min(v, y), max(v, y))
-    current = set(edges)
-    if e1 in current or e2 in current or e1 == e2:
-        return False
-    trial = list(edges)
-    trial[i] = e1
-    trial[j] = e2
-    if not is_connected(n, trial):
-        return False
-    edges[i] = e1
-    edges[j] = e2
-    return True
+
+def arc_chunks(m: int, rng: random.Random) -> Iterator[Sequence[int]]:
+    """Uniform arc indices in [0, 2m), CHUNK raw draws of `rng` per chunk."""
+    two_m = 2 * m
+    bits = (two_m - 1).bit_length()
+    if bits <= 8:
+        mask = (1 << bits) - 1
+        table = bytes(range(mask + 1)) * (256 >> bits)
+        reject = bytes(range(two_m, mask + 1))
+        while True:
+            yield rng.randbytes(CHUNK).translate(table).translate(None, reject)
+    while True:
+        yield [k for k in map(rng.getrandbits, repeat(bits, CHUNK)) if k < two_m]
+
+
+def clock(steps: int, rate_m: float, rng: random.Random, trace: bool = False):
+    """(elapsed time of `steps` activations at total rate `rate_m`, the time
+    of each activation if `trace` else None)."""
+    total = rng.gammavariate(steps, 1.0 / rate_m) if steps else 0.0
+    if not trace:
+        return total, None
+    uniforms = sorted([rng.random() for _ in range(steps - 1)])
+    return total, [u * total for u in uniforms] + ([total] if steps else [])
+
+
+class _Rewirer:
+    """A run's edge list, with its edge set and adjacency kept across swaps."""
+
+    def __init__(self, edges: Sequence[tuple[int, int]], n: int):
+        self.edges = list(edges)
+        self.present = set(self.edges)
+        self.adj: list[set] = [set() for _ in range(n)]
+        for u, v in self.edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+
+    def _move(self, old, new) -> None:
+        """Replace the edges `old` by `new` in the adjacency."""
+        for u, v in old:
+            self.adj[u].remove(v)
+            self.adj[v].remove(u)
+        for u, v in new:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+
+    def swap(self, rng: random.Random) -> tuple[int, ...]:
+        """One connectivity-preserving double edge swap: the indices of the
+        two replaced edges, or () for a rejected proposal. The three draws
+        are made whether or not the proposal is accepted."""
+        edges = self.edges
+        m = len(edges)
+        if m < 2:
+            return ()
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
+        j += j >= i
+        flip = rng.randrange(2)
+        (u, v), (x, y) = edges[i], edges[j]
+        if flip:
+            x, y = y, x
+        # propose (u,v),(x,y) -> (u,x),(v,y)
+        e1, e2 = (min(u, x), max(u, x)), (min(v, y), max(v, y))
+        if len({u, v, x, y}) < 4 or e1 in self.present or e2 in self.present:
+            return ()
+        old = ((u, v), (x, y))
+        self._move(old, ((u, x), (v, y)))
+        # every part left by deleting the old edges holds u, v, x or y, and
+        # the new edges join u to x and v to y: connected iff u reaches v
+        seen, frontier = {u}, [u]
+        while frontier and v not in seen:
+            frontier = [w for z in frontier for w in self.adj[z] if w not in seen]
+            seen.update(frontier)
+        if v not in seen:
+            self._move(((u, x), (v, y)), old)
+            return ()
+        self.present -= {edges[i], edges[j]}
+        self.present |= {e1, e2}
+        edges[i], edges[j] = e1, e2
+        return i, j
 
 
 def rewire(graph: Graph, policy: RewirePolicy, rng: random.Random) -> Graph:
     """Apply one rewiring event under `policy`, returning a connected graph
-    on the same node set (identical graph for policy "none" or a rolled-back
-    proposal)."""
+    on the same node set (identical graph for policy "none" or a rejected
+    proposal). A replaced edge keeps its position, as in `run`."""
     if policy.kind == "none":
         return graph
-    edges = list(graph.edges)
-    _attempt_swap(edges, graph.n, rng)
-    return Graph(graph.n, tuple(edges), graph.generator_tag + "+swap")
+    rewirer = _Rewirer(graph.edges, graph.n)
+    rewirer.swap(rng)
+    return Graph(graph.n, tuple(rewirer.edges), graph.generator_tag + "+swap")
 
 
 def _default_window(graph: Graph) -> int:
@@ -397,9 +439,9 @@ def run(
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
 
     Stabilization is detected when (a) the protocol's quiescence predicate
-    holds (checked lazily, every n activations), or (b) `expected` is given
-    and the match condition has held for `confirmation_window` consecutive
-    activations. The match condition is per-node equality with `expected`,
+    holds (checked every n activations if some state changed since the last
+    check), or (b) `expected` is given and the match condition has held for
+    `confirmation_window` consecutive activations. The match condition is per-node equality with `expected`,
     or, for protocols with match_mode "ones_count", that the number of nodes
     outputting 1 equals `expected`.
 
@@ -424,16 +466,17 @@ def run(
     elif table.protocol is not protocol:
         raise ValueError("transition table belongs to another protocol")
 
-    rng = random.Random(seed)
     states = [table.intern(protocol.init(c)) for c in inputs]
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent
     ones_mode = getattr(protocol, "match_mode", "per_node") == "ones_count"
 
     window = confirmation_window if confirmation_window is not None else _default_window(graph)
-    edges = list(graph.edges)
-    m = len(edges)
+    m = graph.m
+    arcs = graph.arcs
     period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
+    if period:
+        rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
 
     outputs = [outs[s] for s in states]
     if expected is None:
@@ -448,17 +491,12 @@ def run(
 
     streak_start = 0 if (matched or expected is None) else None
     step = 0
-    now = 0.0
-    activations: list[Activation] = [] if record_trace else None  # type: ignore
+    pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
     stabilized = False
     check_period = max(n, 1)
-    getrandbits = rng.getrandbits
-    uniform = rng.random
-    log = math.log
-    two_m = 2 * m
-    bits = two_m.bit_length()
-    rate_m = rate * m
+    hooks = record_trace or on_step is not None or period  # one test per step for all three
+    changed = False  # whether a state changed since the last quiescence check
 
     def is_quiescent() -> bool:
         return quiescent is not None and quiescent([objs[s] for s in states])
@@ -467,19 +505,15 @@ def run(
         stopped_by = "quiescence"
         stabilized = matched if expected is not None else True
     else:
-        while step < max_steps:
-            k = getrandbits(bits)
-            while k >= two_m:
-                k = getrandbits(bits)
-            u, v = edges[k >> 1]
-            if k & 1:
-                u, v = v, u
-            now += -log(1.0 - uniform()) / rate_m
+        schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
+        for k in islice(schedule, max_steps):
+            u, v = arcs[k]
             step += 1
 
             a, b = states[u], states[v]
             na, nb = rows[a].get(b) or fill(a, b)
             if na != a or nb != b:
+                changed = True
                 if expected is None:
                     if outs[na] != outs[a] or outs[nb] != outs[b]:
                         streak_start = step  # an output changed; restart stretch
@@ -504,13 +538,15 @@ def run(
                 states[u] = na
                 states[v] = nb
 
-            if record_trace:
-                activations.append(Activation(u, v, now, step))
-            if on_step is not None:
-                on_step(step, [objs[s] for s in states])
-
-            if period and step % period == 0:
-                _attempt_swap(edges, n, rng)  # edges mutate in place
+            if hooks:
+                if record_trace:
+                    pairs.append((u, v))
+                if on_step is not None:
+                    on_step(step, [objs[s] for s in states])
+                if period and step % period == 0:
+                    for i in rewirer.swap(rewire_rng):  # the replaced edges
+                        x, y = rewirer.edges[i]
+                        arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
 
             if expected is None:
                 if streak_start is not None and step - streak_start >= window:
@@ -522,11 +558,14 @@ def run(
                 stabilized = True
                 break
 
-            if step % check_period == 0 and is_quiescent():
-                stopped_by = "quiescence"
-                stabilized = matched if expected is not None else True
-                break
+            if step % check_period == 0 and changed:
+                changed = False
+                if is_quiescent():
+                    stopped_by = "quiescence"
+                    stabilized = matched if expected is not None else True
+                    break
 
+    now, times = clock(step, rate * m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     if expected is not None and not matched:
         first_correct = None
@@ -544,7 +583,8 @@ def run(
         stopped_by=stopped_by,
         matched=matched if expected is not None else stabilized,
         final_states=tuple(objs[s] for s in states),
-        trace=Trace(activations, outputs) if record_trace else None,
+        trace=Trace([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)],
+                    outputs) if record_trace else None,
     )
 
 
@@ -573,23 +613,20 @@ def measure_meeting_time(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_rate(rate)
-    rng = random.Random(seed)
     edges = graph.edges
-    m = len(edges)
-    rate_m = rate * m
+    schedule = chain.from_iterable(arc_chunks(len(edges), stream("schedule", seed)))
+    time_rng, tokens = stream("time", seed), stream("tokens", seed)
+    rate_m = rate * len(edges)
     steps_samples = []
     time_samples = []
     for _ in range(trials):
-        a = rng.randrange(graph.n)
-        b = rng.randrange(graph.n - 1)
+        a = tokens.randrange(graph.n)
+        b = tokens.randrange(graph.n - 1)
         if b >= a:
             b += 1
         steps = 0
-        now = 0.0
-        while True:
-            k = rng.randrange(2 * m)
+        for k in schedule:
             u, v = edges[k >> 1]
-            now += rng.expovariate(rate_m)
             steps += 1
             if (u == a and v == b) or (u == b and v == a):
                 break
@@ -602,7 +639,7 @@ def measure_meeting_time(
             elif v == b:
                 b = u
         steps_samples.append(steps)
-        time_samples.append(now)
+        time_samples.append(clock(steps, rate_m, time_rng)[0])
 
     def mean_se(xs):
         mu = sum(xs) / len(xs)

@@ -105,8 +105,8 @@ def _matches(protocol, outputs, expected) -> bool:
 
 def _labelled(graph: Graph):
     """(symmetry, node order, arcs, canonicalizer) of the unreduced search."""
-    ordered = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
-    return "none", range(graph.n), lambda cfg: ordered, tuple
+    arcs = graph.arcs
+    return "none", range(graph.n), lambda cfg: arcs, tuple
 
 
 def _multiset_arcs(cfg) -> list:

@@ -170,6 +170,38 @@ class TestSweepCommand:
         # CSV round-trip: parse back and compare a row
         assert rows[1][0] == "lsb:1" and int(rows[1][1]) == 8
 
+    @pytest.mark.parametrize("spec,graph,rewire,inputs", [
+        ("lsb:2", "cycle", "none", "0:50%,1:rest"),
+        ("plurality:4", "gnp:0.5", "swap:8", "0:50%,1:20%,2:10%,3:rest"),
+    ])
+    def test_shared_table_gives_identical_output(self, tmp_path, monkeypatch, spec, graph,
+                                                 rewire, inputs):
+        # the sweep's runs share one TransitionTable; without it, the bytes match
+        import anonet.cli as cli
+        from anonet import engine
+
+        argv = ["sweep", "--protocol", spec, "--graph", graph, "--sizes", "6,8,10",
+                "--seeds", "3", "--rewire", rewire, "--input", inputs]
+        tables = []
+
+        def shared(*args, table=None, **kwargs):
+            tables.append(table)
+            return engine.run(*args, table=table, **kwargs)
+
+        def private(*args, table=None, **kwargs):
+            return engine.run(*args, **kwargs)
+
+        outputs = []
+        for name, runner in (("shared", shared), ("private", private)):
+            monkeypatch.setattr(cli, "run", runner)
+            out = tmp_path / f"{name}.csv"
+            summary = tmp_path / f"{name}.json"
+            assert main(argv + ["--output", str(out), "--summary", str(summary)]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert len(tables) == 9 and len({id(t) for t in tables}) == 1
+        assert tables[0] is not None and tables[0].rows
+        assert outputs[0] == outputs[1]
+
     def test_forced_timeout_flagged(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,7 @@
+import itertools
 import math
 import random
-from types import SimpleNamespace
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -8,20 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from anonet.circuits import plurality_protocol
 from anonet.engine import (
+    Activation,
     Graph,
     GraphError,
     ProtocolViolation,
     TransitionTable,
-    _attempt_swap,
+    arc_chunks,
     build_graph,
+    clock,
     is_connected,
     load_edge_list,
     measure_meeting_time,
     parse_rewire,
     rewire,
     run,
-    schedule_next,
+    stream,
     write_trace,
 )
 from anonet.protocols import bit_protocol, lsb_counter_protocol, or_protocol
@@ -89,47 +93,71 @@ class TestBuildGraph:
             load_edge_list(str(bad))  # disconnected
 
 
+def arc_draws(m, rng, count):
+    """The first `count` arc indices `arc_chunks` gives."""
+    return list(itertools.islice(itertools.chain.from_iterable(arc_chunks(m, rng)), count))
+
+
+def chi_square(counts, cells, draws):
+    expected = draws / cells
+    return sum((c - expected) ** 2 / expected for c in counts.values())
+
+
 class TestScheduler:
     def test_single_edge_trivial(self):
         g = build_graph("path:2")
-        rng = random.Random(0)
-        times = []
-        t = 0.0
-        for step in range(2000):
-            act = schedule_next(g, 1.0, rng, time=t, step=step)
-            assert {act.initiator, act.responder} == {0, 1}
-            times.append(act.time - t)
-            t = act.time
-        mean = sum(times) / len(times)
-        assert abs(mean - 1.0) < 5 / math.sqrt(len(times))
+        assert set(arc_draws(g.m, random.Random(0), 2000)) == {0, 1}
+        _, times = clock(2000, 1.0 * g.m, random.Random(0), trace=True)
+        dts = [t1 - t0 for t0, t1 in zip([0.0] + times, times)]
+        mean = sum(dts) / len(dts)
+        assert abs(mean - 1.0) < 5 / math.sqrt(len(dts))
 
     def test_uniform_over_ordered_pairs_chi_square(self):
-        # complete:3 has 6 ordered pairs; 10^6 draws against uniform
+        # complete:3 has 6 ordered pairs; 10^6 draws against uniform. The
+        # mask keeps 3 bits, so 2 of every 8 byte values are rejected.
         g = build_graph("complete:3")
-        rng = random.Random(123)
-        counts = {}
+        arcs = [arc for u, v in g.edges for arc in ((u, v), (v, u))]
         n_draws = 10**6
-        for _ in range(n_draws):
-            act = schedule_next(g, 1.0, rng)
-            key = (act.initiator, act.responder)
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(arcs[k] for k in arc_draws(g.m, random.Random(123), n_draws))
         assert len(counts) == 6
-        expected = n_draws / 6
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-        assert chi2 < stats.chi2.ppf(0.999, df=5)
+        assert chi_square(counts, 6, n_draws) < stats.chi2.ppf(0.999, df=5)
+
+    def test_wide_path_uniform_chi_square(self):
+        # complete:17 has 272 arcs, more than a byte holds: 9-bit getrandbits
+        # draws, values >= 272 rejected
+        g = build_graph("complete:17")
+        n_draws = 10**6
+        counts = Counter(arc_draws(g.m, random.Random(5), n_draws))
+        assert set(counts) == set(range(2 * g.m))
+        assert chi_square(counts, 2 * g.m, n_draws) < stats.chi2.ppf(0.999, df=2 * g.m - 1)
 
     def test_mean_holding_time_cycle4_rate2(self):
         g = build_graph("cycle:4")
-        rng = random.Random(7)
-        t = 0.0
-        dts = []
-        for step in range(10**5):
-            act = schedule_next(g, 2.0, rng, time=t, step=step)
-            dts.append(act.time - t)
-            t = act.time
+        _, times = clock(10**5, 2.0 * g.m, random.Random(7), trace=True)
+        dts = [t1 - t0 for t0, t1 in zip([0.0] + times, times)]
         mean = sum(dts) / len(dts)
         target = 1 / (2.0 * 4)  # rate * |E|
         assert abs(mean - target) < 5 * target / math.sqrt(len(dts))
+
+    def test_stream_matches_its_definition(self):
+        # the documented labels, chunk, mask and reject, written out apart
+        # from the engine's code
+        for m, seed in ((9, 4), (8, 4), (200, 4)):
+            raw = random.Random(f"anonet-2:schedule:{seed}")
+            bits = (2 * m - 1).bit_length()
+            want = []
+            while len(want) < 10_000:
+                if bits <= 8:
+                    draws = [b & ((1 << bits) - 1) for b in raw.randbytes(4096)]
+                else:
+                    draws = [raw.getrandbits(bits) for _ in range(4096)]
+                want += [k for k in draws if k < 2 * m]
+            assert arc_draws(m, stream("schedule", seed), len(want)) == want
+        raw = random.Random("anonet-2:time:4")
+        total = raw.gammavariate(50, 1 / 2.5)
+        times = [u * total for u in sorted(raw.random() for _ in range(49))] + [total]
+        assert clock(50, 2.5, stream("time", 4), trace=True) == (total, times)
+        assert clock(50, 2.5, stream("time", 4)) == (total, None)
 
     def test_time_strictly_increasing_in_trace(self):
         g = build_graph("cycle:5")
@@ -160,27 +188,70 @@ class TestRunSemantics:
         assert r1.final_outputs == r2.final_outputs
         assert r1.elapsed_time == r2.elapsed_time
 
-    # 2m = 18 is no power of two, so edge draws get redrawn; 2m = 16 is one,
-    # where randrange draws one bit more than 2m - 1 needs. The swaps mutate
-    # the run's edge list in place, and the replay does too.
+    # 2m = 18 is no power of two, so some masked draws are rejected; 2m = 16
+    # is one, and every draw is kept. Swaps replace edges in place, in `run`
+    # and in `rewire` alike.
     @pytest.mark.parametrize("spec", ["cycle:9", "cycle:8"])
-    def test_trace_matches_schedule_next_stream(self, spec):
+    def test_trace_replays_stream_v2(self, spec):
         g = build_graph(spec)
-        rate, period = 2.5, 4
+        rate, period, seed = 2.5, 4, 21
+        policy = parse_rewire(f"swap:{period}")
         inputs = [i % 3 % 2 for i in range(g.n)]
-        res = run(lsb_counter_protocol(2), g, inputs, seed=21, expected=inputs.count(0) % 4,
-                  rate=rate, rewire_policy=parse_rewire(f"swap:{period}"), record_trace=True)
-        rng = random.Random(21)
-        edges = list(g.edges)
-        view = SimpleNamespace(m=len(edges), edges=edges)  # what schedule_next reads
-        ref = SimpleNamespace(time=0.0)
-        for step, act in enumerate(res.trace.activations):
-            ref = schedule_next(view, rate, rng, time=ref.time, step=step)
-            assert act == ref  # times compared with ==
-            if ref.step % period == 0:
-                _attempt_swap(edges, g.n, rng)
-        assert res.elapsed_time == ref.time
-        assert sorted(edges) != list(g.edges)  # some swap was applied
+        res = run(lsb_counter_protocol(2), g, inputs, seed=seed, expected=inputs.count(0) % 4,
+                  rate=rate, rewire_policy=policy, record_trace=True)
+        steps = res.total_steps
+        rewire_rng = stream("rewire", seed)
+        graph, pairs = g, []
+        for step, k in enumerate(arc_draws(g.m, stream("schedule", seed), steps), 1):
+            u, v = graph.edges[k >> 1]
+            pairs.append((v, u) if k & 1 else (u, v))
+            if step % period == 0:
+                graph = rewire(graph, policy, rewire_rng)
+        total, times = clock(steps, rate * g.m, stream("time", seed), trace=True)
+        assert res.trace.activations == [
+            Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)]
+        assert res.elapsed_time == total
+        assert set(graph.edges) != set(g.edges)  # some swap was applied
+
+    def test_trace_arcs_are_prefix_stable(self):
+        # no quiescence and a long window: every run stops at max_steps
+        import dataclasses
+
+        g = build_graph("gnp:9:0.5", seed=3)
+        p = dataclasses.replace(lsb_counter_protocol(2), quiescent=None)
+        inputs = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+
+        def arcs(max_steps):
+            res = run(p, g, inputs, seed=8, expected=4 % 4, max_steps=max_steps,
+                      confirmation_window=10**6, rewire_policy=parse_rewire("swap:3"),
+                      record_trace=True)
+            assert res.total_steps == max_steps
+            return [(a.initiator, a.responder) for a in res.trace.activations]
+
+        full = arcs(9000)  # more than a chunk of 4096 draws gives
+        for k in (1, 7, 2500, 8999):
+            assert arcs(k) == full[:k]
+
+    def test_quiescence_checked_only_after_a_change(self):
+        import dataclasses
+
+        base = lsb_counter_protocol(1)
+        calls = []
+        p = dataclasses.replace(base, quiescent=lambda states: calls.append(1) or
+                                base.quiescent(states))
+        g = build_graph("cycle:12")
+        inputs = [i % 3 % 2 for i in range(g.n)]
+        last, dirty, due = [p.init(c) for c in inputs], False, 1  # the check at step 0
+
+        def on_step(step, states):
+            nonlocal last, dirty, due
+            dirty, last = dirty or states != last, states
+            if step % g.n == 0:
+                due, dirty = due + dirty, False
+
+        res = run(p, g, inputs, seed=2, expected=inputs.count(0) % 2, on_step=on_step)
+        assert res.stopped_by == "quiescence"
+        assert len(calls) == due < 1 + res.total_steps // g.n
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
     def test_rate_must_be_finite_and_positive(self, rate):
@@ -231,6 +302,85 @@ class TestRunSemantics:
                 u, v = v, u
             states[u], states[v] = p.transition(states[u], states[v])
             assert [p.output(s) for s in states] == outputs
+
+
+def reference_first_correct(protocol, graph, inputs, seed, expected, period=0):
+    """`first_correct_step` of a run drawn per step from one stream, as the
+    engine did before stream version 2: a `randrange` arc and an
+    `expovariate` holding time each step, and the swap draws inline. Its
+    stop rules (quiescence every n steps, the default window) are the
+    engine's; agents are per-node matched."""
+    rng = random.Random(seed)
+    n, edges = graph.n, list(graph.edges)
+    window = 10 * n * len(edges)
+    states = [protocol.init(c) for c in inputs]
+    memo, hit = {}, {}  # transitions, and whether a state outputs `expected`
+    for s in states:
+        hit[s] = protocol.output(s) == expected
+    match = sum(hit[s] for s in states)
+    start = 0 if match == n else None
+    step = 0
+    while True:
+        k = rng.randrange(2 * len(edges))
+        u, v = edges[k >> 1]
+        if k & 1:
+            u, v = v, u
+        rng.expovariate(len(edges))
+        step += 1
+        a, b = states[u], states[v]
+        if (a, b) not in memo:
+            memo[a, b] = protocol.transition(a, b)
+            for s in memo[a, b]:
+                hit[s] = protocol.output(s) == expected
+        states[u], states[v] = c, d = memo[a, b]
+        match += hit[c] + hit[d] - hit[a] - hit[b]
+        if match < n:
+            start = None
+        elif start is None:
+            start = step
+        if period and step % period == 0:
+            i, j, flip = rng.randrange(len(edges)), rng.randrange(len(edges) - 1), rng.randrange(2)
+            j += j >= i
+            (p, q), (x, y) = edges[i], edges[j]
+            if flip:
+                x, y = y, x
+            e1, e2 = (min(p, x), max(p, x)), (min(q, y), max(q, y))
+            if len({p, q, x, y}) == 4 and e1 not in edges and e2 not in edges:
+                trial = [e for e in edges if e not in (edges[i], edges[j])] + [e1, e2]
+                if is_connected(n, trial):
+                    edges[i], edges[j] = e1, e2
+        if start is not None and step - start >= window:
+            return start
+        if step % n == 0 and protocol.quiescent and protocol.quiescent(states):
+            return start
+
+
+class TestStreamDistribution:
+    """Stream version 2 draws the same process as per-step draws: the
+    distributions of `first_correct_step` agree by a two-sample KS test at
+    alpha = 0.001 over 200 seeds a side."""
+
+    ALPHA = 0.001
+    SEEDS = range(200)
+
+    def check(self, protocol, graph, inputs, expected, rewire_spec="none"):
+        policy = parse_rewire(rewire_spec)
+        engine = [run(protocol, graph, inputs, seed=seed, expected=expected,
+                      rewire_policy=policy).first_correct_step for seed in self.SEEDS]
+        reference = [reference_first_correct(protocol, graph, inputs, seed, expected,
+                                             policy.period) for seed in self.SEEDS]
+        assert None not in engine and None not in reference
+        assert stats.ks_2samp(engine, reference).pvalue > self.ALPHA
+
+    def test_lsb_on_cycle(self):
+        inputs = [i % 3 % 2 for i in range(16)]
+        self.check(lsb_counter_protocol(1), build_graph("cycle:16"), inputs,
+                   inputs.count(0) % 2)
+
+    def test_plurality_on_rewired_gnp(self):
+        inputs = [0] * 5 + [1] * 3 + [2] * 2 + [3] * 2
+        self.check(plurality_protocol(4), build_graph("gnp:12:0.5", seed=1), inputs, 0,
+                   "swap:4")
 
 
 class TestTransitionTable:
