@@ -23,7 +23,7 @@ def main() -> None:
     args = ap.parse_args()
 
     circ = parse_circuit("(max (max 0 1) (max 2 3))")
-    proto = compile_circuit(circ, semantics="ledger")
+    proto = compile_circuit(circ)
     bad = 0
     for case in range(args.cases):
         rng = random.Random(case)

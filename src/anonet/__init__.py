@@ -38,7 +38,6 @@ from .circuits import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     audit_memory,
-    oracle_value,
     scaling_report,
     verify_exhaustive,
 )

@@ -1,8 +1,23 @@
 """Resolution of protocol and input specification strings.
 
-Protocol strings: or | lsb:c | threshold:a:b[:c] | bit:j:nmax |
-estimate:nmax | max-gate | min-gate | plurality:k | circuit:path.
-Threshold infers the minimal c with a, b <= 2^c when omitted.
+Protocol strings are `kind[:p1[:p2...]]` with integer parameters. `KINDS`
+is their grammar: kind -> (accepted parameter counts, `build(*params)`),
+and `build` returns (protocol, truth). `truth(counts)` is plain arithmetic
+over per-color counts (r is the count of color 0), None when there is
+nothing to report; ValueError means there is no answer.
+
+    or                 1 if any agent has color 1
+    lsb:c              r mod 2^c
+    threshold:a:b[:c]  1 if r/(n - r) > a/b; c defaults to the minimal c
+                       with a, b <= 2^c
+    bit:j:nmax         bit j of r
+    estimate:nmax      floor(log2 r), None for r = 0
+    max-gate           max of the two color counts
+    min-gate           min of the two color counts
+    plurality:k        the most common of k colors; a tie has no answer
+
+`circuit:path` is the one kind outside the table, since its parameter is
+a file holding a comparison tree; its truth is `circuits.evaluate`.
 
 Input specs are either an explicit comma-separated color list ("0,1,0,0")
 or "color:count" blocks ("0:5,1:3"); counts may be given as integers, as
@@ -15,12 +30,13 @@ reproducibility).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
-from . import circuits, oracle, protocols
+from . import circuits, protocols
 from .engine import stream
 
-__all__ = ["ResolvedProtocol", "resolve_protocol", "parse_inputs", "ConfigError"]
+__all__ = ["KINDS", "ResolvedProtocol", "resolve_protocol", "parse_inputs", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -32,80 +48,59 @@ class ResolvedProtocol:
     spec: str
     protocol: protocols.ProtocolDef
     oracle_fn: Callable[[Sequence[int]], object]
-    kind: str
+
+
+def _threshold(a: int, b: int, c: Optional[int] = None):
+    if c is None:
+        c = max(1, max(a, b) - 1).bit_length()
+    return (protocols.threshold_protocol(a, b, c),
+            lambda counts: 1 if b * counts[0] > a * (sum(counts) - counts[0]) else 0)
+
+
+def _plurality(counts: Sequence[int]) -> int:
+    top = max(counts)
+    winners = [i for i, c in enumerate(counts) if c == top]
+    if len(winners) != 1:
+        raise ValueError(f"plurality tie between colors {winners}")
+    return winners[0]
+
+
+KINDS: dict[str, tuple[tuple[int, ...], Callable]] = {
+    "or": ((0,), lambda: (protocols.or_protocol(),
+                          lambda counts: 1 if sum(counts) > counts[0] else 0)),
+    "lsb": ((1,), lambda c: (protocols.lsb_counter_protocol(c),
+                             lambda counts: counts[0] % (1 << c))),
+    "threshold": ((2, 3), _threshold),
+    "bit": ((2,), lambda j, nmax: (protocols.bit_protocol(j, nmax),
+                                   lambda counts: (counts[0] >> j) & 1)),
+    "estimate": ((1,), lambda nmax: (
+        protocols.estimate_protocol(nmax),
+        lambda counts: counts[0].bit_length() - 1 if counts[0] else None)),
+    "max-gate": ((0,), lambda: (circuits.max_gate_protocol(),
+                                lambda counts: max(counts[0], counts[1]))),
+    "min-gate": ((0,), lambda: (circuits.min_gate_protocol(),
+                                lambda counts: min(counts[0], counts[1]))),
+    "plurality": ((1,), lambda k: (circuits.plurality_protocol(k), _plurality)),
+}
 
 
 def resolve_protocol(spec: str) -> ResolvedProtocol:
-    """Build the protocol and its ground-truth oracle from a spec string."""
-    parts = spec.split(":")
-    kind = parts[0]
+    """Build the protocol and its ground truth from a spec string."""
+    kind, colon, rest = spec.partition(":")
+    params = rest.split(":") if colon else []
     try:
-        if kind == "or" and len(parts) == 1:
-            proto = protocols.or_protocol()
-            return ResolvedProtocol(spec, proto, lambda c: oracle.oracle_value("or", c), "or")
-        if kind == "lsb" and len(parts) == 2:
-            c = int(parts[1])
-            proto = protocols.lsb_counter_protocol(c)
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("lsb", counts, c=c), "lsb"
-            )
-        if kind == "threshold" and len(parts) in (3, 4):
-            a, b = int(parts[1]), int(parts[2])
-            if len(parts) == 4:
-                c = int(parts[3])
-            else:
-                c = max(1, max(a, b) - 1).bit_length()
-            proto = protocols.threshold_protocol(a, b, c)
-            return ResolvedProtocol(
-                spec,
-                proto,
-                lambda counts: oracle.oracle_value("threshold", counts, a=a, b=b),
-                "threshold",
-            )
-        if kind == "bit" and len(parts) == 3:
-            j, nmax = int(parts[1]), int(parts[2])
-            proto = protocols.bit_protocol(j, nmax)
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("bit", counts, j=j), "bit"
-            )
-        if kind == "estimate" and len(parts) == 2:
-            nmax = int(parts[1])
-            proto = protocols.estimate_protocol(nmax)
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("estimate", counts), "estimate"
-            )
-        if kind == "max-gate" and len(parts) == 1:
-            proto = circuits.max_gate_protocol()
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("max_gate", counts), "max_gate"
-            )
-        if kind == "min-gate" and len(parts) == 1:
-            proto = circuits.min_gate_protocol()
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("min_gate", counts), "min_gate"
-            )
-        if kind == "plurality" and len(parts) == 2:
-            k = int(parts[1])
-            proto = circuits.plurality_protocol(k)
-            return ResolvedProtocol(
-                spec, proto, lambda counts: oracle.oracle_value("plurality", counts), "plurality"
-            )
-        if kind == "circuit" and len(parts) >= 2:
-            path = spec.split(":", 1)[1]
+        if kind == "circuit" and colon:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
+                with open(rest, "r", encoding="utf-8") as fh:
+                    circ = circuits.parse_circuit(fh.read())
             except OSError as exc:
-                raise ConfigError(f"cannot read circuit file {path}: {exc}") from exc
-            circ = circuits.parse_circuit(text)
-            proto = circuits.compile_circuit(circ)
-            return ResolvedProtocol(
-                spec,
-                proto,
-                lambda counts: oracle.oracle_value("circuit", counts, circuit=circ),
-                "circuit",
-            )
-    except (ValueError, circuits.CircuitError) as exc:
+                raise ConfigError(f"cannot read circuit file {rest}: {exc}") from exc
+            return ResolvedProtocol(spec, circuits.compile_circuit(circ),
+                                    partial(circuits.evaluate, circ))
+        arities, build = KINDS.get(kind, ((), None))
+        if len(params) in arities:
+            return ResolvedProtocol(spec, *build(*map(int, params)))
+    except ValueError as exc:  # CircuitError included
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad protocol spec {spec!r}: {exc}") from exc

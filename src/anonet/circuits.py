@@ -400,22 +400,13 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     return (ny, nx)  # nothing applies: full state swap
 
 
-def compile_circuit(circuit: Circuit, semantics: str = "auto") -> ProtocolDef:
-    """Compile a comparison tree into a pairwise protocol.
-
-    semantics "ledger" requires a MAX-only tree and provides the exact event
-    accounting checked by collision_count_check; "gossip" supports MIN gates
-    too. "auto" picks ledger for MAX-only trees.
-    """
-    if semantics == "auto":
-        semantics = "ledger" if circuit.is_max_only() else "gossip"
-    if semantics == "ledger":
-        if not circuit.is_max_only():
-            raise CircuitError("ledger semantics requires a MAX-only circuit")
+def compile_circuit(circuit: Circuit) -> ProtocolDef:
+    """Compile a comparison tree into a pairwise protocol: MAX-only trees to
+    the ledger semantics, with the exact event accounting checked by
+    collision_count_check; trees with a MIN gate to the gossip semantics."""
+    if circuit.is_max_only():
         return _compile_ledger(circuit)
-    if semantics == "gossip":
-        return _compile_gossip(circuit, plurality=False)
-    raise CircuitError(f"unknown semantics {semantics!r}")
+    return _compile_gossip(circuit, plurality=False)
 
 
 def _compile_ledger(circuit: Circuit) -> ProtocolDef:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from . import __version__
 from .catalog import ConfigError, counts_of, parse_inputs, resolve_protocol
 from .engine import (
-    GraphError,
     ProtocolViolation,
     TransitionTable,
     build_graph,
@@ -222,24 +221,23 @@ def cmd_sweep(args) -> int:
                            seed=seed)
             try:
                 graph = build_graph(spec, seed=seed)
-                counts = counts_of(inputs, resolved.protocol.colors)
-                expected = resolved.oracle_fn(counts)
-                result = run(
-                    resolved.protocol,
-                    graph,
-                    inputs,
-                    seed=seed,
-                    max_steps=args.max_steps,
-                    confirmation_window=args.confirm_window,
-                    expected=0 if expected is None else expected,
-                    rewire_policy=rewire_policy,
-                    rate=args.rate,
-                    table=table,
-                )
-            except GraphError as exc:
+                expected = resolved.oracle_fn(counts_of(inputs, resolved.protocol.colors))
+            except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
                 rows.append([args.protocol, n, "", spec, seed, "", "", f"error:{exc}"])
                 failures += 1
                 continue
+            result = run(
+                resolved.protocol,
+                graph,
+                inputs,
+                seed=seed,
+                max_steps=args.max_steps,
+                confirmation_window=args.confirm_window,
+                expected=0 if expected is None else expected,
+                rewire_policy=rewire_policy,
+                rate=args.rate,
+                table=table,
+            )
             rows.append(
                 [
                     args.protocol,
@@ -344,7 +342,7 @@ def cmd_audit(args) -> int:
                 base = [(i % proto.colors) for i in range(n)]
                 input_sets.append(sorted(base))
                 break
-        note = "output register adds one bit over the counter tuple" if resolved.kind == "bit" else ""
+        note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""
         report = audit_memory(proto, graphs, input_sets, note=note)
         if args.format == "json":
             lines.append(

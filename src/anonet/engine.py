@@ -56,6 +56,7 @@ __all__ = [
     "stream",
     "arc_chunks",
     "clock",
+    "match_rule",
     "run",
     "rewire",
     "measure_meeting_time",
@@ -421,6 +422,15 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"rate must be finite and > 0, got {rate}")
 
 
+def match_rule(protocol, expected: Any, n: int) -> tuple:
+    """(want, target): n outputs match `expected` when exactly `target` of
+    them equal `want`. Protocols with match_mode "ones_count" match on the
+    number of 1 outputs, all others on every output equalling `expected`."""
+    if protocol.match_mode == "ones_count":
+        return 1, expected
+    return expected, n
+
+
 def run(
     protocol,
     graph: Graph,
@@ -441,9 +451,8 @@ def run(
     Stabilization is detected when (a) the protocol's quiescence predicate
     holds (checked every n activations if some state changed since the last
     check), or (b) `expected` is given and the match condition has held for
-    `confirmation_window` consecutive activations. The match condition is per-node equality with `expected`,
-    or, for protocols with match_mode "ones_count", that the number of nodes
-    outputting 1 equals `expected`.
+    `confirmation_window` consecutive activations. The match condition is
+    `match_rule`'s.
 
     With expected=None the window fallback is "no output changed for a full
     window". `first_correct_step` is the start of the final matching stretch
@@ -455,11 +464,9 @@ def run(
     n = graph.n
     if len(inputs) != n:
         raise ValueError(f"input length {len(inputs)} != n {n}")
-    arity = getattr(protocol, "colors", None)
-    if arity is not None:
-        for c in inputs:
-            if not (0 <= c < arity):
-                raise ValueError(f"input color {c} invalid for {protocol.name}")
+    for c in inputs:
+        if not (0 <= c < protocol.colors):
+            raise ValueError(f"input color {c} invalid for {protocol.name}")
     _check_rate(rate)
     if table is None:
         table = TransitionTable(protocol)
@@ -469,7 +476,6 @@ def run(
     states = [table.intern(protocol.init(c)) for c in inputs]
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent
-    ones_mode = getattr(protocol, "match_mode", "per_node") == "ones_count"
 
     window = confirmation_window if confirmation_window is not None else _default_window(graph)
     m = graph.m
@@ -478,16 +484,11 @@ def run(
     if period:
         rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
 
-    outputs = [outs[s] for s in states]
-    if expected is None:
-        match_count = None
-        matched = False
-    elif ones_mode:
-        match_count = sum(1 for o in outputs if o == 1)
-        matched = match_count == expected
-    else:
-        match_count = sum(1 for o in outputs if o == expected)
-        matched = match_count == n
+    matched = False
+    if expected is not None:
+        want, target = match_rule(protocol, expected, n)
+        match_count = sum(1 for s in states if outs[s] == want)
+        matched = match_count == target
 
     streak_start = 0 if (matched or expected is None) else None
     step = 0
@@ -517,19 +518,10 @@ def run(
                 if expected is None:
                     if outs[na] != outs[a] or outs[nb] != outs[b]:
                         streak_start = step  # an output changed; restart stretch
-                elif ones_mode:
-                    match_count += (outs[na] == 1) - (outs[a] == 1)
-                    match_count += (outs[nb] == 1) - (outs[b] == 1)
-                    now_matched = match_count == expected
-                    if now_matched and not matched:
-                        streak_start = step
-                    elif not now_matched:
-                        streak_start = None
-                    matched = now_matched
                 else:
-                    match_count += (outs[na] == expected) - (outs[a] == expected)
-                    match_count += (outs[nb] == expected) - (outs[b] == expected)
-                    now_matched = match_count == n
+                    match_count += (outs[na] == want) - (outs[a] == want)
+                    match_count += (outs[nb] == want) - (outs[b] == want)
+                    now_matched = match_count == target
                     if now_matched and not matched:
                         streak_start = step
                     elif not now_matched:
@@ -572,7 +564,7 @@ def run(
     else:
         first_correct = streak_start
     return RunResult(
-        protocol=getattr(protocol, "name", "protocol"),
+        protocol=protocol.name,
         n=n,
         first_correct_step=first_correct,
         stabilized=stabilized,

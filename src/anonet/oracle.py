@@ -1,4 +1,4 @@
-"""Ground truth, exhaustive stabilization checking, and budget audits.
+"""Exhaustive stabilization checking, budget audits and scaling fits.
 
 `verify_exhaustive` decides the convergence contract on a concrete instance:
 it enumerates every configuration reachable from the initial one under all
@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from . import circuits as _circuits
-from .engine import Graph, TransitionTable, run
+from .engine import Graph, TransitionTable, match_rule, run
 
 __all__ = [
-    "oracle_value",
     "verify_exhaustive",
     "VerifyResult",
     "audit_memory",
@@ -34,44 +32,6 @@ __all__ = [
     "scaling_report",
     "ScalingFit",
 ]
-
-
-def oracle_value(function: str, counts: Sequence[int], **params):
-    """Direct arithmetic ground truth over per-color counts.
-
-    Functions: "or", "lsb" (c), "threshold" (a, b), "bit" (j), "estimate",
-    "max_gate", "min_gate", "plurality", "circuit" (circuit=Circuit).
-    Color 0 is the counted color; r is its count.
-    """
-    n = sum(counts)
-    r = counts[0] if counts else 0
-    if function == "or":
-        ones = n - r
-        return 1 if ones > 0 else 0
-    if function == "lsb":
-        return r % (1 << params["c"])
-    if function == "threshold":
-        a, b = params["a"], params["b"]
-        return 1 if b * r > a * (n - r) else 0
-    if function == "bit":
-        return (r >> params["j"]) & 1
-    if function == "estimate":
-        if r == 0:
-            return None  # reported as an empty run
-        return int(math.floor(math.log2(r)))
-    if function == "max_gate":
-        return max(counts[0], counts[1])
-    if function == "min_gate":
-        return min(counts[0], counts[1])
-    if function == "plurality":
-        top = max(counts)
-        winners = [i for i, c in enumerate(counts) if c == top]
-        if len(winners) != 1:
-            raise ValueError(f"plurality tie between colors {winners}")
-        return winners[0]
-    if function == "circuit":
-        return _circuits.evaluate(params["circuit"], counts)
-    raise ValueError(f"unknown oracle function {function!r}")
 
 
 @dataclass
@@ -98,9 +58,8 @@ class VerifyResult:
 
 
 def _matches(protocol, outputs, expected) -> bool:
-    if getattr(protocol, "match_mode", "per_node") == "ones_count":
-        return sum(1 for o in outputs if o == 1) == expected
-    return all(o == expected for o in outputs)
+    want, target = match_rule(protocol, expected, len(outputs))
+    return sum(1 for o in outputs if o == want) == target
 
 
 def _labelled(graph: Graph):

@@ -223,7 +223,7 @@ def test_criterion_4_ledger():
         if graph.n != n:
             graph = build_graph(f"complete:{n}")
         inputs = spread(counts, case)
-        proto = compile_circuit(circ, semantics="ledger")
+        proto = compile_circuit(circ)
         expected = evaluate(circ, counts)
         res = run(proto, graph, inputs, seed=case, max_steps=MAX_STEPS,
                   expected=expected, record_trace=True)

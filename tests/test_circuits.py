@@ -102,11 +102,6 @@ class TestCompiledCircuits:
             res = run(proto, g, agents_for(counts, seed), seed=seed, expected=4)
             assert res.stabilized and ones(res.final_outputs) == 4
 
-    def test_ledger_requires_max_only(self):
-        circ = parse_circuit("(max (min 0 1) 2)")
-        with pytest.raises(CircuitError):
-            compile_circuit(circ, semantics="ledger")
-
     def test_depth_three_on_cycle(self):
         circ = parse_circuit("(max (max (max 0 1) 2) 3)")
         proto = compile_circuit(circ)

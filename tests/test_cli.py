@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from anonet.catalog import ConfigError, parse_inputs, resolve_protocol
+from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
 
 
@@ -33,6 +34,20 @@ class TestResolver:
         for spec in ("nope", "lsb", "lsb:x", "threshold:1", "bit:1", "plurality:1"):
             with pytest.raises(ConfigError):
                 resolve_protocol(spec)
+
+    @pytest.mark.parametrize("spec", [
+        kind + ":2" * count
+        for kind, (arities, _) in KINDS.items()
+        for count in (min(arities) - 1, max(arities) + 1) if count >= 0
+    ] + ["circuit"])
+    def test_wrong_parameter_count_is_an_unknown_spec(self, spec):
+        with pytest.raises(ConfigError, match="unknown protocol spec"):
+            resolve_protocol(spec)
+
+    def test_every_accepted_count_fits_the_factory(self):
+        for arities, build in KINDS.values():
+            for count in arities:
+                inspect.signature(build).bind(*[2] * count)  # TypeError if it does not
 
     def test_circuit_file(self, tmp_path):
         path = tmp_path / "c.circ"
@@ -201,6 +216,20 @@ class TestSweepCommand:
         assert len(tables) == 9 and len({id(t) for t in tables}) == 1
         assert tables[0] is not None and tables[0].rows
         assert outputs[0] == outputs[1]
+
+    def test_plurality_tie_at_one_size_is_an_error_row(self, capsys, tmp_path):
+        # n = 6 splits 2/1/1/2, a tie with no answer; n = 8 and 10 have a winner
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--protocol", "plurality:4", "--graph", "gnp:0.5", "--sizes", "6,8,10",
+             "--seeds", "2", "--input", "0:40%,1:30%,2:20%,3:rest",
+             "--summary", str(tmp_path / "s.json")],
+        )
+        assert code == 2
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(row[1], row[-1]) for row in rows] == (
+            [("6", "error:plurality tie between colors [0, 3]")] * 2
+            + [("8", "True")] * 2 + [("10", "True")] * 2)
 
     def test_forced_timeout_flagged(self, capsys, tmp_path):
         code, out, _ = run_cli(

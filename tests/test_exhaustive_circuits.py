@@ -4,9 +4,10 @@ delicate."""
 
 import pytest
 
-from anonet.circuits import compile_circuit, evaluate, parse_circuit, plurality_protocol
+from anonet.catalog import resolve_protocol
+from anonet.circuits import compile_circuit, evaluate, parse_circuit
 from anonet.engine import build_graph
-from anonet.oracle import oracle_value, verify_exhaustive
+from anonet.oracle import verify_exhaustive
 
 
 def expand(counts):
@@ -25,7 +26,7 @@ def expand(counts):
 )
 def test_ledger_circuits_stabilize_under_every_schedule(text, counts, graph):
     circ = parse_circuit(text)
-    proto = compile_circuit(circ, semantics="ledger")
+    proto = compile_circuit(circ)
     res = verify_exhaustive(
         proto, build_graph(graph), expand(counts), evaluate(circ, counts),
         max_configs=2_000_000,
@@ -43,8 +44,8 @@ def test_ledger_circuits_stabilize_under_every_schedule(text, counts, graph):
     ],
 )
 def test_plurality_stabilizes_under_every_schedule(counts, graph):
-    proto = plurality_protocol(4)
-    expected = oracle_value("plurality", counts)
+    resolved = resolve_protocol("plurality:4")
+    proto, expected = resolved.protocol, resolved.oracle_fn(counts)
     res = verify_exhaustive(
         proto, build_graph(graph), expand(counts), expected, max_configs=2_000_000
     )

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonet.catalog import resolve_protocol
+from anonet.catalog import KINDS, resolve_protocol
 from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
 from anonet.engine import build_graph, run
 from anonet.oracle import (
     _explore,
     _labelled,
     audit_memory,
-    oracle_value,
     scaling_report,
     verify_exhaustive,
 )
@@ -26,37 +25,45 @@ from anonet.protocols import (
 )
 
 
+def truth(spec, counts):
+    return resolve_protocol(spec).oracle_fn(counts)
+
+
 class TestOracleValue:
     def test_trivials(self):
-        assert oracle_value("bit", [13, 3], j=2) == 1  # binary 1101
-        assert oracle_value("threshold", [3, 5], a=1, b=3) == 1  # 9 > 5
-        assert oracle_value("plurality", [5, 3, 2, 2]) == 0
-        assert oracle_value("or", [4, 0]) == 0
-        assert oracle_value("or", [3, 1]) == 1
-        assert oracle_value("lsb", [5, 1], c=2) == 1
-        assert oracle_value("max_gate", [2, 5]) == 5
-        assert oracle_value("min_gate", [2, 5]) == 2
-        assert oracle_value("estimate", [12, 0]) == 3
-        assert oracle_value("estimate", [0, 4]) is None
+        assert truth("bit:2:256", [13, 3]) == 1  # binary 1101
+        assert truth("threshold:1:3", [3, 5]) == 1  # 9 > 5
+        assert truth("plurality:4", [5, 3, 2, 2]) == 0
+        assert truth("or", [4, 0]) == 0
+        assert truth("or", [3, 1]) == 1
+        assert truth("lsb:2", [5, 1]) == 1
+        assert truth("max-gate", [2, 5]) == 5
+        assert truth("min-gate", [2, 5]) == 2
+        assert truth("estimate:16", [12, 0]) == 3
+        assert truth("estimate:16", [0, 4]) is None
 
     def test_plurality_tie_raises(self):
         with pytest.raises(ValueError):
-            oracle_value("plurality", [3, 3, 1, 1])
+            truth("plurality:4", [3, 3, 1, 1])
 
     def test_circuit_matches_tree(self):
         circ = parse_circuit("(max (min 0 1) (max 2 3))")
-        assert oracle_value("circuit", [3, 5, 2, 4], circuit=circ) == 4
+        assert evaluate(circ, [3, 5, 2, 4]) == 4
 
     def test_complete_tree_agrees_with_plurality_argmax(self):
         tree = complete_max_tree(4)
         for counts in ([5, 3, 2, 2], [1, 1, 1, 4], [2, 6, 3, 1]):
-            winner = oracle_value("plurality", counts)
-            assert oracle_value("circuit", counts, circuit=tree) == counts[winner]
+            winner = truth("plurality:4", counts)
+            assert evaluate(tree, counts) == counts[winner]
+
+    def test_estimate_is_floor_log2(self):
+        estimate = resolve_protocol("estimate:16").oracle_fn
+        assert all(estimate([r, 0]) == math.floor(math.log2(r)) for r in range(1, 5000))
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=50, deadline=None)
     def test_bits_reassemble_r(self, r):
-        assert sum(oracle_value("bit", [r, 0], j=j) << j for j in range(9)) == r
+        assert sum(truth(f"bit:{j}:256", [r, 0]) << j for j in range(9)) == r
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -69,7 +76,7 @@ class TestOracleValue:
         from fractions import Fraction
 
         want = 1 if Fraction(r, blue) > Fraction(a, b) else 0
-        assert oracle_value("threshold", [r, blue], a=a, b=b) == want
+        assert truth(f"threshold:{a}:{b}", [r, blue]) == want
 
 
 class TestVerifyExhaustive:
@@ -217,12 +224,15 @@ class TestScalingReport:
         assert fit.exponent <= 2.0
 
 
+CATALOG_SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate",
+                 "min-gate", "plurality:2")
+
+
 def catalog_cases():
     """(protocol, oracle) for every catalog protocol kind; `circuit` as a
     gossip circuit with a MIN gate and as a ledger circuit."""
     cases = []
-    for spec in ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate",
-                 "min-gate", "plurality:2"):
+    for spec in CATALOG_SPECS:
         resolved = resolve_protocol(spec)
         cases.append((resolved.protocol, resolved.oracle_fn))
     for text in ("(max (min 0 1) 2)", "(max (max 0 1) 2)"):
@@ -242,6 +252,10 @@ def labelled(protocol, graph, inputs, expected):
 
 
 CASES = catalog_cases()
+
+
+def test_every_kind_is_cross_checked():
+    assert set(KINDS) <= {spec.partition(":")[0] for spec in CATALOG_SPECS}
 
 
 class TestSymmetryReduction:

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from anonet.catalog import resolve_protocol
+from anonet.catalog import KINDS, resolve_protocol
 from anonet.circuits import compile_circuit, parse_circuit
 from anonet.engine import TransitionTable, build_graph
 
@@ -64,11 +64,14 @@ def stop_rule_violation(protocol, graph, inputs):
     return None
 
 
+PREDICATE_SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate",
+                   "min-gate")
+NO_PREDICATE_SPECS = ("plurality:3",)
+
+
 def with_predicate():
-    protos = [resolve_protocol(spec).protocol
-              for spec in ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8",
-                           "max-gate", "min-gate")]
-    protos.append(compile_circuit(parse_circuit("(max (max 0 1) 2)"), semantics="ledger"))
+    protos = [resolve_protocol(spec).protocol for spec in PREDICATE_SPECS]
+    protos.append(compile_circuit(parse_circuit("(max (max 0 1) 2)")))
     return protos
 
 
@@ -81,7 +84,14 @@ def test_quiescence_is_never_left_for_other_outputs(protocol):
             assert bad is None, (spec, inputs, bad)
 
 
+def test_every_kind_with_a_predicate_is_checked():
+    # a kind left out of PREDICATE_SPECS must be pinned as having none below
+    kinds = {spec.partition(":")[0] for spec in PREDICATE_SPECS + NO_PREDICATE_SPECS}
+    assert kinds == set(KINDS)
+
+
 def test_gossip_protocols_have_no_stop_predicate():
     # plurality and circuits with MIN gates stop only by the window rule
-    assert resolve_protocol("plurality:3").protocol.quiescent is None
+    for spec in NO_PREDICATE_SPECS:
+        assert resolve_protocol(spec).protocol.quiescent is None
     assert compile_circuit(parse_circuit("(max (min 0 1) 2)")).quiescent is None
