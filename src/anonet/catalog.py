@@ -17,7 +17,8 @@ nothing to report; ValueError means there is no answer.
     plurality:k        the most common of k colors; a tie has no answer
 
 `circuit:path` is the one kind outside the table, since its parameter is
-a file holding a comparison tree; its truth is `circuits.evaluate`.
+a file holding a MAX tree (a MIN gate in it is an error, as MIN gates do not
+compose); its truth is `circuits.evaluate`.
 
 Input specs are either an explicit comma-separated color list ("0,1,0,0")
 or "color:count" blocks ("0:5,1:3"); counts may be given as integers, as

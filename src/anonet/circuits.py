@@ -1,15 +1,19 @@
-"""Distributed comparison gates, their binary-tree composition, and plurality.
+"""Distributed comparison gates, MAX-tree composition, and plurality.
 
 A MAX gate over two agent types works by charge cancellation: type-1 agents
 carry +1, type-2 agents carry -1, opposite charges annihilate on meeting,
 and the third bit per agent is the output. min(a1, a2) collisions happen, so
-max(a1, a2) agents end with output 1.
+max(a1, a2) agents end with output 1. The MIN gate is the mirror image with
+outputs starting at 0; it is offered only on its own (`min_gate_protocol`).
 
 Composing gates into a tree is the delicate part, because lower gates settle
-while upper gates are already cancelling. Two compilation semantics are
-provided:
+while upper gates are already cancelling: a gate's outputs rise and then
+fall, so an upper gate consumes outputs that are later retracted. The ledger
+below accounts for those retractions in MAX trees; no sound rule is known
+for a MIN gate inside a tree, so the parser rejects one. Two compilation
+semantics are provided:
 
-ledger semantics (`compile_circuit`, MAX-only trees)
+ledger semantics (`compile_circuit`)
     Faithful bookkeeping with one mark bit per level. When an agent's output
     at level l flips, its level-(l+1) mark is set; the mark is cleared by
     (i) consuming the agent's own upper charge (flipping its upper output
@@ -25,7 +29,7 @@ ledger semantics (`compile_circuit`, MAX-only trees)
     holds exactly at stabilization under every schedule (checked by
     `collision_count_check`).
 
-gossip semantics (`plurality_protocol`, trees containing MIN gates)
+gossip semantics (`plurality_protocol` only)
     The same cancellation pools, but tracked bidirectionally: an agent's
     unit at a gate is armed/shed as its own lower output rises and falls,
     and a spent unit turns into a debt charge. The signed pool sum then
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import Trace
 from .protocols import ProtocolDef
@@ -63,7 +67,6 @@ __all__ = [
     "LevelState",
     "CircuitState",
     "PLevel",
-    "GossipState",
     "PluralityState",
 ]
 
@@ -74,7 +77,7 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class CircuitNode:
-    kind: str  # "max" | "min" | "leaf"
+    kind: str  # "max" | "leaf"
     color: int = -1
     children: tuple = ()
 
@@ -91,16 +94,18 @@ def parse_circuit(text: str) -> "Circuit":
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos] not in ("max", "min"):
-                raise CircuitError("expected 'max' or 'min' after '('")
-            kind = tokens[pos]
+            if pos < len(tokens) and tokens[pos] == "min":
+                raise CircuitError("MIN gates do not compose into circuits; "
+                                   "use the min-gate kind for a lone MIN gate")
+            if pos >= len(tokens) or tokens[pos] != "max":
+                raise CircuitError("expected 'max' after '('")
             pos += 1
             left = parse()
             right = parse()
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise CircuitError("expected ')' after two gate operands")
             pos += 1
-            return CircuitNode(kind, children=(left, right))
+            return CircuitNode("max", children=(left, right))
         if tok == ")":
             raise CircuitError("unexpected ')'")
         try:
@@ -133,11 +138,10 @@ def complete_max_tree(k: int) -> "Circuit":
 
 
 class Circuit:
-    """A binary comparison tree compiled into per-color path tables."""
+    """A binary MAX tree compiled into per-color path tables."""
 
     def __init__(self, root: CircuitNode):
         self.root = root
-        self.gate_kind: list[str] = []
         self.gate_children: list[tuple] = []  # ("leaf", color) | ("gate", id)
         leaf_colors: list[int] = []
 
@@ -147,8 +151,7 @@ class Circuit:
                 return ("leaf", node.color)
             left = walk(node.children[0])
             right = walk(node.children[1])
-            gid = len(self.gate_kind)
-            self.gate_kind.append(node.kind)
+            gid = len(self.gate_children)
             self.gate_children.append((left, right))
             return ("gate", gid)
 
@@ -157,12 +160,11 @@ class Circuit:
             raise CircuitError("duplicate leaf colors")
         self.leaf_colors = tuple(sorted(leaf_colors))
         self.root_gate = top[1]
-        self.n_gates = len(self.gate_kind)
+        self.n_gates = len(self.gate_children)
 
-        # per-color bottom-up paths: gate ids, sides (+1 first child), kinds
+        # per-color bottom-up paths: gate ids, sides (+1 first child)
         self.paths: dict[int, tuple[int, ...]] = {}
         self.sides: dict[int, tuple[int, ...]] = {}
-        self.kinds: dict[int, tuple[str, ...]] = {}
 
         def collect(ref, acc):
             kind, val = ref
@@ -173,7 +175,6 @@ class Circuit:
                     sides.append(side)
                 self.paths[val] = tuple(path)
                 self.sides[val] = tuple(sides)
-                self.kinds[val] = tuple(self.gate_kind[g] for g in path)
                 return
             left, right = self.gate_children[val]
             collect(left, acc + [(val, 1)])
@@ -198,16 +199,13 @@ class Circuit:
                 pairs.reverse()
                 self.shared[(c1, c2)] = tuple(pairs)
 
-    def is_max_only(self) -> bool:
-        return all(k == "max" for k in self.gate_kind)
-
     def describe(self) -> str:
         def fmt(ref):
             kind, val = ref
             if kind == "leaf":
                 return str(val)
             left, right = self.gate_children[val]
-            return f"({self.gate_kind[val]} {fmt(left)} {fmt(right)})"
+            return f"(max {fmt(left)} {fmt(right)})"
 
         return fmt(("gate", self.root_gate))
 
@@ -221,8 +219,7 @@ def evaluate(circuit: Circuit, counts: Sequence[int]) -> int:
         if kind == "leaf":
             return counts[val] if val < len(counts) else 0
         left, right = circuit.gate_children[val]
-        lv, rv = value(left), value(right)
-        return max(lv, rv) if circuit.gate_kind[val] == "max" else min(lv, rv)
+        return max(value(left), value(right))
 
     return value(("gate", circuit.root_gate))
 
@@ -283,7 +280,7 @@ def min_gate_protocol() -> ProtocolDef:
 
 
 # ---------------------------------------------------------------------------
-# Ledger semantics (MAX-only composition with exact event accounting)
+# Ledger semantics (MAX-tree composition with exact event accounting)
 
 
 class LevelState(NamedTuple):
@@ -401,15 +398,8 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
 
 
 def compile_circuit(circuit: Circuit) -> ProtocolDef:
-    """Compile a comparison tree into a pairwise protocol: MAX-only trees to
-    the ledger semantics, with the exact event accounting checked by
-    collision_count_check; trees with a MIN gate to the gossip semantics."""
-    if circuit.is_max_only():
-        return _compile_ledger(circuit)
-    return _compile_gossip(circuit, plurality=False)
-
-
-def _compile_ledger(circuit: Circuit) -> ProtocolDef:
+    """Compile a MAX tree into a pairwise protocol with the ledger semantics,
+    whose exact event accounting `collision_count_check` checks."""
     n_colors = max(circuit.leaf_colors) + 1
 
     def init(color: int) -> CircuitState:
@@ -517,9 +507,7 @@ def collision_count_check(
     identity collisions = c2 + d2 + min(a, b) and ones = max(a, b), where a
     and b are the settled child outputs read from the final configuration.
     """
-    if not circuit.is_max_only():
-        raise CircuitError("ledger verification requires a MAX-only circuit")
-    proto = _compile_ledger(circuit)
+    proto = compile_circuit(circuit)
     states = [proto.init(c) for c in inputs]
     events: list = []
     for act in trace.activations:
@@ -573,7 +561,7 @@ def collision_count_check(
 
 
 # ---------------------------------------------------------------------------
-# Gossip semantics (belief-carried outputs; supports MIN gates and plurality)
+# Gossip semantics (belief-carried outputs; serves plurality)
 
 ARMED, DEBT, SHED, SPENT = 0, 1, 2, 3
 
@@ -582,11 +570,6 @@ class PLevel(NamedTuple):
     unit: int  # ARMED / DEBT / SHED / SPENT
     ghost: int  # strong-zero tie marker
     out: int  # belief bit
-
-
-class GossipState(NamedTuple):
-    color: int
-    levels: tuple
 
 
 class PluralityState(NamedTuple):
@@ -603,9 +586,8 @@ def _eff(lv: PLevel, side: int) -> int:
     return 0
 
 
-def _belief(kind: str, side: int, verdict: int, in_bit: int) -> int:
-    want = verdict if kind == "max" else -verdict
-    return 1 if (in_bit and side == want) else 0
+def _belief(side: int, verdict: int, in_bit: int) -> int:
+    return 1 if (in_bit and side == verdict) else 0
 
 
 def _gossip_sync(color: int, levels: list, circuit: Circuit) -> bool:
@@ -616,7 +598,6 @@ def _gossip_sync(color: int, levels: list, circuit: Circuit) -> bool:
     applies its own broadcasts to itself (its armed charge, or the tie
     marker it carries: the last collision of a tied gate may leave the sole
     marker on an agent nobody else can correct)."""
-    kinds = circuit.kinds[color]
     sides = circuit.sides[color]
     changed = False
     in_bit = 1
@@ -628,9 +609,9 @@ def _gossip_sync(color: int, levels: list, circuit: Circuit) -> bool:
             elif unit == DEBT:
                 unit = SPENT
             if unit == ARMED:
-                out = 1 if kinds[i] == "max" else 0
+                out = 1
             elif ghost:
-                out = _belief(kinds[i], sides[i], 1, in_bit)
+                out = _belief(sides[i], 1, in_bit)
         else:
             if unit == ARMED:
                 unit = SHED
@@ -648,7 +629,7 @@ def _consume(unit: int) -> int:
     return SPENT if unit == ARMED else SHED
 
 
-def _gossip_meeting(sx, sy, circuit: Circuit, plurality: bool):
+def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
     cx, cy = sx.color, sy.color
     lx = list(sx.levels)
     ly = list(sy.levels)
@@ -656,11 +637,9 @@ def _gossip_meeting(sx, sy, circuit: Circuit, plurality: bool):
     chy = _gossip_sync(cy, ly, circuit)
     sides_x = circuit.sides[cx]
     sides_y = circuit.sides[cy]
-    kinds_x = circuit.kinds[cx]
     fired = False
 
     for i, j in circuit.shared[(cx, cy)]:
-        kind = kinds_x[i]
         a = lx[i]
         b = ly[j]
         effx = _eff(a, sides_x[i])
@@ -680,110 +659,44 @@ def _gossip_meeting(sx, sy, circuit: Circuit, plurality: bool):
         in_x = lx[i - 1].out if i > 0 else 1
         in_y = ly[j - 1].out if j > 0 else 1
         if effy:
-            new_out = _belief(kind, sides_x[i], 1 if effy > 0 else -1, in_x)
+            new_out = _belief(sides_x[i], 1 if effy > 0 else -1, in_x)
         elif b.ghost:
-            new_out = _belief(kind, sides_x[i], 1, in_x)
+            new_out = _belief(sides_x[i], 1, in_x)
         else:
             new_out = a.out
         if new_out != a.out:
             lx[i] = PLevel(a.unit, a.ghost, new_out)
             fired = True
         if effx:
-            new_out = _belief(kind, sides_y[j], 1 if effx > 0 else -1, in_y)
+            new_out = _belief(sides_y[j], 1 if effx > 0 else -1, in_y)
         elif a.ghost:
-            new_out = _belief(kind, sides_y[j], 1, in_y)
+            new_out = _belief(sides_y[j], 1, in_y)
         else:
             new_out = b.out
         if new_out != b.out:
             ly[j] = PLevel(b.unit, b.ghost, new_out)
             fired = True
 
-    if plurality:
-        fx, fy = sx.final, sy.final
-        cert_x = all(lv.out for lv in lx)
-        cert_y = all(lv.out for lv in ly)
-        if cert_y and fx != cy:
-            fx = cy
-            fired = True
-        if cert_x and fy != cx:
-            fy = cx
-            fired = True
-        if cert_x and fx != cx:
-            fx = cx
-            fired = True
-        if cert_y and fy != cy:
-            fy = cy
-            fired = True
-        nx = PluralityState(cx, fx, tuple(lx))
-        ny = PluralityState(cy, fy, tuple(ly))
-    else:
-        nx = GossipState(cx, tuple(lx))
-        ny = GossipState(cy, tuple(ly))
+    fx, fy = sx.final, sy.final
+    cert_x = all(lv.out for lv in lx)
+    cert_y = all(lv.out for lv in ly)
+    if cert_y and fx != cy:
+        fx = cy
+        fired = True
+    if cert_x and fy != cx:
+        fy = cx
+        fired = True
+    if cert_x and fx != cx:
+        fx = cx
+        fired = True
+    if cert_y and fy != cy:
+        fy = cy
+        fired = True
+    nx = PluralityState(cx, fx, tuple(lx))
+    ny = PluralityState(cy, fy, tuple(ly))
     if fired or chx or chy:
         return (nx, ny)
     return (ny, nx)
-
-
-def _gossip_init_levels(circuit: Circuit, color: int) -> tuple:
-    levels = []
-    in_bit = 1
-    for kind in circuit.kinds[color]:
-        if in_bit:
-            out = 1 if kind == "max" else 0
-            levels.append(PLevel(ARMED, 0, out))
-        else:
-            levels.append(PLevel(SHED, 0, 0))
-            out = 0
-        in_bit = out
-    return tuple(levels)
-
-
-def _compile_gossip(circuit: Circuit, plurality: bool, colors: Optional[int] = None):
-    n_colors = colors if colors is not None else max(circuit.leaf_colors) + 1
-
-    if plurality:
-
-        def init(color: int) -> PluralityState:
-            if color not in circuit.paths:
-                raise ValueError(f"color {color} is not a circuit leaf")
-            return PluralityState(color, color, _gossip_init_levels(circuit, color))
-
-        def output(s: PluralityState) -> int:
-            return s.final
-
-        match_mode = "per_node"
-    else:
-
-        def init(color: int) -> GossipState:
-            if color not in circuit.paths:
-                raise ValueError(f"color {color} is not a circuit leaf")
-            return GossipState(color, _gossip_init_levels(circuit, color))
-
-        def output(s: GossipState) -> int:
-            return s.levels[-1].out
-
-        match_mode = "ones_count"
-
-    def transition(x, y):
-        return _gossip_meeting(x, y, circuit, plurality)
-
-    if plurality:
-        budget = 4 * circuit.depth + 2 * math.ceil(math.log2(max(2, n_colors)))
-        name = f"plurality:{n_colors}"
-    else:
-        budget = 4 * circuit.depth + math.ceil(math.log2(max(2, n_colors)))
-        name = f"circuit[gossip]:{circuit.describe()}"
-
-    return ProtocolDef(
-        name=name,
-        init=init,
-        transition=transition,
-        output=output,
-        quiescent=None,
-        budget_bits=budget,
-        colors=n_colors,
-        match_mode=match_mode,
-    )
 
 
 def plurality_protocol(k: int) -> ProtocolDef:
@@ -799,4 +712,25 @@ def plurality_protocol(k: int) -> ProtocolDef:
     if k < 2:
         raise CircuitError("need k >= 2")
     tree = complete_max_tree(k)
-    return _compile_gossip(tree, plurality=True, colors=k)
+
+    def init(color: int) -> PluralityState:
+        if color not in tree.paths:
+            raise ValueError(f"color {color} is not a circuit leaf")
+        return PluralityState(color, color, (PLevel(ARMED, 0, 1),) * len(tree.paths[color]))
+
+    def transition(x: PluralityState, y: PluralityState):
+        return _gossip_meeting(x, y, tree)
+
+    def output(s: PluralityState) -> int:
+        return s.final
+
+    return ProtocolDef(
+        name=f"plurality:{k}",
+        init=init,
+        transition=transition,
+        output=output,
+        quiescent=None,
+        budget_bits=4 * tree.depth + 2 * math.ceil(math.log2(k)),
+        colors=k,
+        match_mode="per_node",
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -41,7 +42,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--rewire", default="none", help="none | swap:p")
     p.add_argument("--trace", default=None, help="write the activation trace here")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write records here instead of stdout")
 
 
@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="memory budget audit")
     p_audit.add_argument("protocols", nargs="+")
     p_audit.add_argument("--n", type=int, default=8)
+    p_audit.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_audit)
-    p_audit.set_defaults(format="table")  # human table unless --format json
 
     p_meet = sub.add_parser("meet", help="token meeting-time statistics")
     p_meet.add_argument("--graph", nargs="+", required=True)
@@ -295,14 +295,9 @@ def cmd_verify(args) -> int:
     if args.all_inputs:
         if colors ** graph.n > 1 << 22:
             raise ConfigError(f"{colors}^{graph.n} inputs is too many to enumerate")
-        input_sets = []
-        for code in range(colors**graph.n):
-            vals = []
-            x = code
-            for _ in range(graph.n):
-                vals.append(x % colors)
-                x //= colors
-            input_sets.append(vals)
+        # little-endian: node 0 varies fastest
+        input_sets = [list(reversed(code))
+                      for code in itertools.product(range(colors), repeat=graph.n)]
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
     any_fail = False
@@ -334,14 +329,8 @@ def cmd_audit(args) -> int:
         proto = resolved.protocol
         n = args.n
         graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{max(3, n)}")]
-        input_sets = []
-        for r in range(n + 1):
-            if proto.colors == 2:
-                input_sets.append([0] * r + [1] * (n - r))
-            else:
-                base = [(i % proto.colors) for i in range(n)]
-                input_sets.append(sorted(base))
-                break
+        input_sets = ([[0] * r + [1] * (n - r) for r in range(n + 1)] if proto.colors == 2
+                      else [sorted(i % proto.colors for i in range(n))])
         note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""
         report = audit_memory(proto, graphs, input_sets, note=note)
         if args.format == "json":

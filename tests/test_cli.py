@@ -252,6 +252,9 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.strip().split("\n")]
         assert len(records) == 8
         assert all(r["verdict"] == "PASS" for r in records)
+        # node 0 varies fastest
+        assert [r["input"] for r in records] == ["000", "100", "010", "110",
+                                                 "001", "101", "011", "111"]
 
     def test_threshold_tie_inputs_pass(self, capsys):
         code, out, _ = run_cli(
@@ -281,6 +284,24 @@ class TestAuditCommand:
         assert len(lines) == 3
         assert all("PASS" in line for line in lines)
         assert "one bit" in lines[2]  # documented deviation note
+
+    def test_json_format(self, capsys):
+        code, out, _ = run_cli(capsys, ["audit", "lsb:2", "max-gate", "--format", "json"])
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().split("\n")]
+        assert [r["protocol"] for r in rows] == ["lsb:2", "max-gate"]
+        assert all(r["ok"] for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "or", "--format", "csv"],
+        ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
+         "--format", "json"],
+    ])
+    def test_format_is_audit_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
 
 class TestMeetCommand:
@@ -352,6 +373,22 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert names in err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep", "audit"])
+    def test_circuit_with_a_min_gate(self, capsys, tmp_path, command):
+        path = tmp_path / "minmax.circ"
+        path.write_text("(max (min 0 1) 2)\n")
+        spec = f"circuit:{path}"
+        argv = {
+            "run": ["run", "--protocol", spec, "--graph", "complete:4", "--input", "0,1,1,2"],
+            "verify": ["verify", "--protocol", spec, "--graph", "complete:4", "--all-inputs"],
+            "sweep": ["sweep", "--protocol", spec, "--graph", "complete", "--sizes", "4"],
+            "audit": ["audit", spec],
+        }[command]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "MIN gates do not compose" in err and "min-gate" in err
 
 
 def test_cli_import_loads_stdlib_only():

@@ -51,13 +51,3 @@ def test_plurality_stabilizes_under_every_schedule(counts, graph):
     )
     assert res.verdict == "PASS", res.detail
 
-
-def test_min_gate_gossip_exhaustive():
-    circ = parse_circuit("(max (min 0 1) 2)")
-    proto = compile_circuit(circ)  # MIN forces gossip semantics
-    counts = (2, 1, 1)
-    res = verify_exhaustive(
-        proto, build_graph("cycle:4"), expand(counts), evaluate(circ, counts),
-        max_configs=2_000_000,
-    )
-    assert res.verdict == "PASS", res.detail

@@ -47,7 +47,7 @@ class TestOracleValue:
             truth("plurality:4", [3, 3, 1, 1])
 
     def test_circuit_matches_tree(self):
-        circ = parse_circuit("(max (min 0 1) (max 2 3))")
+        circ = parse_circuit("(max (max 0 2) 3)")  # colour 1 is not a leaf
         assert evaluate(circ, [3, 5, 2, 4]) == 4
 
     def test_complete_tree_agrees_with_plurality_argmax(self):
@@ -229,21 +229,15 @@ CATALOG_SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-g
 
 
 def catalog_cases():
-    """(protocol, oracle) for every catalog protocol kind; `circuit` as a
-    gossip circuit with a MIN gate and as a ledger circuit."""
+    """(protocol, oracle) for every catalog protocol kind and a `circuit`;
+    `plurality:2` covers the gossip semantics."""
     cases = []
     for spec in CATALOG_SPECS:
         resolved = resolve_protocol(spec)
         cases.append((resolved.protocol, resolved.oracle_fn))
-    for text in ("(max (min 0 1) 2)", "(max (max 0 1) 2)"):
-        circ = parse_circuit(text)
-        cases.append((compile_circuit(circ), functools.partial(evaluate, circ)))
+    circ = parse_circuit("(max (max 0 1) 2)")
+    cases.append((compile_circuit(circ), functools.partial(evaluate, circ)))
     return cases
-
-
-# From these colour counts the MIN-gate gossip circuit can stabilize to a
-# wrong ones-count under some fair schedule; both verifiers find it.
-GOSSIP_FAILS = {(1, 2, 1), (1, 3, 1)}
 
 
 def labelled(protocol, graph, inputs, expected):
@@ -262,7 +256,6 @@ class TestSymmetryReduction:
     @pytest.mark.parametrize("protocol,oracle", CASES, ids=[p.name for p, _ in CASES])
     def test_verdicts_agree_with_the_labelled_verifier(self, protocol, oracle):
         rng = random.Random(1)
-        gossip = protocol.name.startswith("circuit[gossip]")
         checked = 0
         for spec in ("cycle:4", "cycle:5", "complete:4", "complete:5"):
             graph = build_graph(spec)
@@ -280,9 +273,7 @@ class TestSymmetryReduction:
                 except ValueError:  # a plurality tie has no answer
                     continue
                 value = 0 if value is None else value
-                known_bad = gossip and tuple(counts) in GOSSIP_FAILS
-                for expected, verdict in ((value, "FAIL" if known_bad else "PASS"),
-                                          (value + 1, "FAIL")):
+                for expected, verdict in ((value, "PASS"), (value + 1, "FAIL")):
                     reduced = verify_exhaustive(protocol, graph, inputs, expected)
                     reference = labelled(protocol, graph, inputs, expected)
                     assert reduced.verdict == reference.verdict == verdict, (spec, inputs, expected)

@@ -91,7 +91,6 @@ def test_every_kind_with_a_predicate_is_checked():
 
 
 def test_gossip_protocols_have_no_stop_predicate():
-    # plurality and circuits with MIN gates stop only by the window rule
+    # plurality stops only by the window rule
     for spec in NO_PREDICATE_SPECS:
         assert resolve_protocol(spec).protocol.quiescent is None
-    assert compile_circuit(parse_circuit("(max (min 0 1) 2)")).quiescent is None
