@@ -46,7 +46,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResolvedProtocol:
-    spec: str
     protocol: protocols.ProtocolDef
     oracle_fn: Callable[[Sequence[int]], object]
 
@@ -96,11 +95,11 @@ def resolve_protocol(spec: str) -> ResolvedProtocol:
                     circ = circuits.parse_circuit(fh.read())
             except OSError as exc:
                 raise ConfigError(f"cannot read circuit file {rest}: {exc}") from exc
-            return ResolvedProtocol(spec, circuits.compile_circuit(circ),
+            return ResolvedProtocol(circuits.compile_circuit(circ),
                                     partial(circuits.evaluate, circ))
         arities, build = KINDS.get(kind, ((), None))
         if len(params) in arities:
-            return ResolvedProtocol(spec, *build(*map(int, params)))
+            return ResolvedProtocol(*build(*map(int, params)))
     except ValueError as exc:  # CircuitError included
         if isinstance(exc, ConfigError):
             raise

@@ -44,6 +44,7 @@ gossip semantics (`plurality_protocol` only)
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,7 +52,6 @@ from .engine import Trace
 from .protocols import ProtocolDef
 
 __all__ = [
-    "CircuitNode",
     "Circuit",
     "CircuitError",
     "parse_circuit",
@@ -75,19 +75,12 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CircuitNode:
-    kind: str  # "max" | "leaf"
-    color: int = -1
-    children: tuple = ()
-
-
 def parse_circuit(text: str) -> "Circuit":
     """Parse the s-expression circuit DSL, e.g. "(max (max 0 1) (max 2 3))"."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> CircuitNode:
+    def parse():
         nonlocal pos
         if pos >= len(tokens):
             raise CircuitError("unexpected end of circuit expression")
@@ -105,20 +98,20 @@ def parse_circuit(text: str) -> "Circuit":
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise CircuitError("expected ')' after two gate operands")
             pos += 1
-            return CircuitNode("max", children=(left, right))
+            return (left, right)
         if tok == ")":
             raise CircuitError("unexpected ')'")
         try:
-            return CircuitNode("leaf", color=int(tok))
+            return int(tok)
         except ValueError as exc:
             raise CircuitError(f"bad token {tok!r}") from exc
 
-    root = parse()
+    tree = parse()
     if pos != len(tokens):
         raise CircuitError("trailing tokens after circuit expression")
-    if root.kind == "leaf":
+    if isinstance(tree, int):
         raise CircuitError("circuit must contain at least one gate")
-    return Circuit(root)
+    return Circuit(tree)
 
 
 def complete_max_tree(k: int) -> "Circuit":
@@ -128,59 +121,49 @@ def complete_max_tree(k: int) -> "Circuit":
         raise CircuitError("need k >= 2")
     padded = 1 << math.ceil(math.log2(k))
 
-    def build(lo: int, hi: int) -> CircuitNode:
+    def build(lo: int, hi: int):
         if hi - lo == 1:
-            return CircuitNode("leaf", color=lo)
+            return lo
         mid = (lo + hi) // 2
-        return CircuitNode("max", children=(build(lo, mid), build(mid, hi)))
+        return (build(lo, mid), build(mid, hi))
 
     return Circuit(build(0, padded))
 
 
 class Circuit:
-    """A binary MAX tree compiled into per-color path tables."""
+    """A binary MAX tree and the per-color path tables its meetings read.
 
-    def __init__(self, root: CircuitNode):
-        self.root = root
-        self.gate_children: list[tuple] = []  # ("leaf", color) | ("gate", id)
-        leaf_colors: list[int] = []
+    The tree is nested tuples: a leaf is its color (an int) and a gate is
+    the pair (left, right). Gates are numbered children-first. `paths[c]`
+    lists the gates from leaf c up to the root, and `sides[c]` the side c
+    enters each of them by (+1 first child, -1 second).
+    """
 
-        def walk(node: CircuitNode):
-            if node.kind == "leaf":
-                leaf_colors.append(node.color)
-                return ("leaf", node.color)
-            left = walk(node.children[0])
-            right = walk(node.children[1])
-            gid = len(self.gate_children)
-            self.gate_children.append((left, right))
-            return ("gate", gid)
-
-        top = walk(root)
-        if len(set(leaf_colors)) != len(leaf_colors):
-            raise CircuitError("duplicate leaf colors")
-        self.leaf_colors = tuple(sorted(leaf_colors))
-        self.root_gate = top[1]
-        self.n_gates = len(self.gate_children)
-
-        # per-color bottom-up paths: gate ids, sides (+1 first child)
+    def __init__(self, tree):
+        self.tree = tree
         self.paths: dict[int, tuple[int, ...]] = {}
         self.sides: dict[int, tuple[int, ...]] = {}
+        self.n_gates = 0
 
-        def collect(ref, acc):
-            kind, val = ref
-            if kind == "leaf":
-                path, sides = [], []
-                for gid, side in reversed(acc):
-                    path.append(gid)
-                    sides.append(side)
-                self.paths[val] = tuple(path)
-                self.sides[val] = tuple(sides)
-                return
-            left, right = self.gate_children[val]
-            collect(left, acc + [(val, 1)])
-            collect(right, acc + [(val, -1)])
+        def walk(node) -> list[int]:
+            """Number the gates under `node` and extend its leaves' paths up
+            to it; returns those leaves."""
+            if isinstance(node, int):
+                if node in self.paths:
+                    raise CircuitError("duplicate leaf colors")
+                self.paths[node] = self.sides[node] = ()
+                return [node]
+            left, right = walk(node[0]), walk(node[1])
+            gid = self.n_gates
+            self.n_gates += 1
+            for colors, side in ((left, 1), (right, -1)):
+                for c in colors:
+                    self.paths[c] += (gid,)
+                    self.sides[c] += (side,)
+            return left + right
 
-        collect(top, [])
+        walk(tree)
+        self.leaf_colors = tuple(sorted(self.paths))
         self.depth = max(len(p) for p in self.paths.values())
 
         # common path suffix for every color pair, bottom-up
@@ -200,28 +183,24 @@ class Circuit:
                 self.shared[(c1, c2)] = tuple(pairs)
 
     def describe(self) -> str:
-        def fmt(ref):
-            kind, val = ref
-            if kind == "leaf":
-                return str(val)
-            left, right = self.gate_children[val]
-            return f"(max {fmt(left)} {fmt(right)})"
+        def fmt(node) -> str:
+            if isinstance(node, int):
+                return str(node)
+            return f"(max {fmt(node[0])} {fmt(node[1])})"
 
-        return fmt(("gate", self.root_gate))
+        return fmt(self.tree)
 
 
 def evaluate(circuit: Circuit, counts: Sequence[int]) -> int:
     """Recursive ground-truth evaluation of the tree over per-color counts.
     Colors beyond len(counts) (phantom padding) count 0."""
 
-    def value(ref) -> int:
-        kind, val = ref
-        if kind == "leaf":
-            return counts[val] if val < len(counts) else 0
-        left, right = circuit.gate_children[val]
-        return max(value(left), value(right))
+    def value(node) -> int:
+        if isinstance(node, int):
+            return counts[node] if node < len(counts) else 0
+        return max(value(node[0]), value(node[1]))
 
-    return value(("gate", circuit.root_gate))
+    return value(circuit.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +279,19 @@ def _zeroed(lv: LevelState) -> LevelState:
     return LevelState(0, 1 if lv.out else 0, lv.out, lv.mark)
 
 
+def _up_busy(levels: list, i: int) -> bool:
+    """Level i+1 already holds a mark, so level i's output may not drop."""
+    return i + 1 < len(levels) and levels[i + 1].mark != 0
+
+
+def _spend(levels: list, i: int, mark: int) -> None:
+    """Spend level i's output unit and mark the level above, which must pass
+    the decrement on."""
+    levels[i] = LevelState(0, 0, 0, mark)
+    if i + 1 < len(levels):
+        levels[i + 1] = levels[i + 1]._replace(mark=1)
+
+
 def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
     """Clear pending marks bottom-up. Case (i) consumes the agent's own
     same-sign charge and pushes the decrement one level up; case (ii)
@@ -307,7 +299,6 @@ def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
     opposite charge or a pending-decrement slot means wait."""
     sides = circuit.sides[color]
     path = circuit.paths[color]
-    top = len(levels) - 1
     changed = False
     for i in range(len(levels)):
         lv = levels[i]
@@ -315,11 +306,9 @@ def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
             continue
         s = sides[i]
         if lv.charge == s:
-            if i < top and levels[i + 1].mark:
-                continue  # upward mark slot busy
-            levels[i] = LevelState(0, 0, 0, 0)
-            if i < top:
-                levels[i + 1] = levels[i + 1]._replace(mark=1)
+            if _up_busy(levels, i):
+                continue
+            _spend(levels, i, 0)
             if sink is not None:
                 sink.append(("case1", path[i], s))
             changed = True
@@ -340,55 +329,42 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     ly = list(sy.levels)
     chx = _process_marks(cx, lx, circuit, sink)
     chy = _process_marks(cy, ly, circuit, sink)
-    top_x = len(lx) - 1
-    top_y = len(ly) - 1
     fired = False
 
     for i, j in circuit.shared[(cx, cy)]:
         a = lx[i]
         b = ly[j]
-        up_x_ok = i == top_x or lx[i + 1].mark == 0
-        up_y_ok = j == top_y or ly[j + 1].mark == 0
-        gate = circuit.paths[cx][i]
-        if a.charge and b.charge and a.charge == -b.charge:
-            if b.out and up_y_ok:
-                ly[j] = LevelState(0, 0, 0, b.mark)
-                if j < top_y:
-                    ly[j + 1] = ly[j + 1]._replace(mark=1)
+        if a.charge and a.charge == -b.charge:
+            event = "collision"
+            if b.out and not _up_busy(ly, j):
+                _spend(ly, j, b.mark)
                 lx[i] = _zeroed(a)
-            elif a.out and up_x_ok:
-                lx[i] = LevelState(0, 0, 0, a.mark)
-                if i < top_x:
-                    lx[i + 1] = lx[i + 1]._replace(mark=1)
+            elif a.out and not _up_busy(lx, i):
+                _spend(lx, i, a.mark)
                 ly[j] = _zeroed(b)
             elif not a.out and not b.out:
                 lx[i] = LevelState(0, 1, 0, a.mark)  # carries the owed decrement
                 ly[j] = LevelState(0, 0, 0, b.mark)
             else:
                 continue  # flippable party blocked by a pending upward mark
-            if sink is not None:
-                sink.append(("collision", gate, 0))
-            fired = True
-        elif a.charge == 0 and a.live and a.out == 0 and b.charge == 0 and b.out:
-            if not up_y_ok:
-                continue
-            ly[j] = LevelState(0, 0, 0, b.mark)
-            if j < top_y:
-                ly[j + 1] = ly[j + 1]._replace(mark=1)
-            lx[i] = LevelState(0, 0, 0, a.mark)
-            if sink is not None:
-                sink.append(("discharge", gate, 0))
-            fired = True
-        elif b.charge == 0 and b.live and b.out == 0 and a.charge == 0 and a.out:
-            if not up_x_ok:
-                continue
-            lx[i] = LevelState(0, 0, 0, a.mark)
-            if i < top_x:
-                lx[i + 1] = lx[i + 1]._replace(mark=1)
-            ly[j] = LevelState(0, 0, 0, b.mark)
-            if sink is not None:
-                sink.append(("discharge", gate, 0))
-            fired = True
+        elif a.charge == b.charge == 0 and a.out != b.out and (b if a.out else a).live:
+            # a pending decrement discharges on the chargeless out=1 party
+            event = "discharge"
+            if a.out:
+                if _up_busy(lx, i):
+                    continue
+                _spend(lx, i, a.mark)
+                ly[j] = LevelState(0, 0, 0, b.mark)
+            else:
+                if _up_busy(ly, j):
+                    continue
+                _spend(ly, j, b.mark)
+                lx[i] = LevelState(0, 0, 0, a.mark)
+        else:
+            continue
+        if sink is not None:
+            sink.append((event, circuit.paths[cx][i], 0))
+        fired = True
 
     nx = CircuitState(cx, tuple(lx))
     ny = CircuitState(cy, tuple(ly))
@@ -492,20 +468,14 @@ class LedgerReport:
         return "\n".join(rows)
 
 
-def _side_colors(circuit: Circuit, ref) -> list[int]:
-    kind, val = ref
-    if kind == "leaf":
-        return [val]
-    left, right = circuit.gate_children[val]
-    return _side_colors(circuit, left) + _side_colors(circuit, right)
-
-
 def collision_count_check(
     circuit: Circuit, inputs: Sequence[int], trace: Trace
 ) -> LedgerReport:
     """Replay a ledger-compiled run and check, per gate, the collision-count
     identity collisions = c2 + d2 + min(a, b) and ones = max(a, b), where a
-    and b are the settled child outputs read from the final configuration.
+    and b are the settled child outputs read from the final configuration:
+    at an agent's path level i the child output is the leaf itself (i = 0)
+    or the agent's output at level i - 1.
     """
     proto = compile_circuit(circuit)
     states = [proto.init(c) for c in inputs]
@@ -515,48 +485,29 @@ def collision_count_check(
         nx, ny = _ledger_meeting(sx, sy, circuit, events)
         states[act.initiator] = nx
         states[act.responder] = ny
+    seen = Counter(events)
 
-    collisions = [0] * circuit.n_gates
-    c1 = [0] * circuit.n_gates
-    c2 = [0] * circuit.n_gates
-    d1 = [0] * circuit.n_gates
-    d2 = [0] * circuit.n_gates
-    for kind, gate, side in events:
-        if kind == "collision":
-            collisions[gate] += 1
-        elif kind == "case1":
-            (c1 if side == 1 else d1)[gate] += 1
-        elif kind == "case2":
-            (c2 if side == 1 else d2)[gate] += 1
+    # per gate and side (+1 / -1): agents below it, and their settled outputs
+    agents = {1: [0] * circuit.n_gates, -1: [0] * circuit.n_gates}
+    settled = {1: [0] * circuit.n_gates, -1: [0] * circuit.n_gates}
+    ones = [0] * circuit.n_gates
+    for s in states:
+        lower = 1
+        for gate, side, lv in zip(circuit.paths[s.color], circuit.sides[s.color], s.levels):
+            agents[side][gate] += 1
+            settled[side][gate] += lower
+            ones[gate] += lv.out
+            lower = lv.out
 
-    def settled_output(ref) -> int:
-        kind, val = ref
-        if kind == "leaf":
-            return sum(1 for s in states if s.color == val)
-        total = 0
-        for s in states:
-            path = circuit.paths[s.color]
-            for i, g in enumerate(path):
-                if g == val and s.levels[i].out:
-                    total += 1
-        return total
-
-    gates = []
-    ok = True
-    for g in range(circuit.n_gates):
-        left, right = circuit.gate_children[g]
-        a = settled_output(left)
-        b = settled_output(right)
-        left_colors = set(_side_colors(circuit, left))
-        right_colors = set(_side_colors(circuit, right))
-        A = sum(1 for c in inputs if c in left_colors)
-        B = sum(1 for c in inputs if c in right_colors)
-        ones = settled_output(("gate", g))
-        ledger = GateLedger(
-            g, A, B, a, b, c1[g], c2[g], d1[g], d2[g], collisions[g], ones
+    gates = [
+        GateLedger(
+            g, agents[1][g], agents[-1][g], settled[1][g], settled[-1][g],
+            seen["case1", g, 1], seen["case2", g, 1], seen["case1", g, -1],
+            seen["case2", g, -1], seen["collision", g, 0], ones[g],
         )
-        gates.append(ledger)
-        ok = ok and ledger.collisions_ok and ledger.ones_ok and ledger.decomposition_ok
+        for g in range(circuit.n_gates)
+    ]
+    ok = all(g.collisions_ok and g.ones_ok and g.decomposition_ok for g in gates)
     return LedgerReport(gates, ok)
 
 
@@ -625,6 +576,14 @@ def _gossip_sync(color: int, levels: list, circuit: Circuit) -> bool:
     return changed
 
 
+def _hear(lv: PLevel, side: int, in_bit: int, eff: int, ghost: int) -> PLevel:
+    """Set the belief from the other party's broadcast at the same gate: the
+    sign of its live charge `eff`, else its tie marker's fixed verdict +1."""
+    if not (eff or ghost):
+        return lv
+    return lv._replace(out=_belief(side, eff or 1, in_bit))
+
+
 def _consume(unit: int) -> int:
     return SPENT if unit == ARMED else SHED
 
@@ -656,25 +615,10 @@ def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
         if b.ghost and effx:
             ly[j] = b = PLevel(b.unit, 0, b.out)
             fired = True
-        in_x = lx[i - 1].out if i > 0 else 1
-        in_y = ly[j - 1].out if j > 0 else 1
-        if effy:
-            new_out = _belief(sides_x[i], 1 if effy > 0 else -1, in_x)
-        elif b.ghost:
-            new_out = _belief(sides_x[i], 1, in_x)
-        else:
-            new_out = a.out
-        if new_out != a.out:
-            lx[i] = PLevel(a.unit, a.ghost, new_out)
-            fired = True
-        if effx:
-            new_out = _belief(sides_y[j], 1 if effx > 0 else -1, in_y)
-        elif a.ghost:
-            new_out = _belief(sides_y[j], 1, in_y)
-        else:
-            new_out = b.out
-        if new_out != b.out:
-            ly[j] = PLevel(b.unit, b.ghost, new_out)
+        heard_x = _hear(a, sides_x[i], lx[i - 1].out if i > 0 else 1, effy, b.ghost)
+        heard_y = _hear(b, sides_y[j], ly[j - 1].out if j > 0 else 1, effx, a.ghost)
+        if heard_x != a or heard_y != b:
+            lx[i], ly[j] = heard_x, heard_y
             fired = True
 
     fx, fy = sx.final, sy.final

@@ -34,35 +34,54 @@ EXIT_CONFIG = 1
 EXIT_FAILURE = 2
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
-    p.add_argument("--confirm-window", type=int, default=None)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--rewire", default="none", help="none | swap:p")
-    p.add_argument("--trace", default=None, help="write the activation trace here")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, so that it ends in `error: ...` and
+    exit 1 like any other bad input; subparsers inherit the class. Flags are
+    not abbreviated: `sweep --seed` would silently be `--seeds`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+_COMMON = {
+    "--seed": dict(type=int, default=0),
+    "--max-steps": dict(type=int, default=10_000_000),
+    "--confirm-window": dict(type=int, default=None),
+    "--rate": dict(type=float, default=1.0),
+    "--rewire": dict(default="none",
+                     help="none | swap:p, where p is an integer period: every p "
+                          "activations, try one connectivity-preserving double edge swap"),
+    "--trace": dict(default=None, help="write the activation trace here"),
+}
+_RUN_FLAGS = ("--max-steps", "--confirm-window", "--rate", "--rewire")
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """`--config`, `--output` and those of the shared `flags` that `p` reads."""
+    p.add_argument("--config", default=None,
+                   help="flat key=value file mirroring this command's long flags; "
+                        "explicit flags win")
+    for flag in flags:
+        p.add_argument(flag, **_COMMON[flag])
     p.add_argument("--output", default=None, help="write records here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anonet",
         description="simulate and verify bounded-memory gossip protocols",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="flat key=value file mirroring the long flags; CLI overrides it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one protocol run")
     p_run.add_argument("--protocol", required=True)
     p_run.add_argument("--graph", required=True)
     p_run.add_argument("--input", required=True)
-    _add_common(p_run)
+    _add_common(p_run, "--seed", *_RUN_FLAGS, "--trace")
 
     p_sweep = sub.add_parser("sweep", help="grid of runs with a scaling fit")
     p_sweep.add_argument("--protocol", required=True)
@@ -71,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per size")
     p_sweep.add_argument("--input", default="0:50%,1:rest")
     p_sweep.add_argument("--summary", default=None, help="write summary JSON here")
-    _add_common(p_sweep)
+    _add_common(p_sweep, *_RUN_FLAGS)
 
     p_verify = sub.add_parser("verify", help="exhaustive stabilization check")
     p_verify.add_argument("--protocol", required=True)
@@ -80,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input")
     group.add_argument("--all-inputs", action="store_true")
     p_verify.add_argument("--max-configs", type=int, default=10_000_000)
-    _add_common(p_verify)
+    _add_common(p_verify, "--seed")
 
     p_audit = sub.add_parser("audit", help="memory budget audit")
     p_audit.add_argument("protocols", nargs="+")
@@ -91,16 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_meet = sub.add_parser("meet", help="token meeting-time statistics")
     p_meet.add_argument("--graph", nargs="+", required=True)
     p_meet.add_argument("--trials", type=int, default=200)
-    _add_common(p_meet)
+    _add_common(p_meet, "--seed", "--rate")
 
     return parser
 
 
-def _load_config_defaults(argv: Sequence[str], parser: argparse.ArgumentParser):
-    """Two-phase parse so a key=value config file provides defaults."""
-    pre = argparse.ArgumentParser(add_help=False)
+def _load_config_defaults(argv: list) -> list:
+    """Two-phase parse so a key=value config file, named after the
+    subcommand, provides defaults."""
+    pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
+    known, _ = pre.parse_known_args(argv[1:])
     if not known.config:
         return argv
     overrides = []
@@ -116,20 +136,11 @@ def _load_config_defaults(argv: Sequence[str], parser: argparse.ArgumentParser):
                 overrides.append((key.strip(), value.strip()))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {known.config}: {exc}") from exc
-    # config entries become leading arguments so explicit flags win
-    argv = list(argv)
-    insert_at = 1 if argv and argv[0] in _subcommands(parser) else 0
+    # config entries go right after the subcommand, so explicit flags win
     extra = []
     for key, value in overrides:
         extra.extend([f"--{key}", value])
-    return argv[:insert_at] + extra + argv[insert_at:]
-
-
-def _subcommands(parser) -> set:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
-    return set()
+    return argv[:1] + extra + argv[1:]
 
 
 def _emit(args, text: str) -> None:
@@ -383,8 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _load_config_defaults(argv, parser)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_load_config_defaults(argv))
         handler = {
             "run": cmd_run,
             "sweep": cmd_sweep,

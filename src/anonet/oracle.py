@@ -129,7 +129,9 @@ def verify_exhaustive(
 
 def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
     """The verifier over `canon`ical tuples of state ids in node `order`;
-    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]."""
+    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]. A null
+    activation stores no arc: a self-loop changes no SCC, nor whether an
+    SCC is terminal."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
     start = [table.intern(protocol.init(c)) for c in inputs]
@@ -143,7 +145,6 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
             a, b = cfg[u], cfg[v]
             na, nb = rows[a].get(b) or fill(a, b)
             if na == a and nb == b:
-                succ.append(ci)
                 continue
             lst = list(cfg)
             lst[u] = na
@@ -284,18 +285,13 @@ class ScalingFit:
     intercept: float
     sizes: tuple
     means: tuple
-    excluded: int = 0
-
-    @property
-    def ci95(self) -> tuple:
-        return (self.exponent - 1.96 * self.stderr, self.exponent + 1.96 * self.stderr)
 
 
 def scaling_report(samples: dict) -> ScalingFit:
     """Least-squares log-log fit of mean statistic against instance size.
 
     `samples` maps n -> list of per-run statistics (runs that failed to
-    stabilize should be dropped by the caller and passed via excluded).
+    stabilize should be dropped by the caller).
     """
     sizes = sorted(k for k, v in samples.items() if v)
     if len(sizes) < 3:

@@ -298,10 +298,9 @@ class TestAuditCommand:
          "--format", "json"],
     ])
     def test_format_is_audit_only(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--format" in err
 
 
 class TestMeetCommand:
@@ -336,6 +335,16 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["run", "--config", str(cfg)])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["--config", "CFG", "run"],
+                                      ["audit", "or", "--config", "CFG"]],
+                             ids=["before-subcommand", "flag-not-taken"])
+    def test_misplaced_config_exit_1(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("protocol=lsb:2\ngraph=cycle:8\ninput=0:5,1:3\n")
+        code, out, err = run_cli(capsys, [str(cfg) if a == "CFG" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestBadInputs:
     @pytest.mark.parametrize(
@@ -363,16 +372,40 @@ class TestBadInputs:
               "--max-configs", "0"], "--max-configs"),
             (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,x,0"],
              "--input '0,1,x,0'"),
+            (["run", "--protocol", "or", "--graph", "cycle:4"], "--input"),
         ],
         ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
              "run-violation", "sweep-violation", "audit-violation", "sweep-input-color",
-             "sweep-input-too-large", "max-configs-0", "verify-input-list"],
+             "sweep-input-too-large", "max-configs-0", "verify-input-list",
+             "missing-required"],
     )
     def test_error_line_and_exit_1(self, capsys, argv, names):
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert names in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("sweep", "--seed"), ("sweep", "--trace"),
+        *(("verify", f) for f in ("--max-steps", "--confirm-window", "--rate", "--rewire",
+                                  "--trace")),
+        *(("audit", f) for f in ("--seed", "--max-steps", "--confirm-window", "--rate",
+                                 "--rewire", "--trace")),
+        *(("meet", f) for f in ("--max-steps", "--confirm-window", "--rewire", "--trace")),
+    ])
+    def test_flag_the_command_does_not_read(self, capsys, tmp_path, command, flag):
+        argv = {
+            "sweep": ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4",
+                      "--seeds", "1"],
+            "verify": ["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0"],
+            "audit": ["audit", "or"],
+            "meet": ["meet", "--graph", "path:2", "--trials", "5"],
+        }[command]
+        value = {"--rewire": "swap:1", "--trace": str(tmp_path / "t.trace")}.get(flag, "1")
+        code, out, err = run_cli(capsys, argv + [flag, value])
+        assert code == 1 and out == ""
+        assert err.startswith("error: unrecognized arguments: ") and flag in err
+        assert not (tmp_path / "t.trace").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify", "sweep", "audit"])
     def test_circuit_with_a_min_gate(self, capsys, tmp_path, command):
