@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import __version__
@@ -25,7 +26,7 @@ from .engine import (
     run,
     write_trace,
 )
-from .oracle import scaling_report, verify_exhaustive, audit_memory
+from .oracle import VerifyResult, audit_memory, scaling_report, verify_exhaustive
 
 SCHEMA_VERSION = 1
 
@@ -59,8 +60,10 @@ _COMMON = {
 _RUN_FLAGS = ("--max-steps", "--confirm-window", "--rate", "--rewire")
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """`--config`, `--output` and those of the shared `flags` that `p` reads."""
+def _add_common(p: argparse.ArgumentParser, handler, *flags: str) -> None:
+    """`p` runs `handler`, and takes `--config`, `--output` and those of the
+    shared `flags` that it reads."""
+    p.set_defaults(handler=handler)
     p.add_argument("--config", default=None,
                    help="flat key=value file mirroring this command's long flags; "
                         "explicit flags win")
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--protocol", required=True)
     p_run.add_argument("--graph", required=True)
     p_run.add_argument("--input", required=True)
-    _add_common(p_run, "--seed", *_RUN_FLAGS, "--trace")
+    _add_common(p_run, cmd_run, "--seed", *_RUN_FLAGS, "--trace")
 
     p_sweep = sub.add_parser("sweep", help="grid of runs with a scaling fit")
     p_sweep.add_argument("--protocol", required=True)
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per size")
     p_sweep.add_argument("--input", default="0:50%,1:rest")
     p_sweep.add_argument("--summary", default=None, help="write summary JSON here")
-    _add_common(p_sweep, *_RUN_FLAGS)
+    _add_common(p_sweep, cmd_sweep, *_RUN_FLAGS)
 
     p_verify = sub.add_parser("verify", help="exhaustive stabilization check")
     p_verify.add_argument("--protocol", required=True)
@@ -99,18 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input")
     group.add_argument("--all-inputs", action="store_true")
     p_verify.add_argument("--max-configs", type=int, default=10_000_000)
-    _add_common(p_verify, "--seed")
+    _add_common(p_verify, cmd_verify, "--seed")
 
     p_audit = sub.add_parser("audit", help="memory budget audit")
     p_audit.add_argument("protocols", nargs="+")
     p_audit.add_argument("--n", type=int, default=8)
     p_audit.add_argument("--format", choices=("table", "json"), default="table")
-    _add_common(p_audit)
+    _add_common(p_audit, cmd_audit)
 
     p_meet = sub.add_parser("meet", help="token meeting-time statistics")
     p_meet.add_argument("--graph", nargs="+", required=True)
     p_meet.add_argument("--trials", type=int, default=200)
-    _add_common(p_meet, "--seed", "--rate")
+    _add_common(p_meet, cmd_meet, "--seed", "--rate")
 
     return parser
 
@@ -118,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_defaults(argv: list) -> list:
     """Two-phase parse so a key=value config file, named after the
     subcommand, provides defaults."""
+    if argv and argv[0].split("=", 1)[0] == "--config":
+        raise ConfigError("--config goes after the subcommand: anonet COMMAND --config FILE")
     pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv[1:])
@@ -318,13 +323,11 @@ def cmd_verify(args) -> int:
         try:
             expected = resolved.oracle_fn(counts)
         except ValueError as exc:  # e.g. plurality tie
-            lines.append(json.dumps({"input": "".join(map(str, inputs)), "verdict": "SKIPPED", "reason": str(exc)}))
-            continue
-        if expected is None:
-            expected = 0
-        res = verify_exhaustive(
-            resolved.protocol, graph, inputs, expected, max_configs=args.max_configs
-        )
+            res = VerifyResult("SKIPPED", 0, None, str(exc))
+        else:
+            res = verify_exhaustive(resolved.protocol, graph, inputs,
+                                    0 if expected is None else expected,
+                                    max_configs=args.max_configs)
         if res.verdict == "FAIL":
             any_fail = True
         lines.append(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))
@@ -345,19 +348,7 @@ def cmd_audit(args) -> int:
         note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""
         report = audit_memory(proto, graphs, input_sets, note=note)
         if args.format == "json":
-            lines.append(
-                json.dumps(
-                    {
-                        "protocol": report.protocol,
-                        "declared_bits": report.declared_bits,
-                        "measured_bits": report.measured_bits,
-                        "distinct_states": report.distinct_states,
-                        "ok": report.ok,
-                        "note": report.note,
-                    },
-                    sort_keys=True,
-                )
-            )
+            lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True))
         else:
             lines.append(report.row())
         violation = violation or not report.ok
@@ -370,19 +361,7 @@ def cmd_meet(args) -> int:
     for spec in args.graph:
         graph = build_graph(spec, seed=args.seed)
         stats.append(measure_meeting_time(graph, args.trials, seed=args.seed, rate=args.rate))
-    records = [
-        {
-            "graph": s.graph,
-            "n": s.n,
-            "trials": s.trials,
-            "mean_steps": s.mean_steps,
-            "stderr_steps": s.stderr_steps,
-            "mean_time": s.mean_time,
-            "stderr_time": s.stderr_time,
-        }
-        for s in stats
-    ]
-    out: dict = {"schema_version": SCHEMA_VERSION, "measurements": records}
+    out: dict = {"schema_version": SCHEMA_VERSION, "measurements": [asdict(s) for s in stats]}
     if len(stats) >= 3:
         fit = scaling_report({s.n: [s.mean_time] for s in stats})
         out["time_exponent"] = fit.exponent
@@ -395,14 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_load_config_defaults(argv))
-        handler = {
-            "run": cmd_run,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-            "audit": cmd_audit,
-            "meet": cmd_meet,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except (ValueError, ProtocolViolation) as exc:  # ConfigError and GraphError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

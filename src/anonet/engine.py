@@ -490,6 +490,7 @@ def run(
         match_count = sum(1 for s in states if outs[s] == want)
         matched = match_count == target
 
+    # None exactly while a run with `expected` is unmatched; never None without
     streak_start = 0 if (matched or expected is None) else None
     step = 0
     pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
@@ -540,12 +541,7 @@ def run(
                         x, y = rewirer.edges[i]
                         arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
 
-            if expected is None:
-                if streak_start is not None and step - streak_start >= window:
-                    stopped_by = "window"
-                    stabilized = True
-                    break
-            elif matched and step - streak_start >= window:
+            if streak_start is not None and step - streak_start >= window:
                 stopped_by = "window"
                 stabilized = True
                 break
@@ -559,14 +555,10 @@ def run(
 
     now, times = clock(step, rate * m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
-    if expected is not None and not matched:
-        first_correct = None
-    else:
-        first_correct = streak_start
     return RunResult(
         protocol=protocol.name,
         n=n,
-        first_correct_step=first_correct,
+        first_correct_step=streak_start,
         stabilized=stabilized,
         confirmation_window=window,
         final_outputs=outputs,

@@ -2,11 +2,11 @@
 
 `verify_exhaustive` decides the convergence contract on a concrete instance:
 it enumerates every configuration reachable from the initial one under all
-ordered edge activations, computes the terminal strongly connected
-components of that configuration graph, and passes iff every configuration
-in every terminal component gives the correct output everywhere. Under any
-fair schedule the run ends up in a terminal component, so a PASS certifies
-stabilization for all fair schedules, not just sampled ones.
+ordered edge activations, and passes iff every configuration can reach one
+that cannot reach a bad configuration. Two backward reachability closures
+decide this, and it holds iff every terminal component is correct throughout.
+Under any fair schedule the run ends up in a terminal component, so a PASS
+certifies stabilization for all fair schedules, not just sampled ones.
 
 Agents are anonymous, so configurations are explored up to the graph's
 symmetry: `states_explored` counts multisets on complete graphs, classes
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -55,11 +56,6 @@ class VerifyResult:
         if self.detail:
             rec["detail"] = self.detail
         return rec
-
-
-def _matches(protocol, outputs, expected) -> bool:
-    want, target = match_rule(protocol, expected, len(outputs))
-    return sum(1 for o in outputs if o == want) == target
 
 
 def _labelled(graph: Graph):
@@ -111,27 +107,33 @@ def verify_exhaustive(
 ) -> VerifyResult:
     """Exhaustively check stabilization to `expected` from `inputs`.
 
-    Builds the reachable configuration graph up to the graph's symmetry
-    (`_symmetry`), finds its terminal SCCs iteratively, and requires every
-    terminal configuration to match the expected output. SKIPPED when more
-    than `max_configs` configurations are reachable up to symmetry.
+    Explores the configuration graph up to the graph's symmetry (`_symmetry`)
+    and requires every terminal configuration to match the expected output.
+    SKIPPED when more than `max_configs` configurations are reachable.
 
     Soundness: a transition reads only states, so an automorphism g maps an
     arc c -> d to g(c) -> g(d), and the orbit of c reaches that of d iff
     c ->* g(d) for some g. So the orbit of a terminal c is terminal.
     Conversely, let c's orbit be terminal and c ->* d; then d ->* g(c) for
     some g, and d ->* g(c) ->* g(d) ->* g^2(c) ->* ... ->* g^k(c) = c with k
-    the order of g. Members of an orbit have permuted outputs, which
-    `_matches` ignores, so the representatives decide the verdict.
+    the order of g. Members of an orbit have permuted outputs, which the
+    match rule ignores, so the representatives decide the verdict.
     """
     return _explore(protocol, inputs, expected, max_configs, *_symmetry(graph))
 
 
 def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
     """The verifier over `canon`ical tuples of state ids in node `order`;
-    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]. A null
-    activation stores no arc: a self-loop changes no SCC, nor whether an
-    SCC is terminal."""
+    configuration i has the arcs succ[offsets[i] : offsets[i + 1]], and none
+    to itself (a null activation, or a swap or rotation onto the same form).
+
+    Let W hold the configurations that cannot reach a bad one. PASS iff all
+    reach W, iff every terminal component T is correct. (=>) Each reaches
+    some T; a correct T lies in W, since nothing leaves T. (<=) If T holds a
+    bad b, all of T reaches b, and nothing reachable from T is in W. A FAIL
+    moves from an x that cannot reach W to any y in reach(x) that cannot
+    reach x, which shrinks reach(x); when none is left, reach(x) is a
+    terminal component, and its lowest-index bad member is the evidence."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
     start = [table.intern(protocol.init(c)) for c in inputs]
@@ -158,73 +160,60 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
                 if len(configs) > max_configs:
                     return VerifyResult("SKIPPED", len(configs), expected,
                                         f"reachable set exceeds guard ({max_configs})", symmetry)
+            elif ni == ci:
+                continue
             succ.append(ni)
         offsets.append(len(succ))
+    del index
 
     n_cfg = len(configs)
-    # Tarjan's SCC algorithm, iterative.
-    UNVISITED = -1
-    ids = [UNVISITED] * n_cfg
-    low = [0] * n_cfg
-    on_stack = bytearray(n_cfg)
-    stack: list[int] = []
-    comp_of = [UNVISITED] * n_cfg
-    n_comp = 0
-    counter = 0
-    for root in range(n_cfg):
-        if ids[root] != UNVISITED:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                ids[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            base = offsets[v]
-            deg = offsets[v + 1] - base
-            while pi < deg:
-                w = succ[base + pi]
-                pi += 1
-                if ids[w] == UNVISITED:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], ids[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == ids[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp_of[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    terminal = bytearray(1 for _ in range(n_comp))
-    for v in range(n_cfg):
-        cv = comp_of[v]
+    cfgs = range(n_cfg)
+    counts = array("I", [0]) * (n_cfg + 1)  # succ reversed, by a counting sort
+    for w in succ:
+        counts[w] += 1
+    pred_off = array("I", accumulate(counts))  # where each block ends, then starts
+    pred = array("I", [0]) * len(succ)
+    for v in cfgs:
         for w in succ[offsets[v] : offsets[v + 1]]:
-            if comp_of[w] != cv:
-                terminal[cv] = 0
+            pred_off[w] -= 1
+            pred[pred_off[w]] = v
 
-    for v in range(n_cfg):
-        if not terminal[comp_of[v]]:
-            continue
-        outs = [table.outs[s] for s in configs[v]]
-        if not _matches(protocol, outs, expected):
-            return VerifyResult("FAIL", n_cfg, expected,
-                                f"terminal configuration with outputs {outs}", symmetry)
-    return VerifyResult("PASS", n_cfg, expected, "", symmetry)
+    want, target = match_rule(protocol, expected, len(inputs))
+    hit = [o == want for o in table.outs]
+    bad = bytearray(sum(map(hit.__getitem__, cfg)) != target for cfg in configs)
+    doomed = _grow(bytearray(n_cfg), pred_off, pred, *compress(cfgs, bad))
+    # W is the rest; y is the first configuration that cannot reach W
+    y = _grow(bytearray(n_cfg), pred_off, pred, *compress(cfgs, doomed.translate(_FLIP))).find(0)
+    if y < 0:
+        return VerifyResult("PASS", n_cfg, expected, "", symmetry)
+    while y >= 0:
+        x = y
+        reach = _grow(bytearray(n_cfg), offsets, succ, x)
+        # unmarked: in reach(x) and not reaching x; the last is deepest breadth
+        # first, which shortens the descent
+        y = _grow(reach.translate(_FLIP), pred_off, pred, x).rfind(0)
+    v = next(v for v in compress(cfgs, reach) if bad[v])
+    outs = [table.outs[s] for s in configs[v]]
+    return VerifyResult("FAIL", n_cfg, expected,
+                        f"terminal configuration with outputs {outs}", symmetry)
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a 0/1 bytearray
+
+
+def _grow(marked, off, adj, *seeds):
+    """Mark `seeds` and all they reach along the arcs adj[off[v] : off[v + 1]]
+    out of each v; return `marked`."""
+    stack = list(seeds)
+    for v in stack:
+        marked[v] = 1
+    while stack:
+        v = stack.pop()
+        for w in adj[off[v] : off[v + 1]]:
+            if not marked[w]:
+                marked[w] = 1
+                stack.append(w)
+    return marked
 
 
 @dataclass

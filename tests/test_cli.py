@@ -264,6 +264,18 @@ class TestVerifyCommand:
         assert code == 0
         assert all(json.loads(l)["verdict"] == "PASS" for l in out.strip().split("\n"))
 
+    def test_plurality_tie_is_a_skipped_record(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["verify", "--protocol", "plurality:2", "--graph", "complete:4", "--all-inputs"]
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().split("\n")]
+        tie = records[3]  # input 1100
+        assert tie == {"protocol": "plurality:2", "graph": "complete:4", "input": "1100",
+                       "verdict": "SKIPPED", "states_explored": 0, "symmetry": "none",
+                       "value": None, "detail": "plurality tie between colors [0, 1]"}
+        assert set(tie) == set(records[0]) | {"detail"}  # a PASS line's keys, and the reason
+
     def test_skipped_guard_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -344,6 +356,8 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, [str(cfg) if a == "CFG" else a for a in argv])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        if argv[0] == "--config":
+            assert "--config goes after the subcommand" in err
 
 
 class TestBadInputs:

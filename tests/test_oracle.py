@@ -3,13 +3,14 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonet.catalog import KINDS, resolve_protocol
 from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
-from anonet.engine import build_graph, run
+from anonet.engine import build_graph, match_rule, run
 from anonet.oracle import (
     _explore,
     _labelled,
@@ -18,6 +19,7 @@ from anonet.oracle import (
     verify_exhaustive,
 )
 from anonet.protocols import (
+    ProtocolDef,
     bit_protocol,
     lsb_counter_protocol,
     or_protocol,
@@ -246,6 +248,62 @@ def labelled(protocol, graph, inputs, expected):
 
 
 CASES = catalog_cases()
+
+
+def attracting_verdict(protocol, graph, inputs, expected):
+    """(verdict, outputs of the bad members of terminal components) by an
+    independent reference: the labelled configuration graph built on state
+    objects, and networkx's attracting components."""
+    want, target = match_rule(protocol, expected, graph.n)
+    init = tuple(protocol.init(c) for c in inputs)
+    configs = nx.DiGraph()
+    configs.add_node(init)
+    todo = [init]
+    while todo:
+        cfg = todo.pop()
+        for u, v in graph.arcs:
+            nxt = list(cfg)
+            nxt[u], nxt[v] = protocol.transition(cfg[u], cfg[v])
+            nxt = tuple(nxt)
+            if nxt not in configs:
+                todo.append(nxt)
+            configs.add_edge(cfg, nxt)
+    bad = []
+    for comp in nx.attracting_components(configs):
+        for cfg in comp:
+            outs = [protocol.output(s) for s in cfg]
+            if outs.count(want) != target:
+                bad.append(outs)
+    return ("FAIL" if bad else "PASS"), bad
+
+
+# the responder adopts the initiator's bit: from mixed inputs both consensus
+# configurations are terminal, so a good and a bad component are reachable
+VOTER = ProtocolDef("voter", init=int, transition=lambda a, b: (a, a), output=int)
+REFERENCE_CASES = CASES + [(VOTER, lambda counts: 0)]
+
+
+@pytest.mark.parametrize("protocol,oracle", REFERENCE_CASES,
+                         ids=[p.name for p, _ in REFERENCE_CASES])
+def test_verdicts_agree_with_attracting_components(protocol, oracle):
+    checked = 0
+    for spec in ("path:4", "star:4"):
+        graph = build_graph(spec)
+        for inputs in itertools.product(range(protocol.colors), repeat=graph.n):
+            try:
+                value = oracle([inputs.count(c) for c in range(protocol.colors)])
+            except ValueError:  # a plurality tie has no answer
+                continue
+            value = 0 if value is None else value
+            for expected in (value, value + 1):
+                res = verify_exhaustive(protocol, graph, inputs, expected)
+                verdict, bad = attracting_verdict(protocol, graph, inputs, expected)
+                assert res.verdict == verdict, (spec, inputs, expected)
+                if verdict == "FAIL":
+                    assert res.detail in [f"terminal configuration with outputs {outs}"
+                                          for outs in bad]
+                checked += 1
+    assert checked >= 2 * 2 * 10
 
 
 def test_every_kind_is_cross_checked():
