@@ -10,8 +10,8 @@ nothing to report; ValueError means there is no answer.
     lsb:c              r mod 2^c
     threshold:a:b[:c]  1 if r/(n - r) > a/b; c defaults to the minimal c
                        with a, b <= 2^c
-    bit:j:nmax         bit j of r
-    estimate:nmax      floor(log2 r), None for r = 0
+    bit:j:nmax         bit j of r, for r < 2^L with L = ceil(log2 nmax) + 1
+    estimate:nmax      floor(log2 r), None for r = 0; r < 2^L as for bit
     max-gate           max of the two color counts
     min-gate           min of the two color counts
     plurality:k        the most common of k colors; a tie has no answer

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -164,6 +165,18 @@ def _flag(flag: str, parse, value, *args, **kwargs):
         raise ConfigError(f"{flag} {value!r}: {exc}") from exc
 
 
+def _run_options(args) -> dict:
+    """engine.run's keywords from the flags that `run` and `sweep` share. The
+    bounds that engine.run checks are checked here first, so that the error
+    names the flag and a sweep fails before its first graph."""
+    for flag, value, low in (("--max-steps", args.max_steps, 0),
+                             ("--confirm-window", args.confirm_window, 1)):
+        if value is not None and value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    return dict(max_steps=args.max_steps, confirmation_window=args.confirm_window,
+                rewire_policy=_flag("--rewire", parse_rewire, args.rewire), rate=args.rate)
+
+
 def _histogram(outputs) -> dict:
     hist: dict = {}
     for o in outputs:
@@ -172,6 +185,7 @@ def _histogram(outputs) -> dict:
 
 
 def cmd_run(args) -> int:
+    options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
     graph = build_graph(args.graph, seed=args.seed)
     inputs = _flag("--input", parse_inputs, args.input, graph.n, resolved.protocol.colors,
@@ -188,12 +202,9 @@ def cmd_run(args) -> int:
         graph,
         inputs,
         seed=args.seed,
-        max_steps=args.max_steps,
-        confirmation_window=args.confirm_window,
         expected=run_expected,
-        rewire_policy=_flag("--rewire", parse_rewire, args.rewire),
-        rate=args.rate,
         record_trace=args.trace is not None,
+        **options,
     )
     if args.trace:
         write_trace(args.trace, result.trace)
@@ -218,11 +229,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
     sizes = _flag("--sizes", lambda spec: [int(s) for s in spec.split(",") if s], args.sizes)
     if not sizes:
         raise ConfigError("empty size grid")
-    rewire_policy = _flag("--rewire", parse_rewire, args.rewire)
     family = args.graph
     table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
     rows = []
@@ -247,12 +258,9 @@ def cmd_sweep(args) -> int:
                 graph,
                 inputs,
                 seed=seed,
-                max_steps=args.max_steps,
-                confirmation_window=args.confirm_window,
                 expected=0 if expected is None else expected,
-                rewire_policy=rewire_policy,
-                rate=args.rate,
                 table=table,
+                **options,
             )
             rows.append(
                 [
@@ -362,9 +370,9 @@ def cmd_meet(args) -> int:
         graph = build_graph(spec, seed=args.seed)
         stats.append(measure_meeting_time(graph, args.trials, seed=args.seed, rate=args.rate))
     out: dict = {"schema_version": SCHEMA_VERSION, "measurements": [asdict(s) for s in stats]}
-    if len(stats) >= 3:
-        fit = scaling_report({s.n: [s.mean_time] for s in stats})
-        out["time_exponent"] = fit.exponent
+    sizes = [s.n for s in stats]
+    if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n
+        out["time_exponent"] = scaling_report({s.n: [s.mean_time] for s in stats}).exponent
     _emit(args, json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -377,6 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (ValueError, ProtocolViolation) as exc:  # ConfigError and GraphError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit stays quiet too (the recipe in the docs of the `signal` module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
 
 

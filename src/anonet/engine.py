@@ -468,6 +468,10 @@ def run(
         if not (0 <= c < protocol.colors):
             raise ValueError(f"input color {c} invalid for {protocol.name}")
     _check_rate(rate)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if confirmation_window is not None and confirmation_window < 1:
+        raise ValueError(f"confirmation_window must be >= 1, got {confirmation_window}")
     if table is None:
         table = TransitionTable(protocol)
     elif table.protocol is not protocol:

@@ -111,10 +111,9 @@ def lsb_counter_protocol(c: int) -> ProtocolDef:
         if a.active and b.active:
             s = (a.counter + b.counter) % mod
             return (ParityState(s, 1), ParityState(s, 0))
-        if a.active and not b.active:
-            return (ParityState(a.counter, 0), ParityState(a.counter, 1))
-        if b.active and not a.active:
-            return (ParityState(b.counter, 1), ParityState(b.counter, 0))
+        if a.active != b.active:  # the token crosses; both keep its counter
+            k = a.counter if a.active else b.counter
+            return (ParityState(k, b.active), ParityState(k, a.active))
         return (a, b)
 
     def output(s: ParityState) -> int:
@@ -169,21 +168,15 @@ def threshold_protocol(a: int, b: int, c: int) -> ProtocolDef:
         return ThresholdState(b, 1) if color == 0 else ThresholdState(-a, 1)
 
     def transition(x: ThresholdState, y: ThresholdState):
-        if x.strong and y.strong:
-            cx, cy = x.counter, y.counter
-            if cx != 0 and cy != 0 and (cx > 0) != (cy > 0):
-                if abs(cx) != abs(cy):
-                    return (ThresholdState(cx + cy, 1), ThresholdState(0, 0))
-                return (ThresholdState(0, 0), ThresholdState(0, 1))
-            if cx == 0 and cy != 0:
-                return (ThresholdState(cy, 1), ThresholdState(cy, 0))
-            if cy == 0 and cx != 0:
-                return (ThresholdState(cx, 0), ThresholdState(cx, 1))
-            return (y, x)
-        if not x.strong and y.strong:
-            return (ThresholdState(y.counter, 1), ThresholdState(y.counter, 0))
-        if not y.strong and x.strong:
-            return (ThresholdState(x.counter, 0), ThresholdState(x.counter, 1))
+        cx, cy = x.counter, y.counter
+        if x.strong and y.strong and cx * cy < 0:
+            if cx + cy:
+                return (ThresholdState(cx + cy, 1), ThresholdState(0, 0))
+            return (ThresholdState(0, 0), ThresholdState(0, 1))
+        if y.strong and (not x.strong or cx == 0 != cy):  # x defers to y
+            return (y, ThresholdState(cy, 0))
+        if x.strong and (not y.strong or cy == 0 != cx):  # y defers to x
+            return (ThresholdState(cx, 0), x)
         return (y, x)
 
     def output(s: ThresholdState) -> int:
@@ -228,26 +221,38 @@ class BitState(NamedTuple):
     out: int
 
 
-def _merge_actives(x: BitState, y: BitState, levels: int):
-    """Equal-level merge: (1,1) promotes the responder one level up; any
-    other color pair leaves the XOR on the initiator and kills the responder."""
-    if x.color == 1 and y.color == 1:
-        if y.level + 1 >= levels:
-            raise ProtocolViolation(
-                f"token would exceed level {levels - 1}; n exceeds the configured n_max"
-            )
-        return (
-            BitState(0, 1, x.level, x.out),
-            BitState(1, 1, y.level + 1, y.out),
-        )
-    return (
-        BitState(x.color ^ y.color, 1, x.level, x.out),
-        BitState(0, 0, y.level, y.out),
-    )
+def _move_tokens(x, y, levels: int):
+    """The token move shared by `bit` and `estimate`, on states with `color`,
+    `active` and `level` fields; every other field carries through.
+
+    Two equal-level tokens merge: (1,1) promotes the responder one level up,
+    and any other color pair leaves the XOR on the initiator and kills the
+    responder. A token meeting any other agent swaps the two states, so tokens
+    random-walk. Two passive agents give None.
+    """
+    if x.active and y.active and x.level == y.level:
+        if x.color and y.color:
+            if y.level + 1 >= levels:
+                raise ProtocolViolation(f"token would exceed level {levels - 1}: r, the "
+                                        f"count of color 0, must be < 2^{levels}")
+            return (x._replace(color=0), y._replace(level=y.level + 1))
+        return (x._replace(color=x.color ^ y.color), y._replace(color=0, active=0))
+    if x.active or y.active:
+        return (y, x)
+    return None
+
+
+def _token_levels(states) -> Optional[set]:
+    """The levels of the active tokens, or None while two share a level."""
+    levels = [s.level for s in states if s.active]
+    distinct = set(levels)
+    return distinct if len(distinct) == len(levels) else None
 
 
 def bit_protocol(j: int, n_max: int) -> ProtocolDef:
-    """Computes bit j of r (count of color-0 agents) for any n <= n_max.
+    """Computes bit j of r (count of color-0 agents) for any r < 2^L, where
+    L = level_count(n_max) >= log2(n_max) + 1, so any n <= n_max is safe; a
+    larger r raises ProtocolViolation.
 
     Red agents start as active level-0 tokens of color 1. Equal-level tokens
     merge, carrying binary-addition carries upward, so the last token left
@@ -275,13 +280,7 @@ def bit_protocol(j: int, n_max: int) -> ProtocolDef:
 
     def transition(x: BitState, y: BitState):
         x2, y2 = observe(x, y), observe(y, x)
-        if x2.active and y2.active:
-            if x2.level == y2.level:
-                return _merge_actives(x2, y2, levels)
-            return (y2, x2)
-        if x2.active != y2.active:
-            return (y2, x2)  # identities swap so tokens random-walk
-        return (x2, y2) if (x2 != x or y2 != y) else (x, y)
+        return _move_tokens(x2, y2, levels) or (x2, y2)
 
     def output(s: BitState) -> int:
         if s.active and s.level == j:
@@ -289,12 +288,8 @@ def bit_protocol(j: int, n_max: int) -> ProtocolDef:
         return s.out
 
     def quiescent(states) -> bool:
-        seen_levels = set()
-        for s in states:
-            if s.active:
-                if s.level in seen_levels:
-                    return False
-                seen_levels.add(s.level)
+        if _token_levels(states) is None:
+            return False
         survivor = next(
             (s.color for s in states if s.active and s.level == j), 0
         )
@@ -325,7 +320,8 @@ def estimate_protocol(n_max: int) -> ProtocolDef:
     """Estimates r within a factor of 2: runs the per-bit token dynamics and
     gossips est = max level ever observed on an active agent, which settles
     at floor(log2 r), so 2^est is the estimate. For r = 0 every register
-    stays 0 and the caller reports the run as empty.
+    stays 0 and the caller reports the run as empty. Like `bit_protocol` it
+    needs r < 2^level_count(n_max).
     """
     levels = level_count(n_max)
 
@@ -333,19 +329,7 @@ def estimate_protocol(n_max: int) -> ProtocolDef:
         return EstState(1, 1, 0, 0) if color == 0 else EstState(0, 0, 0, 0)
 
     def transition(x: EstState, y: EstState):
-        if not x.active and not y.active:
-            if x.est == y.est:
-                return (x, y)
-            est = max(x.est, y.est)
-            return (x._replace(est=est), y._replace(est=est))
-        if x.active and y.active and x.level == y.level:
-            mx, my = _merge_actives(
-                BitState(x.color, 1, x.level, 0), BitState(y.color, 1, y.level, 0), levels
-            )
-            ax = EstState(mx.color, mx.active, mx.level, x.est)
-            ay = EstState(my.color, my.active, my.level, y.est)
-        else:
-            ax, ay = y, x  # different levels or active/passive: identities swap
+        ax, ay = _move_tokens(x, y, levels) or (x, y)
         est = max(
             ax.est,
             ay.est,
@@ -358,14 +342,10 @@ def estimate_protocol(n_max: int) -> ProtocolDef:
         return s.est
 
     def quiescent(states) -> bool:
-        seen_levels = set()
-        top = 0
-        for s in states:
-            if s.active:
-                if s.level in seen_levels:
-                    return False
-                seen_levels.add(s.level)
-                top = max(top, s.level)
+        levels = _token_levels(states)
+        if levels is None:
+            return False
+        top = max(levels, default=0)
         return all(s.est == top for s in states)
 
     log_l = math.ceil(math.log2(levels))

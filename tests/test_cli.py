@@ -330,6 +330,15 @@ class TestMeetCommand:
         rec = json.loads(out)
         assert code == 0 and rec["time_exponent"] <= 2.3
 
+    @pytest.mark.parametrize("graphs", [["cycle:8", "complete:8", "cycle:16", "cycle:32"],
+                                        ["cycle:8", "cycle:8", "cycle:8"]],
+                             ids=["one-size-twice", "one-size-thrice"])
+    def test_repeated_size_is_not_fitted(self, capsys, graphs):
+        code, out, err = run_cli(capsys, ["meet", "--graph", *graphs, "--trials", "20"])
+        rec = json.loads(out)
+        assert code == 0 and err == ""
+        assert len(rec["measurements"]) == len(graphs) and "time_exponent" not in rec
+
 
 class TestConfigFile:
     def test_config_provides_defaults_cli_overrides(self, capsys, tmp_path):
@@ -387,11 +396,20 @@ class TestBadInputs:
             (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,x,0"],
              "--input '0,1,x,0'"),
             (["run", "--protocol", "or", "--graph", "cycle:4"], "--input"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--max-steps", "-1"], "--max-steps"),
+            (["run", "--protocol", "lsb:2", "--graph", "cycle:8", "--input", "0:5,1:3",
+              "--confirm-window", "0"], "--confirm-window"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4",
+              "--max-steps", "-1"], "--max-steps"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4",
+              "--confirm-window", "0"], "--confirm-window"),
         ],
         ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
              "run-violation", "sweep-violation", "audit-violation", "sweep-input-color",
              "sweep-input-too-large", "max-configs-0", "verify-input-list",
-             "missing-required"],
+             "missing-required", "run-max-steps-negative", "run-confirm-window-0",
+             "sweep-max-steps-negative", "sweep-confirm-window-0"],
     )
     def test_error_line_and_exit_1(self, capsys, argv, names):
         code, out, err = run_cli(capsys, argv)
@@ -446,3 +464,21 @@ def test_cli_import_loads_stdlib_only():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_closed_stdout_is_a_quiet_exit():
+    """A reader that goes away (`anonet verify ... | head`) ends the command
+    with exit 1 and nothing on stderr. The output (~600 kB) is far larger
+    than a pipe buffer, so the write fails whether it starts before or after
+    the reader closes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "anonet.cli", "verify", "--protocol", "or",
+         "--graph", "complete:12", "--all-inputs"],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""

@@ -267,6 +267,13 @@ class TestRunSemantics:
         res = run(p, g, [0] * 5 + [1] * 3, seed=0, expected=1, max_steps=3)
         assert not res.stabilized and res.stopped_by == "max_steps"
 
+    @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps"),
+                                             (dict(confirmation_window=0), "confirmation_window")])
+    def test_limits_must_be_in_range(self, limits, name):
+        g = build_graph("cycle:8")
+        with pytest.raises(ValueError, match=name):
+            run(lsb_counter_protocol(2), g, [0] * 5 + [1] * 3, expected=1, **limits)
+
     def test_input_validation(self):
         g = build_graph("path:3")
         with pytest.raises(ValueError):

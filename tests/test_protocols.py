@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonet.engine import ProtocolViolation, build_graph, run
+from anonet.catalog import resolve_protocol
+from anonet.circuits import compile_circuit, parse_circuit
+from anonet.engine import ProtocolViolation, TransitionTable, build_graph, run
 from anonet.protocols import (
     bit_protocol,
     estimate_protocol,
+    level_count,
     lsb_counter_protocol,
     or_protocol,
     threshold_protocol,
@@ -155,6 +158,14 @@ class TestBit:
         g = build_graph("complete:4")
         with pytest.raises(ProtocolViolation):
             run(p, g, [0, 0, 0, 0], seed=0, expected=0)
+        # the bound is on r, not n: L = level_count(n_max) levels hold r < 2^L
+        for proto in (bit_protocol(1, 8), estimate_protocol(8)):
+            top = 1 << level_count(8)  # 16, although n_max is 8
+            g = build_graph(f"complete:{top + 4}")
+            res = run(proto, g, inputs_with_r(top + 4, top - 1), seed=0)
+            assert res.stabilized and res.stopped_by == "quiescence"
+            with pytest.raises(ProtocolViolation, match="r, the count of color 0"):
+                run(proto, g, inputs_with_r(top + 4, top), seed=0)
 
     def test_level_arrivals_halve_and_survivor_colors(self):
         # replay a trace: l_{i+1} == floor(l_i / 2) arrivals, and the last
@@ -230,3 +241,56 @@ class TestBudgets:
         assert or_protocol().budget_bits == 1
         # 16 levels for n_max=64 -> log2(7)->3 bits of level, plus 3
         assert bit_protocol(0, 64).budget_bits == math.ceil(math.log2(7)) + 3
+
+
+def state_closure(proto) -> set:
+    """Every state that any run of `proto` can reach, on any graph of any size.
+
+    A reachable state is an initial state or a result of one transition on
+    two reachable states, so the closure of the initial states under all
+    ordered pairs holds them all. Pairs that raise ProtocolViolation are
+    skipped: a run that meets one raises, so their results never exist in a
+    completed run. Semi-naive: each round pairs only the states new in the
+    round before with all states so far.
+    """
+    states = list(dict.fromkeys(proto.init(c) for c in range(proto.colors)))
+    seen, frontier = set(states), list(states)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in states:
+                for a, b in ((x, y), (y, x)):
+                    try:
+                        result = proto.transition(a, b)
+                    except ProtocolViolation:
+                        continue
+                    for s in result:
+                        if s not in seen:
+                            seen.add(s)
+                            new.append(s)
+        states += new
+        frontier = new
+    return seen
+
+
+class TestStateClosure:
+    @pytest.mark.parametrize("spec,size", [
+        ("or", 2), ("lsb:2", 8), ("lsb:4", 32), ("threshold:2:1", 8), ("threshold:3:5:3", 18),
+        ("bit:2:64", 38), ("bit:0:1024", 62), ("estimate:64", 71), ("estimate:1024", 177),
+        ("max-gate", 4), ("min-gate", 4), ("plurality:3", 122), ("plurality:4", 316),
+        pytest.param("(max (max 0 1) 2)", 29, id="max-tree-29"),
+    ])
+    def test_closure_size_budget_and_runs(self, spec, size):
+        proto = (compile_circuit(parse_circuit(spec)) if spec.startswith("(")
+                 else resolve_protocol(spec).protocol)
+        closure = state_closure(proto)
+        assert len(closure) == size
+        assert (size - 1).bit_length() <= proto.budget_bits
+        # every state that sampled runs reach on complete:8 lies in the closure
+        table = TransitionTable(proto)
+        g = build_graph("complete:8")
+        rng = random.Random(spec)
+        for seed in range(6):
+            inputs = [rng.randrange(proto.colors) for _ in range(8)]
+            run(proto, g, inputs, seed=seed, max_steps=20_000, table=table)
+        assert set(table.objs) <= closure
