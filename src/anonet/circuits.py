@@ -166,22 +166,6 @@ class Circuit:
         self.leaf_colors = tuple(sorted(self.paths))
         self.depth = max(len(p) for p in self.paths.values())
 
-        # common path suffix for every color pair, bottom-up
-        self.shared: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        colors = list(self.paths)
-        for c1 in colors:
-            p1 = self.paths[c1]
-            for c2 in colors:
-                p2 = self.paths[c2]
-                pairs = []
-                i, j = len(p1) - 1, len(p2) - 1
-                while i >= 0 and j >= 0 and p1[i] == p2[j]:
-                    pairs.append((i, j))
-                    i -= 1
-                    j -= 1
-                pairs.reverse()
-                self.shared[(c1, c2)] = tuple(pairs)
-
     def describe(self) -> str:
         def fmt(node) -> str:
             if isinstance(node, int):
@@ -323,6 +307,13 @@ def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
     return changed
 
 
+def _shared(p1: Sequence[int], p2: Sequence[int]):
+    """The index pairs (i, j), bottom-up, of the gates p1[i] == p2[j] on both
+    paths. Paths up a tree share exactly their common suffix."""
+    k = len(set(p1).intersection(p2))
+    return zip(range(len(p1) - k, len(p1)), range(len(p2) - k, len(p2)))
+
+
 def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     cx, cy = sx.color, sy.color
     lx = list(sx.levels)
@@ -331,7 +322,7 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     chy = _process_marks(cy, ly, circuit, sink)
     fired = False
 
-    for i, j in circuit.shared[(cx, cy)]:
+    for i, j in _shared(circuit.paths[cx], circuit.paths[cy]):
         a = lx[i]
         b = ly[j]
         if a.charge and a.charge == -b.charge:
@@ -598,7 +589,7 @@ def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
     sides_y = circuit.sides[cy]
     fired = False
 
-    for i, j in circuit.shared[(cx, cy)]:
+    for i, j in _shared(circuit.paths[cx], circuit.paths[cy]):
         a = lx[i]
         b = ly[j]
         effx = _eff(a, sides_x[i])

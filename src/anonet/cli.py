@@ -22,6 +22,7 @@ from .engine import (
     ProtocolViolation,
     TransitionTable,
     build_graph,
+    graph_family,
     measure_meeting_time,
     parse_rewire,
     run,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs with a scaling fit")
     p_sweep.add_argument("--protocol", required=True)
-    p_sweep.add_argument("--graph", required=True, help="family: complete|cycle|path|star|gnp:p")
+    p_sweep.add_argument("--graph", required=True, help="a graph spec without its n: kind[:params]")
     p_sweep.add_argument("--sizes", required=True, help="comma-separated n grid")
     p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per size")
     p_sweep.add_argument("--input", default="0:50%,1:rest")
@@ -165,14 +166,17 @@ def _flag(flag: str, parse, value, *args, **kwargs):
         raise ConfigError(f"{flag} {value!r}: {exc}") from exc
 
 
+def _at_least(flag: str, value, low: int) -> None:
+    if value is not None and value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
 def _run_options(args) -> dict:
     """engine.run's keywords from the flags that `run` and `sweep` share. The
     bounds that engine.run checks are checked here first, so that the error
     names the flag and a sweep fails before its first graph."""
-    for flag, value, low in (("--max-steps", args.max_steps, 0),
-                             ("--confirm-window", args.confirm_window, 1)):
-        if value is not None and value < low:
-            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    _at_least("--max-steps", args.max_steps, 0)
+    _at_least("--confirm-window", args.confirm_window, 1)
     return dict(max_steps=args.max_steps, confirmation_window=args.confirm_window,
                 rewire_policy=_flag("--rewire", parse_rewire, args.rewire), rate=args.rate)
 
@@ -234,14 +238,16 @@ def cmd_sweep(args) -> int:
     sizes = _flag("--sizes", lambda spec: [int(s) for s in spec.split(",") if s], args.sizes)
     if not sizes:
         raise ConfigError("empty size grid")
-    family = args.graph
+    _at_least("--sizes", min(sizes), 2)
+    _at_least("--seeds", args.seeds, 1)
+    spec_of = _flag("--graph", graph_family, args.graph)
     table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
     rows = []
     samples: dict = {}
     excluded = 0
     failures = 0
     for n in sizes:
-        spec = f"gnp:{n}:{family.split(':', 1)[1]}" if family.startswith("gnp:") else f"{family}:{n}"
+        spec = spec_of(n)
         samples[n] = []
         for seed in range(args.seeds):
             inputs = _flag("--input", parse_inputs, args.input, n, resolved.protocol.colors,
@@ -288,7 +294,7 @@ def cmd_sweep(args) -> int:
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "protocol": args.protocol,
-        "graph_family": family,
+        "graph_family": args.graph,
         "sizes": sizes,
         "seeds": args.seeds,
         "excluded_runs": excluded,
@@ -311,8 +317,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_configs < 1:
-        raise ConfigError(f"--max-configs must be >= 1, got {args.max_configs}")
+    _at_least("--max-configs", args.max_configs, 1)
     resolved = resolve_protocol(args.protocol)
     graph = build_graph(args.graph, seed=args.seed)
     colors = resolved.protocol.colors
@@ -383,13 +388,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(_load_config_defaults(argv))
         return args.handler(args)
-    except (ValueError, ProtocolViolation) as exc:  # ConfigError and GraphError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes first
         # the reader closed stdout: point it at devnull, so that the flush at
         # exit stays quiet too (the recipe in the docs of the `signal` module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    except (ValueError, ProtocolViolation, OSError) as exc:  # ConfigError and GraphError included
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

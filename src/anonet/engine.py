@@ -47,7 +47,9 @@ __all__ = [
     "GraphError",
     "ProtocolViolation",
     "TransitionTable",
+    "GRAPH_KINDS",
     "build_graph",
+    "graph_family",
     "parse_rewire",
     "load_edge_list",
     "write_trace",
@@ -116,17 +118,16 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise GraphError(f"need at least 2 nodes, got {self.n}")
+        self.edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
         seen = set()
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not 0 <= u < v < self.n:
                 raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-        self.edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
+            if (u, v) in seen:
+                raise GraphError(f"duplicate edge {(u, v)}")
+            seen.add((u, v))
         if not is_connected(self.n, self.edges):
             raise GraphError("graph is not connected")
 
@@ -140,11 +141,7 @@ class Graph:
         return [arc for u, v in self.edges for arc in ((u, v), (v, u))]
 
     def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        return _adjacency(self.n, self.edges)
 
 
 class Activation(NamedTuple):
@@ -198,81 +195,96 @@ def parse_rewire(spec: str) -> RewirePolicy:
     raise GraphError(f"unknown rewire spec {spec!r}")
 
 
-def is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    """BFS reachability from node 0."""
+def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Each node's neighbours, in the order of `edges`."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    nxt.append(w)
-        frontier = nxt
-    return count == n
+    return adj
+
+
+def _reach(adj: Sequence, u: int, stop: Optional[int] = None) -> set:
+    """Nodes reachable from `u`, breadth first; may stop early once `stop` is reached."""
+    seen, frontier = {u}, {u}
+    while frontier and stop not in seen:
+        frontier = {w for z in frontier for w in adj[z]} - seen
+        seen |= frontier
+    return seen
+
+
+def is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
+    """Whether every node reaches node 0."""
+    return len(_reach(_adjacency(n, edges), 0)) == n
 
 
 _GNP_ATTEMPTS = 200
 
 
-def build_graph(spec: str, seed: int = 0) -> Graph:
-    """Build a graph from a spec string.
+def _cycle(n: int, rng: random.Random):
+    if n < 3:
+        raise GraphError("cycle needs n >= 3")
+    return [(i, (i + 1) % n) for i in range(n)]
 
-    Supported: complete:n, cycle:n, path:n, star:n, gnp:n:p, file:path.
-    gnp resamples (bounded attempts) until the sample is connected.
-    """
-    parts = spec.split(":")
-    kind = parts[0]
+
+def _probability(text: str) -> float:
+    if not 0 <= float(text) <= 1:
+        raise ValueError(f"p must be in [0, 1], got {text}")
+    return float(text)
+
+
+def _gnp(n: int, rng: random.Random, p: float):
+    """Every pair an edge with probability p, resampled until connected."""
+    for _ in range(_GNP_ATTEMPTS):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if is_connected(n, edges):
+            return edges
+    raise GraphError(f"gnp:{n}:{p} produced no connected sample in {_GNP_ATTEMPTS} attempts")
+
+
+# kind -> (parsers of the parameters after n, edges(n, rng, *params)); rng is
+# the seed's `graph` stream
+GRAPH_KINDS: dict[str, tuple[tuple[Callable, ...], Callable]] = {
+    "complete": ((), lambda n, rng: [(u, v) for u in range(n) for v in range(u + 1, n)]),
+    "cycle": ((), _cycle),
+    "path": ((), lambda n, rng: [(i, i + 1) for i in range(n - 1)]),
+    "star": ((), lambda n, rng: [(0, i) for i in range(1, n)]),
+    "gnp": ((_probability,), _gnp),
+}
+
+
+def _kind(kind: str, fields: Sequence[str]) -> tuple[Callable, list]:
+    """(edges function, parsed parameters) of `kind` given the fields after n."""
+    parsers, edges = GRAPH_KINDS.get(kind, (None, None))
+    if parsers is None or len(fields) != len(parsers):
+        raise GraphError(f"no graph kind {kind!r} with {len(fields)} parameter(s) after n")
+    return edges, [parse(f) for parse, f in zip(parsers, fields)]
+
+
+def build_graph(spec: str, seed: int = 0) -> Graph:
+    """Build a graph from a spec `kind:n[:params]`, a `GRAPH_KINDS` kind with
+    exactly its parameters (complete:n, cycle:n, path:n, star:n, gnp:n:p),
+    or `file:path`. `seed` picks the gnp sample."""
+    kind, colon, rest = spec.partition(":")
+    if kind == "file" and colon:
+        return load_edge_list(rest)
+    n, *fields = rest.split(":")
     try:
-        if kind == "complete":
-            n = int(parts[1])
-            edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-            return Graph(n, edges, spec)
-        if kind == "cycle":
-            n = int(parts[1])
-            if n < 3:
-                raise GraphError("cycle needs n >= 3")
-            edges = tuple((i, (i + 1) % n) for i in range(n))
-            return Graph(n, edges, spec)
-        if kind == "path":
-            n = int(parts[1])
-            edges = tuple((i, i + 1) for i in range(n - 1))
-            return Graph(n, edges, spec)
-        if kind == "star":
-            n = int(parts[1])
-            edges = tuple((0, i) for i in range(1, n))
-            return Graph(n, edges, spec)
-        if kind == "gnp":
-            n, p = int(parts[1]), float(parts[2])
-            rng = stream("graph", seed)
-            for _ in range(_GNP_ATTEMPTS):
-                edges = tuple(
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if rng.random() < p
-                )
-                if is_connected(n, edges) and len(edges) > 0:
-                    return Graph(n, edges, spec)
-            raise GraphError(
-                f"gnp:{n}:{p} produced no connected sample in {_GNP_ATTEMPTS} attempts"
-            )
-        if kind == "file":
-            path = spec.split(":", 1)[1]
-            return load_edge_list(path)
-    except (IndexError, ValueError) as exc:
-        if isinstance(exc, GraphError):
-            raise
-        raise GraphError(f"unparsable graph spec {spec!r}: {exc}") from exc
-    raise GraphError(f"unknown graph spec {spec!r}")
+        edges, params = _kind(kind, fields)
+        n = int(n)
+    except ValueError as exc:  # GraphError included
+        raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
+    if n < 2:
+        raise GraphError(f"need at least 2 nodes, got {n}")
+    return Graph(n, tuple(edges(n, stream("graph", seed), *params)), spec)
+
+
+def graph_family(family: str) -> Callable[[int], str]:
+    """n -> the spec `kind:n[:params]` of the family `kind[:params]` (a
+    `GRAPH_KINDS` spec without its n); ValueError for a bad family."""
+    kind, colon, rest = family.partition(":")
+    _kind(kind, rest.split(":") if colon else [])
+    return lambda n: f"{kind}:{n}{colon}{rest}"
 
 
 def load_edge_list(path: str) -> Graph:
@@ -281,7 +293,6 @@ def load_edge_list(path: str) -> Graph:
     Blank lines are ignored; comments start with '#'.
     """
     edges = []
-    max_node = -1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -289,18 +300,14 @@ def load_edge_list(path: str) -> Graph:
                 if not line:
                     continue
                 fields = line.split()
-                if len(fields) != 2:
-                    raise GraphError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-                u, v = int(fields[0]), int(fields[1])
-                if u < 0 or v < 0:
-                    raise GraphError(f"{path}:{lineno}: negative node id")
-                edges.append((u, v))
-                max_node = max(max_node, u, v)
+                if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+                    raise GraphError(f"{path}:{lineno}: expected 'u v' with ids >= 0, got {line!r}")
+                edges.append(tuple(map(int, fields)))
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
-    if max_node < 1:
+    if not edges:
         raise GraphError(f"{path}: no edges")
-    return Graph(max_node + 1, tuple(edges), f"file:{path}")
+    return Graph(1 + max(map(max, edges)), tuple(edges), f"file:{path}")
 
 
 def write_trace(path: str, trace: Trace) -> None:
@@ -347,15 +354,11 @@ def clock(steps: int, rate_m: float, rng: random.Random, trace: bool = False):
 
 
 class _Rewirer:
-    """A run's edge list, with its edge set and adjacency kept across swaps."""
+    """A run's edge list, with its adjacency kept across swaps."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], n: int):
         self.edges = list(edges)
-        self.present = set(self.edges)
-        self.adj: list[set] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+        self.adj = [set(nbrs) for nbrs in _adjacency(n, self.edges)]
 
     def _move(self, old, new) -> None:
         """Replace the edges `old` by `new` in the adjacency."""
@@ -382,23 +385,16 @@ class _Rewirer:
         if flip:
             x, y = y, x
         # propose (u,v),(x,y) -> (u,x),(v,y)
-        e1, e2 = (min(u, x), max(u, x)), (min(v, y), max(v, y))
-        if len({u, v, x, y}) < 4 or e1 in self.present or e2 in self.present:
+        if len({u, v, x, y}) < 4 or x in self.adj[u] or y in self.adj[v]:
             return ()
-        old = ((u, v), (x, y))
-        self._move(old, ((u, x), (v, y)))
+        old, new = ((u, v), (x, y)), ((u, x), (v, y))
+        self._move(old, new)
         # every part left by deleting the old edges holds u, v, x or y, and
         # the new edges join u to x and v to y: connected iff u reaches v
-        seen, frontier = {u}, [u]
-        while frontier and v not in seen:
-            frontier = [w for z in frontier for w in self.adj[z] if w not in seen]
-            seen.update(frontier)
-        if v not in seen:
-            self._move(((u, x), (v, y)), old)
+        if v not in _reach(self.adj, u, v):
+            self._move(new, old)
             return ()
-        self.present -= {edges[i], edges[j]}
-        self.present |= {e1, e2}
-        edges[i], edges[j] = e1, e2
+        edges[i], edges[j] = (min(u, x), max(u, x)), (min(v, y), max(v, y))
         return i, j
 
 
@@ -596,8 +592,6 @@ def measure_meeting_time(
     token on exactly one endpoint the token crosses it (swap semantics); the
     trial ends on the first activation whose edge holds both tokens.
     """
-    if graph.n < 2:
-        raise GraphError("need n >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_rate(rate)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from anonet.circuits import (
     CircuitError,
+    _shared,
     collision_count_check,
     compile_circuit,
     complete_max_tree,
@@ -15,7 +16,7 @@ from anonet.circuits import (
     parse_circuit,
     plurality_protocol,
 )
-from anonet.engine import build_graph, run
+from anonet.engine import TransitionTable, build_graph, run
 
 
 def agents_for(counts, seed=0):
@@ -206,6 +207,35 @@ class TestPlurality:
         for seed in range(5):
             res = run(proto, g, agents_for(counts, seed), seed=seed, expected=4)
             assert res.stabilized and set(res.final_outputs) == {4}
+
+
+def eager_shared(p1, p2):
+    """Reference rule: the index pairs, bottom-up, of the common suffix of two
+    gate paths, found by walking down from both roots while the gates agree."""
+    pairs = []
+    i, j = len(p1) - 1, len(p2) - 1
+    while i >= 0 and j >= 0 and p1[i] == p2[j]:
+        pairs.append((i, j))
+        i -= 1
+        j -= 1
+    return tuple(reversed(pairs))
+
+
+class TestSharedGates:
+    @pytest.mark.parametrize("circ", [complete_max_tree(k) for k in range(2, 14)] + [
+        parse_circuit(text) for text in ("(max (max 0 1) (max 2 3))", "(max 0 1)",
+                                         "(max (max (max 0 1) 2) 3)", "(max 2 (max 3 4))")
+    ], ids=[f"complete-{k}" for k in range(2, 14)] + ["readme", "gate", "chain", "phantom"])
+    def test_matches_the_eager_rule_for_every_color_pair(self, circ):
+        for p1 in circ.paths.values():
+            for p2 in circ.paths.values():
+                assert tuple(_shared(p1, p2)) == eager_shared(p1, p2)
+
+    def test_plurality_2048_resolves_and_fills_a_pair(self):
+        table = TransitionTable(plurality_protocol(2048))
+        a, b = (table.intern(table.protocol.init(c)) for c in (0, 2047))
+        x, y = table.fill(a, b)
+        assert {table.objs[x].color, table.objs[y].color} == {0, 2047}
 
 
 @given(

@@ -11,6 +11,7 @@ import pytest
 
 from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
+from anonet.engine import GRAPH_KINDS, GraphError, build_graph
 
 
 def run_cli(capsys, argv):
@@ -56,6 +57,19 @@ class TestResolver:
         assert resolved.oracle_fn([3, 5, 2, 4]) == 5
         with pytest.raises(ConfigError):
             resolve_protocol(f"circuit:{tmp_path / 'missing'}")
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_KINDS))
+def test_graph_kind_takes_exactly_its_parameters(capsys, kind):
+    params = ":1" * len(GRAPH_KINDS[kind][0])  # p = 1 for gnp
+    assert build_graph(f"{kind}:4{params}").n == 4
+    for spec in (f"{kind}:4{params}".rsplit(":", 1)[0], f"{kind}:4{params}:1"):
+        with pytest.raises(GraphError):
+            build_graph(spec)
+    code, out, _ = run_cli(capsys, ["sweep", "--protocol", "or", "--graph", kind + params,
+                                    "--sizes", "4", "--seeds", "1"])
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1][3] == f"{kind}:4{params}"
 
 
 class TestParseInputs:
@@ -404,14 +418,32 @@ class TestBadInputs:
               "--max-steps", "-1"], "--max-steps"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4",
               "--confirm-window", "0"], "--confirm-window"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--trace", "TMP/missing/t.txt"], "missing/t.txt"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--output", "TMP/missing/o.json"], "missing/o.json"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
+              "--output", "TMP/rows.csv", "--summary", "TMP/missing/s.json"],
+             "missing/s.json"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "0"],
+             "--seeds"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "-3"],
+             "--seeds"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,-5,6"], "--sizes"),
+            *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
+               f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
         ],
         ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
              "run-violation", "sweep-violation", "audit-violation", "sweep-input-color",
              "sweep-input-too-large", "max-configs-0", "verify-input-list",
              "missing-required", "run-max-steps-negative", "run-confirm-window-0",
-             "sweep-max-steps-negative", "sweep-confirm-window-0"],
+             "sweep-max-steps-negative", "sweep-confirm-window-0", "run-trace-unwritable",
+             "run-output-unwritable", "sweep-summary-unwritable", "sweep-seeds-0",
+             "sweep-seeds-negative", "sweep-sizes-negative", "sweep-family-with-n",
+             "sweep-family-file", "sweep-family-gnp-without-p", "sweep-family-unknown"],
     )
-    def test_error_line_and_exit_1(self, capsys, argv, names):
+    def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err

@@ -64,9 +64,14 @@ class TestBuildGraph:
         assert nx.is_connected(to_nx(g))
 
     def test_bad_specs(self):
-        for spec in ("nope:4", "complete", "complete:1", "gnp:10", "cycle:x"):
+        for spec in ("nope:4", "complete", "complete:1", "gnp:10", "cycle:x", "path:4:junk",
+                     "cycle:4:9", "gnp:4:0.5:7", "gnp:5:1.5", "gnp:5:nan", "complete:"):
             with pytest.raises(GraphError):
                 build_graph(spec)
+
+    def test_one_node_is_rejected_before_sampling(self):
+        with pytest.raises(GraphError, match="need at least 2 nodes"):
+            build_graph("gnp:1:0.5")
 
     def test_gnp_disconnected_density_fails(self):
         with pytest.raises(GraphError):
@@ -88,9 +93,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             load_edge_list(str(tmp_path / "missing.txt"))
         bad = tmp_path / "bad.txt"
-        bad.write_text("0 1\n3 4\n")
-        with pytest.raises(GraphError):
-            load_edge_list(str(bad))  # disconnected
+        for text in ("0 1\n3 4\n", "0 1\n1 x\n", "0 1\n-1 2\n", "0 1 2\n", "# none\n", "0 0\n"):
+            bad.write_text(text)  # disconnected, malformed, negative, no edges, one node
+            with pytest.raises(GraphError):
+                load_edge_list(str(bad))
 
 
 def arc_draws(m, rng, count):
