@@ -214,18 +214,12 @@ def _gate_protocol(name: str, out: int) -> ProtocolDef:
     def output(s: GateState) -> int:
         return s.out
 
-    def quiescent(states) -> bool:
-        signs = {s.charge for s in states if s.charge}
-        return not (1 in signs and -1 in signs)
-
     return ProtocolDef(
         name=name,
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=3,
-        colors=2,
         match_mode="ones_count",
     )
 
@@ -383,29 +377,12 @@ def compile_circuit(circuit: Circuit) -> ProtocolDef:
     def output(s: CircuitState) -> int:
         return s.levels[-1].out
 
-    def quiescent(states) -> bool:
-        pos: set[int] = set()
-        neg: set[int] = set()
-        for s in states:
-            for i, lv in enumerate(s.levels):
-                if lv.mark:
-                    return False
-                gate = circuit.paths[s.color][i]
-                if lv.charge == 1:
-                    pos.add(gate)
-                elif lv.charge == -1:
-                    neg.add(gate)
-                elif lv.live and lv.out == 0:
-                    return False  # undischarged decrement
-        return not (pos & neg)
-
     budget = 4 * circuit.depth + math.ceil(math.log2(max(2, n_colors)))
     return ProtocolDef(
         name=f"circuit:{circuit.describe()}",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=budget,
         colors=n_colors,
         match_mode="ones_count",
@@ -664,8 +641,6 @@ def plurality_protocol(k: int) -> ProtocolDef:
         init=init,
         transition=transition,
         output=output,
-        quiescent=None,
         budget_bits=4 * tree.depth + 2 * math.ceil(math.log2(k)),
         colors=k,
-        match_mode="per_node",
     )

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from typing import Optional, Sequence
 
@@ -30,7 +31,7 @@ from .engine import (
 )
 from .oracle import VerifyResult, audit_memory, scaling_report, verify_exhaustive
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,12 +151,21 @@ def _load_config_defaults(argv: list) -> list:
     return argv[:1] + extra + argv[1:]
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(path: Optional[str], text: str, file=None) -> None:
+    """Write `text` and a newline to `path`, or else print it to `file` (stdout)."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
-        print(text)
+        print(text, file=file)
+
+
+def _writable(*paths: Optional[str]) -> None:
+    """Open each path given for appending, which creates it, so that a path
+    that cannot be written ends the command before its first run."""
+    for path in paths:
+        if path:
+            open(path, "a", encoding="utf-8").close()
 
 
 def _flag(flag: str, parse, value, *args, **kwargs):
@@ -181,13 +191,6 @@ def _run_options(args) -> dict:
                 rewire_policy=_flag("--rewire", parse_rewire, args.rewire), rate=args.rate)
 
 
-def _histogram(outputs) -> dict:
-    hist: dict = {}
-    for o in outputs:
-        hist[str(o)] = hist.get(str(o), 0) + 1
-    return dict(sorted(hist.items()))
-
-
 def cmd_run(args) -> int:
     options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
@@ -201,6 +204,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"tie, unsupported: {exc}") from exc
     empty = expected is None
     run_expected = 0 if empty else expected
+    _writable(args.trace, args.output)
     result = run(
         resolved.protocol,
         graph,
@@ -222,13 +226,14 @@ def cmd_run(args) -> int:
         "first_correct_step": result.first_correct_step,
         "stabilized": result.stabilized,
         "total_steps": result.total_steps,
+        "stopped_by": result.stopped_by,
         "elapsed_time": result.elapsed_time,
-        "outputs_histogram": _histogram(result.final_outputs),
+        "outputs_histogram": Counter(map(str, result.final_outputs)),  # keys sorted on dump
         "oracle_value": expected,
         "match": bool(result.matched),
         "empty": empty,
     }
-    _emit(args, json.dumps(record, sort_keys=True))
+    _emit(args.output, json.dumps(record, sort_keys=True))
     return EXIT_OK if (result.stabilized and result.matched) else EXIT_FAILURE
 
 
@@ -241,6 +246,7 @@ def cmd_sweep(args) -> int:
     _at_least("--sizes", min(sizes), 2)
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
+    _writable(args.output, args.summary)
     table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
     rows = []
     samples: dict = {}
@@ -256,7 +262,7 @@ def cmd_sweep(args) -> int:
                 graph = build_graph(spec, seed=seed)
                 expected = resolved.oracle_fn(counts_of(inputs, resolved.protocol.colors))
             except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
-                rows.append([args.protocol, n, "", spec, seed, "", "", f"error:{exc}"])
+                rows.append([args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"])
                 failures += 1
                 continue
             result = run(
@@ -268,29 +274,21 @@ def cmd_sweep(args) -> int:
                 table=table,
                 **options,
             )
-            rows.append(
-                [
-                    args.protocol,
-                    n,
-                    graph.m,
-                    spec,
-                    seed,
-                    "" if result.first_correct_step is None else result.first_correct_step,
-                    result.total_steps,
-                    result.stabilized,
-                ]
-            )
-            if result.stabilized and result.first_correct_step is not None:
-                samples[n].append(max(1, result.first_correct_step))
+            first = result.first_correct_step
+            rows.append([args.protocol, n, graph.m, spec, seed, "" if first is None else first,
+                         result.total_steps, result.stopped_by, result.stabilized])
+            if result.stabilized and first is not None:
+                samples[n].append(max(1, first))
             else:
                 excluded += 1
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["protocol", "n", "edges", "graph", "seed", "first_correct_step", "total_steps", "stabilized"]
+        ["protocol", "n", "edges", "graph", "seed", "first_correct_step", "total_steps",
+         "stopped_by", "stabilized"]
     )
     writer.writerows(rows)
-    _emit(args, buf.getvalue().rstrip("\n"))
+    _emit(args.output, buf.getvalue().rstrip("\n"))
     summary: dict = {
         "schema_version": SCHEMA_VERSION,
         "protocol": args.protocol,
@@ -307,12 +305,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         summary["exponent"] = None
         summary["fit_error"] = str(exc)
-    text = json.dumps(summary, sort_keys=True)
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, file=sys.stderr)
+    _emit(args.summary, json.dumps(summary, sort_keys=True), sys.stderr)
     return EXIT_FAILURE if (excluded or failures) else EXIT_OK
 
 
@@ -329,6 +322,7 @@ def cmd_verify(args) -> int:
                       for code in itertools.product(range(colors), repeat=graph.n)]
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
+    _writable(args.output)
     any_fail = False
     lines = []
     for inputs in input_sets:
@@ -344,7 +338,7 @@ def cmd_verify(args) -> int:
         if res.verdict == "FAIL":
             any_fail = True
         lines.append(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_FAILURE if any_fail else EXIT_OK
 
 
@@ -365,7 +359,7 @@ def cmd_audit(args) -> int:
         else:
             lines.append(report.row())
         violation = violation or not report.ok
-    _emit(args, "\n".join(lines))
+    _emit(args.output, "\n".join(lines))
     return EXIT_FAILURE if violation else EXIT_OK
 
 
@@ -378,7 +372,7 @@ def cmd_meet(args) -> int:
     sizes = [s.n for s in stats]
     if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n
         out["time_exponent"] = scaling_report({s.n: [s.mean_time] for s in stats}).exponent
-    _emit(args, json.dumps(out, sort_keys=True))
+    _emit(args.output, json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "GraphError",
     "ProtocolViolation",
     "TransitionTable",
+    "settled",
     "GRAPH_KINDS",
     "build_graph",
     "graph_family",
@@ -79,13 +80,17 @@ class TransitionTable:
     successor ids when a initiates and b responds. `fill` computes a pair the
     first time it meets; filling eagerly would also meet pairs no run reaches,
     which raise ProtocolViolation for `bit` and `estimate`. So every interned
-    state is an initial state or the result of an applied transition.
+    state is an initial state or the result of an applied transition. The
+    stop rule (`settled`) keeps the pairs it computes ahead of the runs in
+    `probed`, uninterned, until `fill` takes them over.
     """
 
     def __init__(self, protocol):
         self.protocol = protocol
         self.ids: dict = {}
         self.objs, self.outs, self.rows = [], [], []
+        self.probed: dict = {}  # (x, y) -> successor states, or the ProtocolViolation raised
+        self.closures: dict[frozenset, bool] = {}  # `settled`'s tier (b) verdicts
 
     def intern(self, state) -> int:
         i = self.ids.get(state)
@@ -96,10 +101,89 @@ class TransitionTable:
             self.rows.append({})
         return i
 
+    def successors(self, x, y) -> tuple:
+        """`protocol.transition(x, y)`, computed once for any two states."""
+        a, b = self.ids.get(x), self.ids.get(y)
+        if a is not None and b in self.rows[a]:
+            return tuple(self.objs[i] for i in self.rows[a][b])
+        if (x, y) not in self.probed:
+            try:
+                self.probed[x, y] = self.protocol.transition(x, y)
+            except ProtocolViolation as exc:
+                self.probed[x, y] = exc
+        if isinstance(self.probed[x, y], ProtocolViolation):
+            raise self.probed[x, y]
+        return self.probed[x, y]
+
     def fill(self, a: int, b: int) -> tuple[int, int]:
-        x, y = self.protocol.transition(self.objs[a], self.objs[b])
+        key = self.objs[a], self.objs[b]
+        x, y = self.successors(*key)
+        self.probed.pop(key, None)
         pair = self.rows[a][b] = (self.intern(x), self.intern(y))
         return pair
+
+
+def _inert(table: TransitionTable, a: int, b: int) -> bool:
+    """Whether (a, b) maps to (a, b) or (b, a); if so it is filled (interning nothing)."""
+    pair = table.rows[a].get(b)
+    if pair is None:
+        x, y = table.objs[a], table.objs[b]
+        if table.successors(x, y) not in ((x, y), (y, x)):
+            return False
+        pair = table.fill(a, b)
+    return pair in ((a, b), (b, a))
+
+
+def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
+    """Whether no output of the configuration `ids` (state ids in `table`) can
+    change again, under any schedule and any rewiring: every protocol's stop
+    rule (`quiescent`). Let P be the set of states present. It holds if
+
+    (a) every ordered pair (a, b) of P maps to (a, b) or (b, a), counting
+        (a, a) only if a is present twice, and, for per-node kinds, all
+        present outputs are equal. Then, by induction over activations, the
+        multiset of states never changes, so neither do the multiset of
+        outputs and the ones-count; when all outputs are equal, swapping
+        states changes no agent's output either. Or if
+    (b) for per-node kinds, all present outputs equal o, and so do the
+        outputs of all states in the closure C of P under all ordered pairs.
+        By induction, every state an agent ever holds lies in C.
+
+    Neither tier reads the graph, so both hold under rewiring. A pair that
+    raises ProtocolViolation fails the check: a run that meets it raises.
+    The table memoizes pairs (`probed`, `rows`) and (b)'s verdicts by P.
+    """
+    present = frozenset(ids)
+    outputs = {table.outs[a] for a in present}
+    per_node = table.protocol.match_mode != "ones_count"
+    if per_node and len(outputs) > 1:
+        return False
+    try:
+        if all(_inert(table, a, b) for a in present for b in present
+               if a != b or ids.count(a) > 1):
+            return True
+        if per_node and present not in table.closures:
+            table.closures[present] = False  # the verdict if a pair raises
+            table.closures[present] = _closed(table, present, outputs.pop())
+    except ProtocolViolation:
+        return False
+    return per_node and table.closures[present]
+
+
+def _closed(table: TransitionTable, present: frozenset, out) -> bool:
+    """Whether every state in the closure of `present` under all ordered
+    pairs outputs `out`; walked on state objects, so it interns nothing."""
+    walk = [table.objs[a] for a in present]
+    known = set(walk)
+    for i, x in enumerate(walk):  # walk grows as it is read
+        for y in walk[: i + 1]:
+            for z in (*table.successors(x, y), *table.successors(y, x)):
+                if z not in known:
+                    if table.protocol.output(z) != out:
+                        return False
+                    known.add(z)
+                    walk.append(z)
+    return True
 
 
 @dataclass
@@ -444,18 +528,17 @@ def run(
 ) -> RunResult:
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
 
-    Stabilization is detected when (a) the protocol's quiescence predicate
-    holds (checked every n activations if some state changed since the last
-    check), or (b) `expected` is given and the match condition has held for
-    `confirmation_window` consecutive activations. The match condition is
-    `match_rule`'s.
+    The run stops by "quiescence" once `protocol.quiescent(table, ids)` holds
+    (`settled`, unless the protocol sets None: no stop rule), checked at step
+    0 and every n activations if a state changed since the last check; it is
+    stabilized if it matches `expected`, or expected is None. It stops by
+    "window", stabilized, once the match condition (`match_rule`'s) has held
+    for `confirmation_window` consecutive activations, or with expected=None
+    once no output changed for that long. `first_correct_step` is the start
+    of the final matching stretch (0: the initial configuration matched).
 
-    With expected=None the window fallback is "no output changed for a full
-    window". `first_correct_step` is the start of the final matching stretch
-    (0 means the initial configuration already matched).
-
-    Agents hold ids of `table` (pass one to share it across runs);
-    `quiescent` and `on_step` still receive state objects.
+    Agents hold ids of `table` (pass one to share it across runs); `on_step`
+    receives state objects.
     """
     n = graph.n
     if len(inputs) != n:
@@ -475,7 +558,7 @@ def run(
 
     states = [table.intern(protocol.init(c)) for c in inputs]
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
-    quiescent = protocol.quiescent
+    quiescent = protocol.quiescent or (lambda table, ids: False)
 
     window = confirmation_window if confirmation_window is not None else _default_window(graph)
     m = graph.m
@@ -495,17 +578,12 @@ def run(
     step = 0
     pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
-    stabilized = False
     check_period = max(n, 1)
     hooks = record_trace or on_step is not None or period  # one test per step for all three
     changed = False  # whether a state changed since the last quiescence check
 
-    def is_quiescent() -> bool:
-        return quiescent is not None and quiescent([objs[s] for s in states])
-
-    if is_quiescent():
+    if quiescent(table, states):
         stopped_by = "quiescence"
-        stabilized = matched if expected is not None else True
     else:
         schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
         for k in islice(schedule, max_steps):
@@ -543,15 +621,16 @@ def run(
 
             if streak_start is not None and step - streak_start >= window:
                 stopped_by = "window"
-                stabilized = True
                 break
 
             if step % check_period == 0 and changed:
                 changed = False
-                if is_quiescent():
+                if quiescent(table, states):
                     stopped_by = "quiescence"
-                    stabilized = matched if expected is not None else True
                     break
+
+    # a settled run is stabilized if it matches; the window stops only matched runs
+    stabilized = stopped_by != "max_steps" and (matched or expected is None)
 
     now, times = clock(step, rate * m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)

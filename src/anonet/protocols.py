@@ -2,9 +2,10 @@
 
 Each protocol is a `ProtocolDef`: an initializer from input colors to agent
 states, a total deterministic pairwise transition rule applied to the
-(initiator, responder) state pair, an output map, an optional exact
-quiescence predicate, and a declared bit budget that the reachable state set
-must fit (audited in oracle.audit_memory).
+(initiator, responder) state pair, an output map, and a declared bit budget
+that the reachable state set must fit (audited in oracle.audit_memory). No
+protocol writes its own stop rule: every run stops by `engine.settled`,
+which is derived from the transition rule.
 
 Conventions shared by all protocols here:
 
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .engine import ProtocolViolation
+from .engine import ProtocolViolation, settled
 
 __all__ = [
     "ProtocolDef",
@@ -39,13 +40,14 @@ __all__ = [
 @dataclass(frozen=True)
 class ProtocolDef:
     """Immutable protocol descriptor; transitions are pure functions, so a
-    single instance is safe to share across parallel runs."""
+    single instance is safe to share across parallel runs. `quiescent(table,
+    ids)` is the stop rule: `engine.settled`, as no factory sets it."""
 
     name: str
     init: Callable
     transition: Callable
     output: Callable
-    quiescent: Optional[Callable] = None
+    quiescent: Optional[Callable] = settled  # the stop rule; None: no stop rule
     budget_bits: int = 0
     colors: int = 2
     match_mode: str = "per_node"  # "per_node" | "ones_count"
@@ -68,16 +70,11 @@ def or_protocol() -> ProtocolDef:
     def output(s: int) -> int:
         return s
 
-    def quiescent(states) -> bool:
-        first = states[0]
-        return all(s == first for s in states)
-
     return ProtocolDef(
         name="or",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=1,
     )
 
@@ -119,21 +116,11 @@ def lsb_counter_protocol(c: int) -> ProtocolDef:
     def output(s: ParityState) -> int:
         return s.counter
 
-    def quiescent(states) -> bool:
-        actives = [s for s in states if s.active]
-        if not actives:
-            return True  # r == 0: nothing will ever change
-        if len(actives) > 1:
-            return False
-        target = actives[0].counter
-        return all(s.counter == target for s in states)
-
     return ProtocolDef(
         name=f"lsb:{c}",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=c + 1,
     )
 
@@ -182,23 +169,11 @@ def threshold_protocol(a: int, b: int, c: int) -> ProtocolDef:
     def output(s: ThresholdState) -> int:
         return 1 if s.counter > 0 else 0
 
-    def quiescent(states) -> bool:
-        signs = {1 if s.counter > 0 else -1 for s in states if s.strong and s.counter != 0}
-        if len(signs) > 1:
-            return False
-        if signs == {1}:
-            # a surviving zero strong could still hand a 0 to a weak agent
-            if any(s.strong and s.counter == 0 for s in states):
-                return False
-            return all(s.counter > 0 for s in states)
-        return all(s.counter <= 0 for s in states)
-
     return ProtocolDef(
         name=f"threshold:{a}:{b}:{c}",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=c + 2,
     )
 
@@ -242,13 +217,6 @@ def _move_tokens(x, y, levels: int):
     return None
 
 
-def _token_levels(states) -> Optional[set]:
-    """The levels of the active tokens, or None while two share a level."""
-    levels = [s.level for s in states if s.active]
-    distinct = set(levels)
-    return distinct if len(distinct) == len(levels) else None
-
-
 def bit_protocol(j: int, n_max: int) -> ProtocolDef:
     """Computes bit j of r (count of color-0 agents) for any r < 2^L, where
     L = level_count(n_max) >= log2(n_max) + 1, so any n <= n_max is safe; a
@@ -287,20 +255,11 @@ def bit_protocol(j: int, n_max: int) -> ProtocolDef:
             return s.color
         return s.out
 
-    def quiescent(states) -> bool:
-        if _token_levels(states) is None:
-            return False
-        survivor = next(
-            (s.color for s in states if s.active and s.level == j), 0
-        )
-        return all(output(s) == survivor for s in states)
-
     return ProtocolDef(
         name=f"bit:{j}:{n_max}",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=math.ceil(math.log2(levels)) + 3,
     )
 
@@ -341,19 +300,11 @@ def estimate_protocol(n_max: int) -> ProtocolDef:
     def output(s: EstState) -> int:
         return s.est
 
-    def quiescent(states) -> bool:
-        levels = _token_levels(states)
-        if levels is None:
-            return False
-        top = max(levels, default=0)
-        return all(s.est == top for s in states)
-
     log_l = math.ceil(math.log2(levels))
     return ProtocolDef(
         name=f"estimate:{n_max}",
         init=init,
         transition=transition,
         output=output,
-        quiescent=quiescent,
         budget_bits=log_l + 3 + log_l,
     )

@@ -107,7 +107,8 @@ class TestRunCommand:
         rec = json.loads(out)
         assert rec["oracle_value"] == 1  # 5 mod 4
         assert rec["match"] is True and rec["stabilized"] is True
-        assert rec["schema_version"] == 1
+        assert rec["schema_version"] == 2
+        assert rec["stopped_by"] == "quiescence"
         assert rec["n"] == 8 and rec["edges"] == 8
         assert json.loads(json.dumps(rec)) == rec
 
@@ -192,7 +193,8 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["protocol", "n", "edges", "graph", "seed",
-                           "first_correct_step", "total_steps", "stabilized"]
+                           "first_correct_step", "total_steps", "stopped_by", "stabilized"]
+        assert {row[7] for row in rows[1:]} == {"quiescence"}
         assert len(rows) == 1 + 3 * 4
         summary = json.loads(summary_path.read_text())
         assert "exponent" in summary and summary["exponent"] is not None
@@ -254,7 +256,7 @@ class TestSweepCommand:
         )
         assert code == 2
         rows = list(csv.reader(io.StringIO(out)))
-        assert all(row[-1] == "False" for row in rows[1:])
+        assert all(row[-2:] == ["max_steps", "False"] for row in rows[1:])
 
 
 class TestVerifyCommand:
@@ -425,6 +427,8 @@ class TestBadInputs:
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
               "--output", "TMP/rows.csv", "--summary", "TMP/missing/s.json"],
              "missing/s.json"),
+            (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
+              "--output", "TMP/missing/v.json"], "missing/v.json"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "0"],
              "--seeds"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "-3"],
@@ -438,7 +442,8 @@ class TestBadInputs:
              "sweep-input-too-large", "max-configs-0", "verify-input-list",
              "missing-required", "run-max-steps-negative", "run-confirm-window-0",
              "sweep-max-steps-negative", "sweep-confirm-window-0", "run-trace-unwritable",
-             "run-output-unwritable", "sweep-summary-unwritable", "sweep-seeds-0",
+             "run-output-unwritable", "sweep-summary-unwritable", "verify-output-unwritable",
+             "sweep-seeds-0",
              "sweep-seeds-negative", "sweep-sizes-negative", "sweep-family-with-n",
              "sweep-family-file", "sweep-family-gnp-without-p", "sweep-family-unknown"],
     )
@@ -448,6 +453,9 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert names in err
+        # paths are checked before the first run: no CSV row was written
+        rows = tmp_path / "rows.csv"
+        assert not rows.exists() or rows.read_text() == ""
 
     @pytest.mark.parametrize("command,flag", [
         ("sweep", "--seed"), ("sweep", "--trace"),

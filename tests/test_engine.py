@@ -25,10 +25,17 @@ from anonet.engine import (
     parse_rewire,
     rewire,
     run,
+    settled,
     stream,
     write_trace,
 )
-from anonet.protocols import bit_protocol, lsb_counter_protocol, or_protocol
+from anonet.protocols import (
+    BitState,
+    ParityState,
+    bit_protocol,
+    lsb_counter_protocol,
+    or_protocol,
+)
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -243,8 +250,8 @@ class TestRunSemantics:
 
         base = lsb_counter_protocol(1)
         calls = []
-        p = dataclasses.replace(base, quiescent=lambda states: calls.append(1) or
-                                base.quiescent(states))
+        p = dataclasses.replace(base, quiescent=lambda table, ids: calls.append(1) or
+                                settled(table, ids))
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
         last, dirty, due = [p.init(c) for c in inputs], False, 1  # the check at step 0
@@ -321,9 +328,11 @@ def reference_first_correct(protocol, graph, inputs, seed, expected, period=0):
     """`first_correct_step` of a run drawn per step from one stream, as the
     engine did before stream version 2: a `randrange` arc and an
     `expovariate` holding time each step, and the swap draws inline. Its
-    stop rules (quiescence every n steps, the default window) are the
-    engine's; agents are per-node matched."""
+    stop rules (the protocol's stop rule every n steps, called on a table's
+    ids as the engine calls it, and the default window) are the engine's;
+    agents are per-node matched."""
     rng = random.Random(seed)
+    table = TransitionTable(protocol)
     n, edges = graph.n, list(graph.edges)
     window = 10 * n * len(edges)
     states = [protocol.init(c) for c in inputs]
@@ -364,7 +373,7 @@ def reference_first_correct(protocol, graph, inputs, seed, expected, period=0):
                     edges[i], edges[j] = e1, e2
         if start is not None and step - start >= window:
             return start
-        if step % n == 0 and protocol.quiescent and protocol.quiescent(states):
+        if step % n == 0 and protocol.quiescent(table, [table.intern(s) for s in states]):
             return start
 
 
@@ -412,7 +421,9 @@ class TestTransitionTable:
         g = build_graph("complete:6")
         for seed in range(3):
             run(p, g, [0, 0, 0, 1, 1, 1], seed=seed, expected=3, table=table)
-        assert len(calls) == len(set(calls)) == sum(len(r) for r in table.rows)
+        # the stop rule's probed pairs are counted beside the filled ones
+        assert len(calls) == len(set(calls)) == (sum(len(r) for r in table.rows)
+                                                 + len(table.probed))
         assert [table.intern(s) for s in table.objs] == list(range(len(table.objs)))
         assert table.outs == [p.output(s) for s in table.objs]
 
@@ -432,6 +443,48 @@ class TestTransitionTable:
         g = build_graph("path:3")
         with pytest.raises(ValueError):
             run(or_protocol(), g, [0, 1, 0], expected=1, table=TransitionTable(or_protocol()))
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plurality_stops_by_the_rule(self, seed):
+        # the window alone stops these runs at ~19,300 activations
+        g = build_graph("complete:16")
+        res = run(plurality_protocol(3), g, [0] * 7 + [1] * 5 + [2] * 4, seed=seed, expected=0)
+        assert res.stopped_by == "quiescence" and res.stabilized
+        assert res.total_steps < res.confirmation_window // 10
+
+    def test_plurality_on_rewired_gnp_without_expected(self):
+        g = build_graph("gnp:16:0.5", seed=4)
+        res = run(plurality_protocol(4), g, [0] * 6 + [1] * 4 + [2] * 3 + [3] * 3, seed=4,
+                  rewire_policy=parse_rewire("swap:8"))
+        assert res.stopped_by == "quiescence" and res.stabilized
+        assert set(res.final_outputs) == {0}
+
+    def test_a_violating_pair_is_never_skipped(self):
+        # two level-1 tokens of bit:0:2 would merge past the top level
+        p = bit_protocol(0, 2)
+        table = TransitionTable(p)
+        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        assert not settled(table, [token, token, passive])
+        assert settled(table, [token, passive, passive])  # (token, token) never meets
+        with pytest.raises(ProtocolViolation):
+            table.fill(token, token)
+
+    def test_rule_interns_nothing_and_fill_reuses_its_pairs(self):
+        import dataclasses
+
+        calls = []
+        base = lsb_counter_protocol(1)
+        p = dataclasses.replace(base, transition=lambda a, b: calls.append((a, b)) or
+                                base.transition(a, b))
+        table = TransitionTable(p)
+        a = table.intern(ParityState(1, 1))
+        assert not settled(table, [a, a])  # the two tokens merge into counter 0
+        assert len(table.objs) == 1 and table.probed and table.closures
+        probed = len(calls)
+        table.fill(a, a)
+        assert len(calls) == probed and len(table.objs) == 3
 
 
 class TestRewiring:

@@ -1,8 +1,9 @@
-"""The hand-written `quiescent` predicates decide when a run stops and claims
-that it has stabilized. Check them mechanically: on small graphs, from every
-input, every labelled configuration reachable from one where `quiescent`
-holds must give the same outputs (per node, or as a multiset for protocols
-that are matched on their ones-count, whose agents swap states)."""
+"""The stop rule (`engine.settled`, every protocol's `quiescent`) decides when
+a run stops and claims that it has stabilized. Check it mechanically: on
+small graphs, from every input, every labelled configuration reachable from
+one where the rule holds must give the same outputs (per node, or as a
+multiset for protocols that are matched on their ones-count, whose agents
+swap states)."""
 
 import itertools
 
@@ -13,13 +14,16 @@ from anonet.circuits import compile_circuit, parse_circuit
 from anonet.engine import TransitionTable, build_graph
 
 GRAPHS = ("path:4", "star:4", "cycle:4", "complete:4", "cycle:5")
-# 3^5 inputs of the three-colour ledger circuit on cycle:5 alone take ~15 s
+# plurality:3 on cycle:5 alone takes ~60 s
 SMALL_GRAPHS = GRAPHS[:4]
 
 
-def stop_rule_violation(protocol, graph, inputs):
-    """A (quiescent configuration, reachable configuration with other
-    outputs) pair as state-object tuples, or None."""
+def stop_rule_violation(protocol, graph):
+    """A (settled configuration, reachable configuration with other outputs)
+    pair as state-object tuples, or None, over every configuration that some
+    input reaches on `graph`. Inputs share their reachable configurations, so
+    each is explored once. The rule is called as `run` calls it, on the
+    search's own table."""
     table = TransitionTable(protocol)
     ordered = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
 
@@ -36,20 +40,22 @@ def stop_rule_violation(protocol, graph, inputs):
         outs = tuple(table.outs[s] for s in cfg)
         return tuple(sorted(outs)) if protocol.match_mode == "ones_count" else outs
 
-    init = tuple(table.intern(protocol.init(c)) for c in inputs)
-    reachable = {init}
-    frontier = [init]
-    while frontier:
-        for d in successors(frontier.pop()):
-            if d not in reachable:
-                reachable.add(d)
-                frontier.append(d)
+    reachable = set()
+    for inputs in itertools.product(range(protocol.colors), repeat=graph.n):
+        init = tuple(table.intern(protocol.init(c)) for c in inputs)
+        frontier = [init] if init not in reachable else []
+        reachable.update(frontier)
+        while frontier:
+            for d in successors(frontier.pop()):
+                if d not in reachable:
+                    reachable.add(d)
+                    frontier.append(d)
 
-    # Everything reached from a quiescent configuration gives that one's
+    # Everything reached from a settled configuration gives that one's
     # outputs, so a later search may stop at it after comparing outputs.
     settled = set()
     for root in reachable:
-        if root in settled or not protocol.quiescent([table.objs[s] for s in root]):
+        if root in settled or not protocol.quiescent(table, root):
             continue
         want = outputs(root)
         settled.add(root)
@@ -64,33 +70,22 @@ def stop_rule_violation(protocol, graph, inputs):
     return None
 
 
-PREDICATE_SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate",
-                   "min-gate")
-NO_PREDICATE_SPECS = ("plurality:3",)
+SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate", "min-gate",
+         "plurality:3")
 
 
-def with_predicate():
-    protos = [resolve_protocol(spec).protocol for spec in PREDICATE_SPECS]
+def protocols():
+    protos = [resolve_protocol(spec).protocol for spec in SPECS]
     protos.append(compile_circuit(parse_circuit("(max (max 0 1) 2)")))
     return protos
 
 
-@pytest.mark.parametrize("protocol", with_predicate(), ids=lambda p: p.name)
+@pytest.mark.parametrize("protocol", protocols(), ids=lambda p: p.name)
 def test_quiescence_is_never_left_for_other_outputs(protocol):
     for spec in GRAPHS if protocol.colors == 2 else SMALL_GRAPHS:
-        graph = build_graph(spec)
-        for inputs in itertools.product(range(protocol.colors), repeat=graph.n):
-            bad = stop_rule_violation(protocol, graph, inputs)
-            assert bad is None, (spec, inputs, bad)
+        bad = stop_rule_violation(protocol, build_graph(spec))
+        assert bad is None, (spec, bad)
 
 
-def test_every_kind_with_a_predicate_is_checked():
-    # a kind left out of PREDICATE_SPECS must be pinned as having none below
-    kinds = {spec.partition(":")[0] for spec in PREDICATE_SPECS + NO_PREDICATE_SPECS}
-    assert kinds == set(KINDS)
-
-
-def test_gossip_protocols_have_no_stop_predicate():
-    # plurality stops only by the window rule
-    for spec in NO_PREDICATE_SPECS:
-        assert resolve_protocol(spec).protocol.quiescent is None
+def test_every_kind_is_checked():
+    assert {spec.partition(":")[0] for spec in SPECS} == set(KINDS)
