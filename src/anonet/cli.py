@@ -29,7 +29,7 @@ from .engine import (
     run,
     write_trace,
 )
-from .oracle import VerifyResult, audit_memory, scaling_report, verify_exhaustive
+from .oracle import VerifyResult, audit_memory, orbit_key, scaling_report, verify_exhaustive
 
 SCHEMA_VERSION = 2
 
@@ -318,11 +318,15 @@ def cmd_verify(args) -> int:
         if colors ** graph.n > 1 << 22:
             raise ConfigError(f"{colors}^{graph.n} inputs is too many to enumerate")
         # little-endian: node 0 varies fastest
-        input_sets = [list(reversed(code))
-                      for code in itertools.product(range(colors), repeat=graph.n)]
+        input_sets = (code[::-1] for code in itertools.product(range(colors), repeat=graph.n))
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
     _writable(args.output)
+    orbit = orbit_key(resolved.protocol, graph)
+    # (orbit key, expected value) -> the result its inputs share. A FAIL is
+    # not shared: the configuration its detail names depends on the input's
+    # own labels, so each input of a failing orbit is explored.
+    shared: dict = {}
     any_fail = False
     lines = []
     for inputs in input_sets:
@@ -332,9 +336,14 @@ def cmd_verify(args) -> int:
         except ValueError as exc:  # e.g. plurality tie
             res = VerifyResult("SKIPPED", 0, None, str(exc))
         else:
-            res = verify_exhaustive(resolved.protocol, graph, inputs,
-                                    0 if expected is None else expected,
-                                    max_configs=args.max_configs)
+            expected = 0 if expected is None else expected
+            key = (orbit(inputs), expected) if orbit else None
+            res = shared.get(key)
+            if res is None:
+                res = verify_exhaustive(resolved.protocol, graph, inputs, expected,
+                                        max_configs=args.max_configs)
+                if key and res.verdict != "FAIL":
+                    shared[key] = res
         if res.verdict == "FAIL":
             any_fail = True
         lines.append(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))

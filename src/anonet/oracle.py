@@ -12,6 +12,9 @@ Agents are anonymous, so configurations are explored up to the graph's
 symmetry: `states_explored` counts multisets on complete graphs, classes
 under rotation and reflection on cycles, and labelled configurations on any
 other graph, as the result's `symmetry` ("complete" | "cycle" | "none") says.
+Each configuration canonicalizes each of its distinct successors once.
+Inputs whose initial configurations lie in one orbit get one verdict and
+count, so `orbit_key` lets a caller explore each orbit once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .engine import Graph, TransitionTable, match_rule, run
 __all__ = [
     "verify_exhaustive",
     "VerifyResult",
+    "orbit_key",
     "audit_memory",
     "AuditReport",
     "scaling_report",
@@ -86,15 +90,42 @@ def _symmetry(graph: Graph):
             a, b = adj[order[-1]]
             order.append(b if a == order[-2] else a)
         ordered = [arc for i in range(n) for arc in ((i, (i + 1) % n), ((i + 1) % n, i))]
-        images = [(s, itemgetter(*((s + k) % n for k in range(n)))) for s in range(n)]
-        images += [(s, itemgetter(*((s - k) % n for k in range(n)))) for s in range(n)]
+        # the rotation and the reflection that start at position s
+        images = [(itemgetter(*((s + k) % n for k in range(n))),
+                   itemgetter(*((s - k) % n for k in range(n)))) for s in range(n)]
 
-        def least_image(cfg):  # the least image starts at position s with a least state
+        def least_image(cfg):  # the least image starts at a position with a least state
             low = min(cfg)
-            return min([g(cfg) for s, g in images if cfg[s] == low])
+            s = cfg.index(low)
+            turn, flip = images[s]
+            a, b = turn(cfg), flip(cfg)
+            least = a if a < b else b
+            for _ in range(cfg.count(low) - 1):
+                s = cfg.index(low, s + 1)
+                turn, flip = images[s]
+                a, b = turn(cfg), flip(cfg)
+                if a < least:
+                    least = a
+                if b < least:
+                    least = b
+            return least
 
         return "cycle", order, lambda cfg: ordered, least_image
     return _labelled(graph)
+
+
+def orbit_key(protocol, graph: Graph):
+    """A function from an input to the canonical form (`_symmetry`) of its
+    initial configuration, in ids given to the initial states in colour
+    order; or None on a graph without a reduction, where each input is its
+    own orbit. Inputs with one key and one expected value get the same
+    verdict and `states_explored` from `verify_exhaustive` (see there)."""
+    symmetry, order, _, canon = _symmetry(graph)
+    if symmetry == "none":
+        return None
+    ids: dict = {}
+    sid = [ids.setdefault(protocol.init(c), len(ids)) for c in range(protocol.colors)]
+    return lambda inputs: canon(tuple([sid[inputs[v]] for v in order]))
 
 
 def verify_exhaustive(
@@ -117,15 +148,19 @@ def verify_exhaustive(
     Conversely, let c's orbit be terminal and c ->* d; then d ->* g(c) for
     some g, and d ->* g(c) ->* g(d) ->* g^2(c) ->* ... ->* g^k(c) = c with k
     the order of g. Members of an orbit have permuted outputs, which the
-    match rule ignores, so the representatives decide the verdict.
+    match rule ignores, so the representatives decide the verdict. Starts
+    in one orbit reach the same orbits, so they also get one count
+    (`orbit_key`).
     """
     return _explore(protocol, inputs, expected, max_configs, *_symmetry(graph))
 
 
 def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
     """The verifier over `canon`ical tuples of state ids in node `order`;
-    configuration i has the arcs succ[offsets[i] : offsets[i + 1]], and none
-    to itself (a null activation, or a swap or rotation onto the same form).
+    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]: one for
+    each of its distinct labelled successors, which is canonicalized once
+    (two activations often give the same one), and none to itself (a null
+    activation, or a swap or rotation onto the same form).
 
     Let W hold the configurations that cannot reach a bad one. PASS iff all
     reach W, iff every terminal component T is correct. (=>) Each reaches
@@ -143,6 +178,7 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
     succ = array("I")
     offsets = array("I", [0])
     for ci, cfg in enumerate(configs):  # configs grows as it is walked: breadth first
+        seen = set()  # the labelled successors of cfg so far
         for u, v in arcs(cfg):
             a, b = cfg[u], cfg[v]
             na, nb = rows[a].get(b) or fill(a, b)
@@ -151,7 +187,11 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
             lst = list(cfg)
             lst[u] = na
             lst[v] = nb
-            ncfg = canon(lst)
+            nxt = tuple(lst)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            ncfg = canon(nxt)
             ni = index.get(ncfg)
             if ni is None:
                 ni = len(configs)

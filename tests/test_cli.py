@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import inspect
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from anonet import cli
 from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
@@ -291,6 +294,80 @@ class TestVerifyCommand:
                        "verdict": "SKIPPED", "states_explored": 0, "symmetry": "none",
                        "value": None, "detail": "plurality tie between colors [0, 1]"}
         assert set(tie) == set(records[0]) | {"detail"}  # a PASS line's keys, and the reason
+
+    @staticmethod
+    def records_each_explored_once(capsys, monkeypatch, argv):
+        """(exit code, lines, inputs explored) of `verify ... --all-inputs`;
+        every line must equal that of a `verify ... --input` call on its input."""
+        explored = []
+        verify_exhaustive = cli.verify_exhaustive
+
+        def spy(protocol, graph, inputs, expected, **kwargs):
+            explored.append(tuple(inputs))
+            return verify_exhaustive(protocol, graph, inputs, expected, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_exhaustive", spy)
+        code, out, _ = run_cli(capsys, [*argv, "--all-inputs"])
+        lines, orbit_calls = out.splitlines(), explored[:]
+        for line in lines:
+            one = run_cli(capsys, [*argv, "--input", ",".join(json.loads(line)["input"])])
+            assert one[1].splitlines() == [line]
+        return code, lines, orbit_calls
+
+    @staticmethod
+    def orbits(spec, graph, colors):
+        """The answered inputs up to the graph's symmetry, by brute force."""
+        n = build_graph(graph).n
+        forms = set()
+        for code in itertools.product(range(colors), repeat=n):
+            try:
+                resolve_protocol(spec).oracle_fn([code.count(c) for c in range(colors)])
+            except ValueError:  # a tie has no answer, and nothing is explored
+                continue
+            if graph.startswith("complete"):
+                forms.add(tuple(sorted(code)))
+            else:  # a cycle: all rotations and reflections
+                forms.add(min(img for s in range(n)
+                              for img in (code[s:] + code[:s], code[s::-1] + code[:s:-1])))
+        return len(forms)
+
+    @pytest.mark.parametrize("spec,graph,colors,orbits", [
+        ("lsb:2", "complete:5", 2, 6),
+        ("threshold:2:1", "cycle:6", 2, 13),  # the binary bracelets of length 6
+        ("plurality:3", "cycle:4", 3, None),  # ties stay SKIPPED and are not explored
+    ])
+    def test_all_inputs_explore_each_orbit_once(self, capsys, monkeypatch, spec, graph, colors,
+                                                orbits):
+        code, lines, explored = self.records_each_explored_once(
+            capsys, monkeypatch, ["verify", "--protocol", spec, "--graph", graph])
+        assert code == 0 and len(lines) == colors ** build_graph(graph).n
+        assert len(explored) == len(set(explored)) == self.orbits(spec, graph, colors)
+        assert orbits is None or len(explored) == orbits
+        if spec.startswith("plurality"):
+            assert any(json.loads(line)["verdict"] == "SKIPPED" for line in lines)
+
+    def test_labelled_inputs_are_their_own_orbits(self, capsys, monkeypatch):
+        code, lines, explored = self.records_each_explored_once(
+            capsys, monkeypatch, ["verify", "--protocol", "lsb:1", "--graph", "path:3"])
+        assert code == 0 and len(explored) == len(lines) == 8
+
+    def test_fail_is_explored_per_input(self, capsys, monkeypatch):
+        # a wrong answer makes every input FAIL; the terminal configuration
+        # that a FAIL names differs within an orbit (here on cycle:5), so
+        # each input is explored and its line matches its own `--input` call
+        resolve = cli.resolve_protocol
+
+        def off_by_one(spec):
+            resolved = resolve(spec)
+            return dataclasses.replace(
+                resolved, oracle_fn=lambda counts: resolved.oracle_fn(counts) + 1)
+
+        monkeypatch.setattr(cli, "resolve_protocol", off_by_one)
+        code, lines, explored = self.records_each_explored_once(
+            capsys, monkeypatch, ["verify", "--protocol", "max-gate", "--graph", "cycle:5"])
+        assert code == 2 and len(explored) == len(lines) == 32
+        assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+        assert len({json.loads(line)["detail"] for line in lines}) > 1
 
     def test_skipped_guard_exit_zero(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from anonet.engine import build_graph, match_rule, run
 from anonet.oracle import (
     _explore,
     _labelled,
+    _symmetry,
     audit_memory,
     scaling_report,
     verify_exhaustive,
@@ -360,6 +362,41 @@ class TestSymmetryReduction:
         res = verify_exhaustive(lsb_counter_protocol(2), build_graph("complete:6"),
                                 [0, 0, 0, 1, 1, 1], 3)
         assert (res.verdict, res.states_explored) == ("PASS", 52)
+
+    @given(st.integers(min_value=3, max_value=9).flatmap(
+        lambda n: st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_least_image_is_the_least_rotation_or_reflection(self, cfg):
+        # at most 3 states, so that the least state and its runs repeat
+        n = len(cfg)
+        least_image = _symmetry(build_graph(f"cycle:{n}"))[3]
+        images = [tuple(cfg[(s + d * k) % n] for k in range(n)) for s in range(n) for d in (1, -1)]
+        assert least_image(cfg) == least_image(tuple(cfg)) == min(images)
+
+    @pytest.mark.parametrize("spec,protocol,inputs,expected", [
+        ("cycle:7", threshold_protocol(2, 1, 1), [0, 0, 1, 0, 1, 1, 1], 0),
+        ("complete:6", lsb_counter_protocol(2), [0, 0, 0, 1, 1, 1], 3),
+        ("path:5", threshold_protocol(2, 1, 1), [0, 1, 1, 0, 1], 0),
+    ])
+    def test_each_labelled_successor_is_canonicalized_once(self, spec, protocol, inputs,
+                                                           expected):
+        symmetry, order, arcs, canon = _symmetry(build_graph(spec))
+        fed = [Counter()]  # per configuration, what canon was given; first the start
+
+        def marking_arcs(cfg):  # called once as each configuration is expanded
+            fed.append(Counter())
+            return arcs(cfg)
+
+        def counting_canon(cfg):
+            fed[-1][tuple(cfg)] += 1
+            return canon(cfg)
+
+        res = _explore(protocol, inputs, expected, 10_000_000, symmetry, order, marking_arcs,
+                       counting_canon)
+        plain = _explore(protocol, inputs, expected, 10_000_000, symmetry, order, arcs, canon)
+        assert res == plain and res.verdict == "PASS"
+        assert len(fed) == 1 + res.states_explored
+        assert all(count == 1 for counts in fed for count in counts.values())
 
     def test_relabelled_cycle_file(self, tmp_path):
         n = 6
