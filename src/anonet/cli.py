@@ -7,6 +7,7 @@ Exit codes: 0 all matched/passed, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -151,13 +152,22 @@ def _load_config_defaults(argv: list) -> list:
     return argv[:1] + extra + argv[1:]
 
 
-def _emit(path: Optional[str], text: str, file=None) -> None:
-    """Write `text` and a newline to `path`, or else print it to `file` (stdout)."""
+@contextlib.contextmanager
+def _lines(path: Optional[str], file=None):
+    """A function that writes one line to `path`, created here, or else prints
+    it to `file` (stdout); each line is flushed, so that a long command holds
+    back no output."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            yield lambda text: print(text, file=fh, flush=True)
     else:
-        print(text, file=file)
+        yield lambda text: print(text, file=file, flush=True)
+
+
+def _emit(path: Optional[str], text: str, file=None) -> None:
+    """Write `text` and a newline to `path`, or else print it to `file` (stdout)."""
+    with _lines(path, file) as write:
+        write(text)
 
 
 def _writable(*paths: Optional[str]) -> None:
@@ -321,33 +331,31 @@ def cmd_verify(args) -> int:
         input_sets = (code[::-1] for code in itertools.product(range(colors), repeat=graph.n))
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
-    _writable(args.output)
     orbit = orbit_key(resolved.protocol, graph)
     # (orbit key, expected value) -> the result its inputs share. A FAIL is
     # not shared: the configuration its detail names depends on the input's
     # own labels, so each input of a failing orbit is explored.
     shared: dict = {}
     any_fail = False
-    lines = []
-    for inputs in input_sets:
-        counts = counts_of(inputs, colors)
-        try:
-            expected = resolved.oracle_fn(counts)
-        except ValueError as exc:  # e.g. plurality tie
-            res = VerifyResult("SKIPPED", 0, None, str(exc))
-        else:
-            expected = 0 if expected is None else expected
-            key = (orbit(inputs), expected) if orbit else None
-            res = shared.get(key)
-            if res is None:
-                res = verify_exhaustive(resolved.protocol, graph, inputs, expected,
-                                        max_configs=args.max_configs)
-                if key and res.verdict != "FAIL":
-                    shared[key] = res
-        if res.verdict == "FAIL":
-            any_fail = True
-        lines.append(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))
-    _emit(args.output, "\n".join(lines))
+    with _lines(args.output) as write:  # each record as soon as its input is done
+        for inputs in input_sets:
+            counts = counts_of(inputs, colors)
+            try:
+                expected = resolved.oracle_fn(counts)
+            except ValueError as exc:  # e.g. plurality tie
+                res = VerifyResult("SKIPPED", 0, None, str(exc))
+            else:
+                expected = 0 if expected is None else expected
+                key = (orbit(inputs), expected) if orbit else None
+                res = shared.get(key)
+                if res is None:
+                    res = verify_exhaustive(resolved.protocol, graph, inputs, expected,
+                                            max_configs=args.max_configs)
+                    if key and res.verdict != "FAIL":
+                        shared[key] = res
+            if res.verdict == "FAIL":
+                any_fail = True
+            write(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))
     return EXIT_FAILURE if any_fail else EXIT_OK
 
 

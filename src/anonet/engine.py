@@ -15,10 +15,13 @@ own `random.Random`, seeded from the string `anonet-2:<purpose>:<seed>`
 (meeting-time start nodes).
 
 - Arcs: the 2|E| ordered edges, arc 2i is edge i as stored and arc 2i+1 its
-  reverse (`Graph.arcs`). `arc_chunks` reads CHUNK raw draws at a time: for 2|E| <= 256,
-  CHUNK bytes, each masked to the next power of two >= 2|E| with values
-  >= 2|E| rejected (two `bytes.translate` calls); above, CHUNK `getrandbits`
-  draws of that width, rejected likewise. Accepted draws are exactly uniform.
+  reverse (`Graph.arcs`). `arc_chunks` reads raw draws in chunks of 64, 128,
+  ... up to CHUNK draws: for 2|E| <= 256, bytes, each masked to the next power
+  of two >= 2|E| with values >= 2|E| rejected (two `bytes.translate` calls);
+  above, `getrandbits` draws of that width, rejected likewise. Accepted draws
+  are exactly uniform. Every chunk size is divisible by 4, so the chunks'
+  bytes are those of one long `randbytes` draw: the indices do not depend on
+  the chunk sizes, which only spare a short run the draws it never reads.
 - Clock: stop rules read steps, never time, so a run stopping at step T
   draws its elapsed time once, Gamma(T, 1/(rate |E|)), and then, with a
   trace only, the T - 1 earlier activation times as sorted uniforms times
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -77,8 +81,10 @@ class ProtocolViolation(RuntimeError):
 class TransitionTable:
     """The states of one protocol interned as dense int ids, and its rule over
     them: `objs[i]` is state i, `outs[i]` its output, and `rows[a][b]` the
-    successor ids when a initiates and b responds. `fill` computes a pair the
-    first time it meets; filling eagerly would also meet pairs no run reaches,
+    successor ids when a initiates and b responds, or () for a null pair (one
+    that maps to (a, b)), which a run loop skips with one truth test. `fill`
+    computes a pair the first time it meets and returns its successor ids,
+    for a null pair too; filling eagerly would also meet pairs no run reaches,
     which raise ProtocolViolation for `bit` and `estimate`. So every interned
     state is an initial state or the result of an applied transition. The
     stop rule (`settled`) keeps the pairs it computes ahead of the runs in
@@ -105,7 +111,7 @@ class TransitionTable:
         """`protocol.transition(x, y)`, computed once for any two states."""
         a, b = self.ids.get(x), self.ids.get(y)
         if a is not None and b in self.rows[a]:
-            return tuple(self.objs[i] for i in self.rows[a][b])
+            return tuple(self.objs[i] for i in self.rows[a][b]) or (x, y)
         if (x, y) not in self.probed:
             try:
                 self.probed[x, y] = self.protocol.transition(x, y)
@@ -119,7 +125,8 @@ class TransitionTable:
         key = self.objs[a], self.objs[b]
         x, y = self.successors(*key)
         self.probed.pop(key, None)
-        pair = self.rows[a][b] = (self.intern(x), self.intern(y))
+        pair = self.intern(x), self.intern(y)
+        self.rows[a][b] = () if pair == (a, b) else pair
         return pair
 
 
@@ -131,7 +138,7 @@ def _inert(table: TransitionTable, a: int, b: int) -> bool:
         if table.successors(x, y) not in ((x, y), (y, x)):
             return False
         pair = table.fill(a, b)
-    return pair in ((a, b), (b, a))
+    return pair in ((), (a, b), (b, a))
 
 
 def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
@@ -219,10 +226,11 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def arcs(self) -> list[tuple[int, int]]:
-        """The 2m ordered edges: arc 2i is edge i, arc 2i + 1 its reverse."""
-        return [arc for u, v in self.edges for arc in ((u, v), (v, u))]
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """The 2m ordered edges: arc 2i is edge i, arc 2i + 1 its reverse.
+        Built once per graph."""
+        return tuple(arc for u, v in self.edges for arc in ((u, v), (v, u)))
 
     def adjacency(self) -> list[list[int]]:
         return _adjacency(self.n, self.edges)
@@ -414,17 +422,19 @@ def stream(purpose: str, seed: int) -> random.Random:
 
 
 def arc_chunks(m: int, rng: random.Random) -> Iterator[Sequence[int]]:
-    """Uniform arc indices in [0, 2m), CHUNK raw draws of `rng` per chunk."""
+    """Uniform arc indices in [0, 2m), from chunks of 64 raw draws of `rng`,
+    each chunk twice the last, up to CHUNK (see the module docstring)."""
     two_m = 2 * m
     bits = (two_m - 1).bit_length()
+    sizes = chain((64, 128, 256, 512, 1024, 2048), repeat(CHUNK))
     if bits <= 8:
         mask = (1 << bits) - 1
         table = bytes(range(mask + 1)) * (256 >> bits)
         reject = bytes(range(two_m, mask + 1))
-        while True:
-            yield rng.randbytes(CHUNK).translate(table).translate(None, reject)
-    while True:
-        yield [k for k in map(rng.getrandbits, repeat(bits, CHUNK)) if k < two_m]
+        for size in sizes:
+            yield rng.randbytes(size).translate(table).translate(None, reject)
+    for size in sizes:
+        yield [k for k in map(rng.getrandbits, repeat(bits, size)) if k < two_m]
 
 
 def clock(steps: int, rate_m: float, rng: random.Random, trace: bool = False):
@@ -529,8 +539,11 @@ def run(
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
 
     The run stops by "quiescence" once `protocol.quiescent(table, ids)` holds
-    (`settled`, unless the protocol sets None: no stop rule), checked at step
-    0 and every n activations if a state changed since the last check; it is
+    (`settled`, unless the protocol sets None: no stop rule). The rule is
+    checked at step 0, and at every multiple of n activations at which a
+    state changed since the last check; with `expected` and a per-node match
+    mode, a check while some but not all outputs equal `expected` skips the
+    rule, which must fail there (see `ProtocolDef.quiescent`). The run is
     stabilized if it matches `expected`, or expected is None. It stops by
     "window", stabilized, once the match condition (`match_rule`'s) has held
     for `confirmation_window` consecutive activations, or with expected=None
@@ -543,7 +556,8 @@ def run(
     n = graph.n
     if len(inputs) != n:
         raise ValueError(f"input length {len(inputs)} != n {n}")
-    for c in inputs:
+    colors = dict.fromkeys(inputs)  # each colour once, in order of first occurrence
+    for c in colors:
         if not (0 <= c < protocol.colors):
             raise ValueError(f"input color {c} invalid for {protocol.name}")
     _check_rate(rate)
@@ -556,7 +570,8 @@ def run(
     elif table.protocol is not protocol:
         raise ValueError("transition table belongs to another protocol")
 
-    states = [table.intern(protocol.init(c)) for c in inputs]
+    initial = {c: table.intern(protocol.init(c)) for c in colors}
+    states = [initial[c] for c in inputs]
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
@@ -565,24 +580,32 @@ def run(
     arcs = graph.arcs
     period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
     if period:
+        arcs = list(arcs)  # this run's own arcs, rewired in place
         rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
 
-    matched = False
+    matched = gated = False
     if expected is not None:
         want, target = match_rule(protocol, expected, n)
         match_count = sum(1 for s in states if outs[s] == want)
         matched = match_count == target
+        # per-node outputs differ while 0 < match_count < n: no check then
+        # calls the stop rule
+        gated = protocol.match_mode != "ones_count"
 
     # None exactly while a run with `expected` is unmatched; never None without
     streak_start = 0 if (matched or expected is None) else None
     step = 0
     pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
-    check_period = max(n, 1)
-    hooks = record_trace or on_step is not None or period  # one test per step for all three
+    every = record_trace or on_step is not None  # hooks that act at every step
     changed = False  # whether a state changed since the last quiescence check
+    never = max_steps + 1
+    # No hook, rewiring, window stop or check can act before step `due`, so
+    # earlier steps skip their tests. It is recomputed at that step, and
+    # lowered when `changed` turns true or `streak_start` is set.
+    due = 0
 
-    if quiescent(table, states):
+    if not (gated and 0 < match_count < n) and quiescent(table, states):
         stopped_by = "quiescence"
     else:
         schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
@@ -590,10 +613,18 @@ def run(
             u, v = arcs[k]
             step += 1
 
-            a, b = states[u], states[v]
-            na, nb = rows[a].get(b) or fill(a, b)
-            if na != a or nb != b:
-                changed = True
+            a = states[u]
+            b = states[v]
+            try:
+                pair = rows[a][b]
+            except KeyError:
+                fill(a, b)
+                pair = rows[a][b]
+            if pair:  # () for a null pair
+                na, nb = pair
+                if not changed:
+                    changed = True
+                    due = min(due, step + -step % n)  # the next check, this step included
                 if expected is None:
                     if outs[na] != outs[a] or outs[nb] != outs[b]:
                         streak_start = step  # an output changed; restart stretch
@@ -603,13 +634,14 @@ def run(
                     now_matched = match_count == target
                     if now_matched and not matched:
                         streak_start = step
+                        due = min(due, step + window)
                     elif not now_matched:
                         streak_start = None
                     matched = now_matched
                 states[u] = na
                 states[v] = nb
 
-            if hooks:
+            if step >= due:
                 if record_trace:
                     pairs.append((u, v))
                 if on_step is not None:
@@ -618,16 +650,18 @@ def run(
                     for i in rewirer.swap(rewire_rng):  # the replaced edges
                         x, y = rewirer.edges[i]
                         arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
-
-            if streak_start is not None and step - streak_start >= window:
-                stopped_by = "window"
-                break
-
-            if step % check_period == 0 and changed:
-                changed = False
-                if quiescent(table, states):
-                    stopped_by = "quiescence"
+                if streak_start is not None and step - streak_start >= window:
+                    stopped_by = "window"
                     break
+                if changed and step % n == 0:
+                    changed = False
+                    if not (gated and 0 < match_count < n) and quiescent(table, states):
+                        stopped_by = "quiescence"
+                        break
+                due = step + 1 if every else min(
+                    step - step % period + period if period else never,
+                    never if streak_start is None else streak_start + window,
+                    step - step % n + n if changed else never)
 
     # a settled run is stabilized if it matches; the window stops only matched runs
     stabilized = stopped_by != "max_steps" and (matched or expected is None)

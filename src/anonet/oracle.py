@@ -157,10 +157,10 @@ def verify_exhaustive(
 
 def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
     """The verifier over `canon`ical tuples of state ids in node `order`;
-    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]: one for
-    each of its distinct labelled successors, which is canonicalized once
-    (two activations often give the same one), and none to itself (a null
-    activation, or a swap or rotation onto the same form).
+    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]: one to
+    each distinct canonical form of its labelled successors, each of which is
+    canonicalized once (two activations often give the same one), and none
+    to itself (a null activation, or a swap or rotation onto the same form).
 
     Let W hold the configurations that cannot reach a bad one. PASS iff all
     reach W, iff every terminal component T is correct. (=>) Each reaches
@@ -179,11 +179,17 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
     offsets = array("I", [0])
     for ci, cfg in enumerate(configs):  # configs grows as it is walked: breadth first
         seen = set()  # the labelled successors of cfg so far
+        targets = {}  # the indices of their canonical forms but cfg's own, in order
         for u, v in arcs(cfg):
             a, b = cfg[u], cfg[v]
-            na, nb = rows[a].get(b) or fill(a, b)
-            if na == a and nb == b:
+            try:
+                pair = rows[a][b]
+            except KeyError:
+                fill(a, b)
+                pair = rows[a][b]
+            if not pair:  # a null pair
                 continue
+            na, nb = pair
             lst = list(cfg)
             lst[u] = na
             lst[v] = nb
@@ -202,7 +208,8 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
                                         f"reachable set exceeds guard ({max_configs})", symmetry)
             elif ni == ci:
                 continue
-            succ.append(ni)
+            targets[ni] = None
+        succ.extend(targets)
         offsets.append(len(succ))
     del index
 

@@ -41,7 +41,9 @@ __all__ = [
 class ProtocolDef:
     """Immutable protocol descriptor; transitions are pure functions, so a
     single instance is safe to share across parallel runs. `quiescent(table,
-    ids)` is the stop rule: `engine.settled`, as no factory sets it."""
+    ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
+    rule must fail while a per-node kind's outputs differ, and `engine.run`
+    may skip it then."""
 
     name: str
     init: Callable

@@ -369,6 +369,30 @@ class TestVerifyCommand:
         assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
         assert len({json.loads(line)["detail"] for line in lines}) > 1
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_each_record_is_written_when_its_input_is_done(self, capsys, monkeypatch, tmp_path,
+                                                           to_file):
+        # path:3 has no reduction, so every one of the 8 inputs is explored
+        path = tmp_path / "records.jsonl"
+        out = [""]  # stdout so far
+        written = []  # what was written when each exploration started
+        verify_exhaustive = cli.verify_exhaustive
+
+        def spy(*args, **kwargs):
+            out[0] += capsys.readouterr().out
+            written.append(path.read_text() if to_file else out[0])
+            return verify_exhaustive(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_exhaustive", spy)
+        argv = ["verify", "--protocol", "lsb:1", "--graph", "path:3", "--all-inputs"]
+        code, rest, _ = run_cli(capsys, argv + (["--output", str(path)] if to_file else []))
+        final = path.read_text() if to_file else out[0] + rest
+        lines = final.splitlines(keepends=True)
+        assert code == 0 and len(lines) == len(written) == 8
+        assert written == ["".join(lines[:i]) for i in range(8)]
+        monkeypatch.undo()
+        assert run_cli(capsys, argv)[1] == final  # the bytes all at once were the same
+
     def test_skipped_guard_exit_zero(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -11,6 +11,7 @@ from scipy import stats
 
 from anonet.circuits import plurality_protocol
 from anonet.engine import (
+    CHUNK,
     Activation,
     Graph,
     GraphError,
@@ -172,6 +173,25 @@ class TestScheduler:
         assert clock(50, 2.5, stream("time", 4), trace=True) == (total, times)
         assert clock(50, 2.5, stream("time", 4)) == (total, None)
 
+    @pytest.mark.parametrize("m", [3, 8, 9, 128, 129, 200])
+    def test_growing_chunks_give_the_fixed_chunk_stream(self, m):
+        # arc_chunks starts at 64 raw draws and doubles up to CHUNK; the
+        # indices must be those of fixed CHUNK-draw chunks, written out here.
+        # 2m = 256 (m = 128) is the widest byte mask, 2m = 258 the narrowest
+        # getrandbits width.
+        two_m = 2 * m
+        bits = (two_m - 1).bit_length()
+        for seed in range(4):
+            raw, want = random.Random(seed), []
+            while len(want) < 3 * CHUNK:
+                if bits <= 8:
+                    draws = [b & ((1 << bits) - 1) for b in raw.randbytes(CHUNK)]
+                else:
+                    draws = [raw.getrandbits(bits) for _ in range(CHUNK)]
+                want += [k for k in draws if k < two_m]
+            assert arc_draws(m, random.Random(seed), len(want)) == want
+            assert len(next(arc_chunks(m, random.Random(seed)))) <= 64
+
     def test_time_strictly_increasing_in_trace(self):
         g = build_graph("cycle:5")
         res = run(or_protocol(), g, [0, 1, 0, 0, 0], seed=3, expected=1, record_trace=True)
@@ -254,15 +274,21 @@ class TestRunSemantics:
                                 settled(table, ids))
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
-        last, dirty, due = [p.init(c) for c in inputs], False, 1  # the check at step 0
+        expected = inputs.count(0) % 2
+
+        def mixed(states):  # some but not all outputs match: the rule must fail, and is skipped
+            return 0 < sum(p.output(s) == expected for s in states) < g.n
+
+        last, dirty = [p.init(c) for c in inputs], False
+        due = 0 if mixed(last) else 1  # the check at step 0
 
         def on_step(step, states):
             nonlocal last, dirty, due
             dirty, last = dirty or states != last, states
             if step % g.n == 0:
-                due, dirty = due + dirty, False
+                due, dirty = due + (dirty and not mixed(states)), False
 
-        res = run(p, g, inputs, seed=2, expected=inputs.count(0) % 2, on_step=on_step)
+        res = run(p, g, inputs, seed=2, expected=expected, on_step=on_step)
         assert res.stopped_by == "quiescence"
         assert len(calls) == due < 1 + res.total_steps // g.n
 

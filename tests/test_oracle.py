@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anonet import oracle
 from anonet.catalog import KINDS, resolve_protocol
 from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
 from anonet.engine import build_graph, match_rule, run
@@ -397,6 +398,53 @@ class TestSymmetryReduction:
         assert res == plain and res.verdict == "PASS"
         assert len(fed) == 1 + res.states_explored
         assert all(count == 1 for counts in fed for count in counts.values())
+
+    @pytest.mark.parametrize("spec,protocol,inputs,expected", [
+        ("cycle:7", threshold_protocol(2, 1, 1), [0, 0, 1, 0, 1, 1, 1], 0),
+        ("complete:6", lsb_counter_protocol(2), [0, 0, 0, 1, 1, 1], 3),
+        ("path:5", threshold_protocol(2, 1, 1), [0, 1, 1, 0, 1], 1),  # a FAIL walks succ too
+    ])
+    def test_each_arc_is_stored_once(self, monkeypatch, spec, protocol, inputs, expected):
+        # two distinct labelled successors can share one canonical form (on
+        # cycle:7, 198 of 34,025 arcs once repeated one); every block of arcs
+        # the closures walk must be a set, and their number that of the
+        # (configuration, other canonical successor) pairs, found apart here
+        symmetry, order, arcs, canon = _symmetry(build_graph(spec))
+        walked = []
+        grow = oracle._grow
+
+        def spy(marked, off, adj, *seeds):
+            walked.append([list(adj[off[v] : off[v + 1]]) for v in range(len(off) - 1)])
+            return grow(marked, off, adj, *seeds)
+
+        monkeypatch.setattr(oracle, "_grow", spy)
+        res = _explore(protocol, inputs, expected, 10_000_000, symmetry, order, arcs, canon)
+        assert walked and all(len(set(b)) == len(b) for blocks in walked for b in blocks)
+
+        ids: dict = {}
+        init = canon(tuple(ids.setdefault(protocol.init(inputs[v]), len(ids)) for v in order))
+        states, pairs, todo = [None] * len(ids), 0, [init]
+        for s, i in ids.items():
+            states[i] = s
+        seen = {init}
+        while todo:
+            cfg = todo.pop()
+            nexts = set()
+            for u, v in arcs(cfg):
+                lst = list(cfg)
+                for w, s in zip((u, v), protocol.transition(states[cfg[u]], states[cfg[v]])):
+                    if s not in ids:
+                        ids[s] = len(states)
+                        states.append(s)
+                    lst[w] = ids[s]
+                nexts.add(canon(tuple(lst)))
+            nexts.discard(cfg)
+            pairs += len(nexts)
+            todo += nexts - seen
+            seen |= nexts
+        assert len(seen) == res.states_explored
+        assert sum(map(len, walked[0])) == pairs
+        assert res.verdict == ("FAIL" if spec == "path:5" else "PASS")
 
     def test_relabelled_cycle_file(self, tmp_path):
         n = 6

@@ -30,8 +30,12 @@ def stop_rule_violation(protocol, graph):
     def successors(cfg):
         for u, v in ordered:
             a, b = cfg[u], cfg[v]
-            na, nb = table.rows[a].get(b) or table.fill(a, b)
-            if na != a or nb != b:
+            pair = table.rows[a].get(b)
+            if pair is None:
+                table.fill(a, b)
+                pair = table.rows[a][b]
+            if pair:  # () for a null pair
+                na, nb = pair
                 nxt = list(cfg)
                 nxt[u], nxt[v] = na, nb
                 yield tuple(nxt)

@@ -1,0 +1,178 @@
+"""`engine.run`'s loop is tuned for speed: it skips null pairs with one truth
+test, acts at a precomputed step instead of testing every hook each step,
+and skips stop-rule calls that must fail. `reference_run` below is the
+plain loop it replaced, which tests everything at every step; both must give
+equal results, traces and final states included, over a grid of kinds,
+graphs and options."""
+
+import itertools
+import random
+from itertools import chain, islice
+
+import pytest
+
+from anonet.catalog import KINDS, resolve_protocol
+from anonet.engine import (
+    Activation,
+    RunResult,
+    Trace,
+    TransitionTable,
+    _default_window,
+    _Rewirer,
+    arc_chunks,
+    build_graph,
+    clock,
+    match_rule,
+    parse_rewire,
+    run,
+    stream,
+)
+
+
+def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
+                  confirmation_window=None, expected=None, rewire_policy=None, rate=1.0,
+                  record_trace=False, on_step=None, table=None):
+    """`engine.run` as a loop that tests each hook, the window and the check
+    step at every activation, and calls the stop rule at every check step
+    after a change."""
+    n = graph.n
+    if table is None:
+        table = TransitionTable(protocol)
+    states = [table.intern(protocol.init(c)) for c in inputs]
+    objs, outs, fill = table.objs, table.outs, table.fill
+    quiescent = protocol.quiescent or (lambda table, ids: False)
+
+    window = confirmation_window if confirmation_window is not None else _default_window(graph)
+    m = graph.m
+    arcs = list(graph.arcs)
+    period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
+    if period:
+        rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
+
+    matched = False
+    if expected is not None:
+        want, target = match_rule(protocol, expected, n)
+        match_count = sum(1 for s in states if outs[s] == want)
+        matched = match_count == target
+
+    streak_start = 0 if (matched or expected is None) else None
+    step = 0
+    pairs = [] if record_trace else None
+    stopped_by = "max_steps"
+    changed = False
+
+    if quiescent(table, states):
+        stopped_by = "quiescence"
+    else:
+        schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
+        for k in islice(schedule, max_steps):
+            u, v = arcs[k]
+            step += 1
+
+            a, b = states[u], states[v]
+            na, nb = fill(a, b)  # the successor ids, whatever form the row has
+            if na != a or nb != b:
+                changed = True
+                if expected is None:
+                    if outs[na] != outs[a] or outs[nb] != outs[b]:
+                        streak_start = step
+                else:
+                    match_count += (outs[na] == want) - (outs[a] == want)
+                    match_count += (outs[nb] == want) - (outs[b] == want)
+                    now_matched = match_count == target
+                    if now_matched and not matched:
+                        streak_start = step
+                    elif not now_matched:
+                        streak_start = None
+                    matched = now_matched
+                states[u] = na
+                states[v] = nb
+
+            if record_trace:
+                pairs.append((u, v))
+            if on_step is not None:
+                on_step(step, [objs[s] for s in states])
+            if period and step % period == 0:
+                for i in rewirer.swap(rewire_rng):
+                    x, y = rewirer.edges[i]
+                    arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
+
+            if streak_start is not None and step - streak_start >= window:
+                stopped_by = "window"
+                break
+
+            if step % n == 0 and changed:
+                changed = False
+                if quiescent(table, states):
+                    stopped_by = "quiescence"
+                    break
+
+    stabilized = stopped_by != "max_steps" and (matched or expected is None)
+    now, times = clock(step, rate * m, stream("time", seed), record_trace)
+    outputs = tuple(outs[s] for s in states)
+    return RunResult(
+        protocol=protocol.name,
+        n=n,
+        first_correct_step=streak_start,
+        stabilized=stabilized,
+        confirmation_window=window,
+        final_outputs=outputs,
+        total_steps=step,
+        elapsed_time=now,
+        stopped_by=stopped_by,
+        matched=matched if expected is not None else stabilized,
+        final_states=tuple(objs[s] for s in states),
+        trace=Trace([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)],
+                    outputs) if record_trace else None,
+    )
+
+
+SPECS = ("or", "lsb:2", "threshold:2:1", "bit:1:8", "estimate:8", "max-gate", "min-gate",
+         "plurality:3")
+GRAPHS = ("path:6", "cycle:7", "star:5", "complete:5", "gnp:7:0.5")
+
+
+def test_every_kind_is_in_the_grid():
+    assert {spec.partition(":")[0] for spec in SPECS} == set(KINDS)
+
+
+@pytest.mark.parametrize("spec", [*SPECS, "circuit"])
+def test_run_equals_the_reference_loop(spec, tmp_path):
+    if spec == "circuit":
+        path = tmp_path / "max3.circ"
+        path.write_text("(max (max 0 1) 2)\n")
+        spec = f"circuit:{path}"
+    resolved = resolve_protocol(spec)
+    protocol = resolved.protocol
+    # each side shares one table across its runs, as `sweep` and `audit` do
+    table, ref_table = TransitionTable(protocol), TransitionTable(protocol)
+    hooks = itertools.cycle(["none", "trace", "on_step", "both"])  # 4 is prime to the grid
+    for g_spec in GRAPHS:
+        graph = build_graph(g_spec, seed=3)
+        n = graph.n
+        rng = random.Random(g_spec)
+        # colour 0 holds a strict majority, so plurality has an answer
+        inputs = [0] * (n // 2 + 1) + [rng.randrange(protocol.colors)
+                                       for _ in range(n - n // 2 - 1)]
+        rng.shuffle(inputs)
+        truth = resolved.oracle_fn([inputs.count(c) for c in range(protocol.colors)])
+        truth = 0 if truth is None else truth
+        # max_steps ends on a multiple of n, off one, or lets runs stop
+        for seed, (expected, window, rewire, max_steps) in enumerate(itertools.product(
+                (truth, truth + 1, None), (1, 2, n - 1, n + 1, None),
+                ("none", "swap:1", "swap:7"), (6 * n, 6 * n + 3, 3000))):
+            hook = next(hooks)
+            seen = {"run": [], "ref": []}
+            kwargs = dict(seed=seed, max_steps=max_steps, confirmation_window=window,
+                          expected=expected, rewire_policy=parse_rewire(rewire),
+                          record_trace=hook in ("trace", "both"))
+            results = {}
+            for side, fn, tab in (("run", run, table), ("ref", reference_run, ref_table)):
+                on_step = None
+                if hook in ("on_step", "both"):
+                    on_step = lambda step, states, log=seen[side]: log.append((step, states))
+                results[side] = fn(protocol, graph, inputs, table=tab, on_step=on_step,
+                                   **kwargs)
+            case = (g_spec, seed, expected, window, rewire, max_steps, hook)
+            assert results["run"] == results["ref"], case
+            assert seen["run"] == seen["ref"], case
