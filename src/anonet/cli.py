@@ -54,14 +54,13 @@ class _Parser(argparse.ArgumentParser):
 _COMMON = {
     "--seed": dict(type=int, default=0),
     "--max-steps": dict(type=int, default=10_000_000),
-    "--confirm-window": dict(type=int, default=None),
     "--rate": dict(type=float, default=1.0),
     "--rewire": dict(default="none",
                      help="none | swap:p, where p is an integer period: every p "
                           "activations, try one connectivity-preserving double edge swap"),
     "--trace": dict(default=None, help="write the activation trace here"),
 }
-_RUN_FLAGS = ("--max-steps", "--confirm-window", "--rate", "--rewire")
+_RUN_FLAGS = ("--max-steps", "--rate", "--rewire")
 
 
 def _add_common(p: argparse.ArgumentParser, handler, *flags: str) -> None:
@@ -196,9 +195,8 @@ def _run_options(args) -> dict:
     bounds that engine.run checks are checked here first, so that the error
     names the flag and a sweep fails before its first graph."""
     _at_least("--max-steps", args.max_steps, 0)
-    _at_least("--confirm-window", args.confirm_window, 1)
-    return dict(max_steps=args.max_steps, confirmation_window=args.confirm_window,
-                rewire_policy=_flag("--rewire", parse_rewire, args.rewire), rate=args.rate)
+    return dict(max_steps=args.max_steps, rate=args.rate,
+                rewire_policy=_flag("--rewire", parse_rewire, args.rewire))
 
 
 def cmd_run(args) -> int:
@@ -360,13 +358,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _at_least("--n", args.n, 3)  # the cycle needs 3 nodes
     lines = []
     violation = False
     for spec in args.protocols:
         resolved = resolve_protocol(spec)
         proto = resolved.protocol
         n = args.n
-        graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{max(3, n)}")]
+        graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
         input_sets = ([[0] * r + [1] * (n - r) for r in range(n + 1)] if proto.colors == 2
                       else [sorted(i % proto.colors for i in range(n))])
         note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""

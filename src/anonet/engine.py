@@ -255,11 +255,10 @@ class RunResult:
     n: int
     first_correct_step: Optional[int]
     stabilized: bool
-    confirmation_window: int
     final_outputs: tuple
     total_steps: int
     elapsed_time: float
-    stopped_by: str  # "quiescence" | "window" | "max_steps"
+    stopped_by: str  # "quiescence" (proved, by the stop rule) | "max_steps" (never stabilized)
     matched: bool
     final_states: tuple = ()
     trace: Optional[Trace] = None
@@ -503,10 +502,6 @@ def rewire(graph: Graph, policy: RewirePolicy, rng: random.Random) -> Graph:
     return Graph(graph.n, tuple(rewirer.edges), graph.generator_tag + "+swap")
 
 
-def _default_window(graph: Graph) -> int:
-    return 10 * graph.n * graph.m
-
-
 def _check_rate(rate: float) -> None:
     if not 0 < rate < math.inf:
         raise ValueError(f"rate must be finite and > 0, got {rate}")
@@ -528,7 +523,6 @@ def run(
     *,
     seed: int = 0,
     max_steps: int = 10_000_000,
-    confirmation_window: Optional[int] = None,
     expected: Any = None,
     rewire_policy: Optional[RewirePolicy] = None,
     rate: float = 1.0,
@@ -538,17 +532,17 @@ def run(
 ) -> RunResult:
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
 
-    The run stops by "quiescence" once `protocol.quiescent(table, ids)` holds
-    (`settled`, unless the protocol sets None: no stop rule). The rule is
-    checked at step 0, and at every multiple of n activations at which a
-    state changed since the last check; with `expected` and a per-node match
-    mode, a check while some but not all outputs equal `expected` skips the
-    rule, which must fail there (see `ProtocolDef.quiescent`). The run is
-    stabilized if it matches `expected`, or expected is None. It stops by
-    "window", stabilized, once the match condition (`match_rule`'s) has held
-    for `confirmation_window` consecutive activations, or with expected=None
-    once no output changed for that long. `first_correct_step` is the start
-    of the final matching stretch (0: the initial configuration matched).
+    The run stops by "quiescence" once `protocol.quiescent(table, ids)`
+    (`settled`) proves that no output can change again. The rule is checked
+    at step 0, and at every multiple of n activations at which a state
+    changed since the last check; with `expected` and a per-node match mode,
+    a check while some but not all outputs equal `expected` skips the rule,
+    which must fail there (see `ProtocolDef.quiescent`). A run so stopped is
+    stabilized if it matches `expected` (`match_rule`) or expected is None.
+    Any other run, and every run without a stop rule (`quiescent` None),
+    stops by "max_steps", not stabilized. `first_correct_step` is the start
+    of the final matching stretch (0: the initial configuration matched);
+    None if the run ends unmatched or expected is None.
 
     Agents hold ids of `table` (pass one to share it across runs); `on_step`
     receives state objects.
@@ -563,8 +557,6 @@ def run(
     _check_rate(rate)
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if confirmation_window is not None and confirmation_window < 1:
-        raise ValueError(f"confirmation_window must be >= 1, got {confirmation_window}")
     if table is None:
         table = TransitionTable(protocol)
     elif table.protocol is not protocol:
@@ -575,7 +567,6 @@ def run(
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
-    window = confirmation_window if confirmation_window is not None else _default_window(graph)
     m = graph.m
     arcs = graph.arcs
     period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
@@ -592,17 +583,16 @@ def run(
         # calls the stop rule
         gated = protocol.match_mode != "ones_count"
 
-    # None exactly while a run with `expected` is unmatched; never None without
-    streak_start = 0 if (matched or expected is None) else None
+    streak_start = 0  # where the matching stretch began; read only while matched
     step = 0
     pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
     every = record_trace or on_step is not None  # hooks that act at every step
     changed = False  # whether a state changed since the last quiescence check
     never = max_steps + 1
-    # No hook, rewiring, window stop or check can act before step `due`, so
-    # earlier steps skip their tests. It is recomputed at that step, and
-    # lowered when `changed` turns true or `streak_start` is set.
+    # No hook, rewiring or check can act before step `due`, so earlier steps
+    # skip their tests. It is recomputed at that step, and lowered when
+    # `changed` turns true.
     due = 0
 
     if not (gated and 0 < match_count < n) and quiescent(table, states):
@@ -625,19 +615,12 @@ def run(
                 if not changed:
                     changed = True
                     due = min(due, step + -step % n)  # the next check, this step included
-                if expected is None:
-                    if outs[na] != outs[a] or outs[nb] != outs[b]:
-                        streak_start = step  # an output changed; restart stretch
-                else:
+                if expected is not None:
                     match_count += (outs[na] == want) - (outs[a] == want)
                     match_count += (outs[nb] == want) - (outs[b] == want)
-                    now_matched = match_count == target
-                    if now_matched and not matched:
+                    if (match_count == target) != matched:
+                        matched = not matched
                         streak_start = step
-                        due = min(due, step + window)
-                    elif not now_matched:
-                        streak_start = None
-                    matched = now_matched
                 states[u] = na
                 states[v] = nb
 
@@ -650,9 +633,6 @@ def run(
                     for i in rewirer.swap(rewire_rng):  # the replaced edges
                         x, y = rewirer.edges[i]
                         arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
-                if streak_start is not None and step - streak_start >= window:
-                    stopped_by = "window"
-                    break
                 if changed and step % n == 0:
                     changed = False
                     if not (gated and 0 < match_count < n) and quiescent(table, states):
@@ -660,20 +640,18 @@ def run(
                         break
                 due = step + 1 if every else min(
                     step - step % period + period if period else never,
-                    never if streak_start is None else streak_start + window,
                     step - step % n + n if changed else never)
 
-    # a settled run is stabilized if it matches; the window stops only matched runs
-    stabilized = stopped_by != "max_steps" and (matched or expected is None)
+    # a settled run is stabilized if it matches
+    stabilized = stopped_by == "quiescence" and (matched or expected is None)
 
     now, times = clock(step, rate * m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     return RunResult(
         protocol=protocol.name,
         n=n,
-        first_correct_step=streak_start,
+        first_correct_step=streak_start if matched else None,
         stabilized=stabilized,
-        confirmation_window=window,
         final_outputs=outputs,
         total_steps=step,
         elapsed_time=now,

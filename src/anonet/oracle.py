@@ -298,15 +298,14 @@ def audit_memory(
     the declared bit budget.
 
     All runs share one TransitionTable, whose interned states are exactly
-    the initial states and the results of applied transitions.
+    the initial states and the results of applied transitions. An input
+    whose length is not its graph's n raises ValueError, as in `run`.
     """
     table = TransitionTable(protocol)
     graphs = list(graphs)
     input_sets = list(input_sets)
     for graph in graphs:
         for inputs in input_sets:
-            if len(inputs) != graph.n:
-                continue
             for seed in seeds:
                 run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
     count = len(table.objs)

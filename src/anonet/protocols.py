@@ -43,7 +43,8 @@ class ProtocolDef:
     single instance is safe to share across parallel runs. `quiescent(table,
     ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
     rule must fail while a per-node kind's outputs differ, and `engine.run`
-    may skip it then."""
+    may skip it then. With None there is no stop rule, so every run ends at
+    `max_steps`, not stabilized."""
 
     name: str
     init: Callable

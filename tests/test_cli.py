@@ -485,6 +485,18 @@ class TestConfigFile:
         if argv[0] == "--config":
             assert "--config goes after the subcommand" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_retired_confirm_window_key_exit_1(self, capsys, tmp_path, command):
+        # an old config file fails loudly, not by running without its window
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("protocol=lsb:2\nconfirm-window=5\n")
+        argv = {"run": ["run", "--graph", "cycle:8", "--input", "0:5,1:3"],
+                "sweep": ["sweep", "--graph", "cycle", "--sizes", "4", "--seeds", "1"]}[command]
+        code, out, err = run_cli(capsys, argv[:1] + ["--config", str(cfg)] + argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "--confirm-window" in err
+
 
 class TestBadInputs:
     @pytest.mark.parametrize(
@@ -504,6 +516,7 @@ class TestBadInputs:
             (["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
               "--input", "0:8"], ""),
             (["audit", "bit:0:4", "--n", "8"], ""),
+            (["audit", "or", "--n", "2"], "--n must be >= 3"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8",
               "--input", "x:3,1:rest"], "--input 'x:3,1:rest'"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,8",
@@ -539,7 +552,8 @@ class TestBadInputs:
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
         ],
         ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
-             "run-violation", "sweep-violation", "audit-violation", "sweep-input-color",
+             "run-violation", "sweep-violation", "audit-violation", "audit-n-2",
+             "sweep-input-color",
              "sweep-input-too-large", "max-configs-0", "verify-input-list",
              "missing-required", "run-max-steps-negative", "run-confirm-window-0",
              "sweep-max-steps-negative", "sweep-confirm-window-0", "run-trace-unwritable",

@@ -247,7 +247,7 @@ class TestRunSemantics:
         assert set(graph.edges) != set(g.edges)  # some swap was applied
 
     def test_trace_arcs_are_prefix_stable(self):
-        # no quiescence and a long window: every run stops at max_steps
+        # no stop rule: every run stops at max_steps
         import dataclasses
 
         g = build_graph("gnp:9:0.5", seed=3)
@@ -256,8 +256,7 @@ class TestRunSemantics:
 
         def arcs(max_steps):
             res = run(p, g, inputs, seed=8, expected=4 % 4, max_steps=max_steps,
-                      confirmation_window=10**6, rewire_policy=parse_rewire("swap:3"),
-                      record_trace=True)
+                      rewire_policy=parse_rewire("swap:3"), record_trace=True)
             assert res.total_steps == max_steps
             return [(a.initiator, a.responder) for a in res.trace.activations]
 
@@ -306,8 +305,7 @@ class TestRunSemantics:
         res = run(p, g, [0] * 5 + [1] * 3, seed=0, expected=1, max_steps=3)
         assert not res.stabilized and res.stopped_by == "max_steps"
 
-    @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps"),
-                                             (dict(confirmation_window=0), "confirmation_window")])
+    @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps")])
     def test_limits_must_be_in_range(self, limits, name):
         g = build_graph("cycle:8")
         with pytest.raises(ValueError, match=name):
@@ -320,19 +318,22 @@ class TestRunSemantics:
         with pytest.raises(ValueError):
             run(or_protocol(), g, [0, 2, 0], expected=1)
 
-    def test_runs_without_oracle_use_unchanged_window(self):
-        # expected=None: stabilization means no output changed for a window
+    def test_runs_without_a_stop_rule_end_at_max_steps(self):
+        # outputs that hold unchanged for long prove nothing: only the stop
+        # rule stabilizes a run
         import dataclasses
 
         g = build_graph("complete:5")
         p = dataclasses.replace(lsb_counter_protocol(1), quiescent=None)
-        res = run(p, g, [0, 0, 0, 1, 1], seed=8, confirmation_window=500)
-        assert res.stabilized and res.stopped_by == "window"
-        assert set(res.final_outputs) == {1}
+        for expected in (1, None):
+            res = run(p, g, [0, 0, 0, 1, 1], seed=8, expected=expected, max_steps=5000)
+            assert res.stopped_by == "max_steps" and res.total_steps == 5000
+            assert not res.stabilized and set(res.final_outputs) == {1}
+            assert (res.first_correct_step is None) == (expected is None)
 
     def test_stabilization_soundness_extension(self):
-        # after a stabilized run, a window of fresh activations never
-        # changes any output
+        # after a stabilized run, 10·n·|E| fresh activations never change
+        # any output
         g = build_graph("cycle:6")
         p = lsb_counter_protocol(2)
         inputs = [0, 0, 0, 0, 1, 0]
@@ -341,7 +342,7 @@ class TestRunSemantics:
         states = list(res.final_states)
         outputs = [p.output(s) for s in states]
         rng = random.Random(999)
-        for _ in range(res.confirmation_window):
+        for _ in range(10 * g.n * g.m):
             k = rng.randrange(2 * g.m)
             u, v = g.edges[k >> 1]
             if k & 1:
@@ -354,13 +355,11 @@ def reference_first_correct(protocol, graph, inputs, seed, expected, period=0):
     """`first_correct_step` of a run drawn per step from one stream, as the
     engine did before stream version 2: a `randrange` arc and an
     `expovariate` holding time each step, and the swap draws inline. Its
-    stop rules (the protocol's stop rule every n steps, called on a table's
-    ids as the engine calls it, and the default window) are the engine's;
-    agents are per-node matched."""
+    stop rule (the protocol's, every n steps, called on a table's ids as the
+    engine calls it) is the engine's; agents are per-node matched."""
     rng = random.Random(seed)
     table = TransitionTable(protocol)
     n, edges = graph.n, list(graph.edges)
-    window = 10 * n * len(edges)
     states = [protocol.init(c) for c in inputs]
     memo, hit = {}, {}  # transitions, and whether a state outputs `expected`
     for s in states:
@@ -397,8 +396,6 @@ def reference_first_correct(protocol, graph, inputs, seed, expected, period=0):
                 trial = [e for e in edges if e not in (edges[i], edges[j])] + [e1, e2]
                 if is_connected(n, trial):
                     edges[i], edges[j] = e1, e2
-        if start is not None and step - start >= window:
-            return start
         if step % n == 0 and protocol.quiescent(table, [table.intern(s) for s in states]):
             return start
 
@@ -474,11 +471,11 @@ class TestTransitionTable:
 class TestStopRule:
     @pytest.mark.parametrize("seed", range(3))
     def test_plurality_stops_by_the_rule(self, seed):
-        # the window alone stops these runs at ~19,300 activations
+        # the rule stops these runs in under a tenth of 10·n·|E| = 19,200 steps
         g = build_graph("complete:16")
         res = run(plurality_protocol(3), g, [0] * 7 + [1] * 5 + [2] * 4, seed=seed, expected=0)
         assert res.stopped_by == "quiescence" and res.stabilized
-        assert res.total_steps < res.confirmation_window // 10
+        assert res.total_steps < 10 * g.n * g.m // 10
 
     def test_plurality_on_rewired_gnp_without_expected(self):
         g = build_graph("gnp:16:0.5", seed=4)

@@ -17,7 +17,6 @@ from anonet.engine import (
     RunResult,
     Trace,
     TransitionTable,
-    _default_window,
     _Rewirer,
     arc_chunks,
     build_graph,
@@ -29,12 +28,11 @@ from anonet.engine import (
 )
 
 
-def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
-                  confirmation_window=None, expected=None, rewire_policy=None, rate=1.0,
-                  record_trace=False, on_step=None, table=None):
-    """`engine.run` as a loop that tests each hook, the window and the check
-    step at every activation, and calls the stop rule at every check step
-    after a change."""
+def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expected=None,
+                  rewire_policy=None, rate=1.0, record_trace=False, on_step=None, table=None):
+    """`engine.run` as a loop that tests each hook and the check step at
+    every activation, and calls the stop rule at every check step after a
+    change."""
     n = graph.n
     if table is None:
         table = TransitionTable(protocol)
@@ -42,7 +40,6 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
     objs, outs, fill = table.objs, table.outs, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
-    window = confirmation_window if confirmation_window is not None else _default_window(graph)
     m = graph.m
     arcs = list(graph.arcs)
     period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
@@ -55,7 +52,7 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
         match_count = sum(1 for s in states if outs[s] == want)
         matched = match_count == target
 
-    streak_start = 0 if (matched or expected is None) else None
+    streak_start = 0 if matched else None
     step = 0
     pairs = [] if record_trace else None
     stopped_by = "max_steps"
@@ -73,10 +70,7 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
             na, nb = fill(a, b)  # the successor ids, whatever form the row has
             if na != a or nb != b:
                 changed = True
-                if expected is None:
-                    if outs[na] != outs[a] or outs[nb] != outs[b]:
-                        streak_start = step
-                else:
+                if expected is not None:
                     match_count += (outs[na] == want) - (outs[a] == want)
                     match_count += (outs[nb] == want) - (outs[b] == want)
                     now_matched = match_count == target
@@ -97,10 +91,6 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
                     x, y = rewirer.edges[i]
                     arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
 
-            if streak_start is not None and step - streak_start >= window:
-                stopped_by = "window"
-                break
-
             if step % n == 0 and changed:
                 changed = False
                 if quiescent(table, states):
@@ -115,7 +105,6 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000,
         n=n,
         first_correct_step=streak_start,
         stabilized=stabilized,
-        confirmation_window=window,
         final_outputs=outputs,
         total_steps=step,
         elapsed_time=now,
@@ -158,13 +147,13 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
         truth = resolved.oracle_fn([inputs.count(c) for c in range(protocol.colors)])
         truth = 0 if truth is None else truth
         # max_steps ends on a multiple of n, off one, or lets runs stop
-        for seed, (expected, window, rewire, max_steps) in enumerate(itertools.product(
-                (truth, truth + 1, None), (1, 2, n - 1, n + 1, None),
-                ("none", "swap:1", "swap:7"), (6 * n, 6 * n + 3, 3000))):
+        for seed, (expected, rewire, max_steps) in enumerate(itertools.product(
+                (truth, truth + 1, None), ("none", "swap:1", "swap:7"),
+                (6 * n, 6 * n + 3, 3000))):
             hook = next(hooks)
             seen = {"run": [], "ref": []}
-            kwargs = dict(seed=seed, max_steps=max_steps, confirmation_window=window,
-                          expected=expected, rewire_policy=parse_rewire(rewire),
+            kwargs = dict(seed=seed, max_steps=max_steps, expected=expected,
+                          rewire_policy=parse_rewire(rewire),
                           record_trace=hook in ("trace", "both"))
             results = {}
             for side, fn, tab in (("run", run, table), ("ref", reference_run, ref_table)):
@@ -173,6 +162,6 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
                     on_step = lambda step, states, log=seen[side]: log.append((step, states))
                 results[side] = fn(protocol, graph, inputs, table=tab, on_step=on_step,
                                    **kwargs)
-            case = (g_spec, seed, expected, window, rewire, max_steps, hook)
+            case = (g_spec, seed, expected, rewire, max_steps, hook)
             assert results["run"] == results["ref"], case
             assert seen["run"] == seen["ref"], case
