@@ -6,14 +6,12 @@ __version__ = "0.1.0"
 from .engine import (  # noqa: F401
     Activation,
     Graph,
-    RewirePolicy,
     RunResult,
     Trace,
     arc_chunks,
     build_graph,
     clock,
     measure_meeting_time,
-    rewire,
     run,
     stream,
 )

@@ -37,7 +37,8 @@ from typing import Callable, Optional, Sequence
 from . import circuits, protocols
 from .engine import stream
 
-__all__ = ["KINDS", "ResolvedProtocol", "resolve_protocol", "parse_inputs", "ConfigError"]
+__all__ = ["KINDS", "ResolvedProtocol", "resolve_protocol", "parse_inputs", "counts_of",
+           "ConfigError"]
 
 
 class ConfigError(ValueError):

@@ -30,7 +30,8 @@ from .engine import (
     run,
     write_trace,
 )
-from .oracle import VerifyResult, audit_memory, orbit_key, scaling_report, verify_exhaustive
+from .oracle import (VerifyResult, audit_inputs, audit_memory, orbit_key, scaling_report,
+                     verify_exhaustive)
 
 SCHEMA_VERSION = 2
 
@@ -196,7 +197,7 @@ def _run_options(args) -> dict:
     names the flag and a sweep fails before its first graph."""
     _at_least("--max-steps", args.max_steps, 0)
     return dict(max_steps=args.max_steps, rate=args.rate,
-                rewire_policy=_flag("--rewire", parse_rewire, args.rewire))
+                swap_period=_flag("--rewire", parse_rewire, args.rewire))
 
 
 def cmd_run(args) -> int:
@@ -366,10 +367,8 @@ def cmd_audit(args) -> int:
         proto = resolved.protocol
         n = args.n
         graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
-        input_sets = ([[0] * r + [1] * (n - r) for r in range(n + 1)] if proto.colors == 2
-                      else [sorted(i % proto.colors for i in range(n))])
         note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""
-        report = audit_memory(proto, graphs, input_sets, note=note)
+        report = audit_memory(proto, graphs, audit_inputs(proto.colors, n), note=note)
         if args.format == "json":
             lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True))
         else:

@@ -47,7 +47,6 @@ __all__ = [
     "Activation",
     "Trace",
     "RunResult",
-    "RewirePolicy",
     "GraphError",
     "ProtocolViolation",
     "TransitionTable",
@@ -65,7 +64,6 @@ __all__ = [
     "clock",
     "match_rule",
     "run",
-    "rewire",
     "measure_meeting_time",
 ]
 
@@ -264,26 +262,14 @@ class RunResult:
     trace: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class RewirePolicy:
-    """Connectivity-preserving double edge swaps every `period` activations."""
-
-    kind: str  # "none" | "swap"
-    period: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "swap"):
-            raise GraphError(f"unknown rewire policy {self.kind!r}")
-        if self.kind == "swap" and self.period < 1:
-            raise GraphError("swap period must be >= 1")
-
-
-def parse_rewire(spec: str) -> RewirePolicy:
+def parse_rewire(spec: str) -> int:
+    """The swap period of a `--rewire` spec: 0 for "none", p for "swap:p"."""
     if spec == "none":
-        return RewirePolicy("none")
-    if spec.startswith("swap:"):
-        return RewirePolicy("swap", int(spec.split(":", 1)[1]))
-    raise GraphError(f"unknown rewire spec {spec!r}")
+        return 0
+    kind, _, period = spec.partition(":")
+    if kind == "swap" and period.isdecimal() and int(period) >= 1:
+        return int(period)
+    raise ValueError("expected none or swap:p with p >= 1")
 
 
 def _adjacency(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -447,11 +433,11 @@ def clock(steps: int, rate_m: float, rng: random.Random, trace: bool = False):
 
 
 class _Rewirer:
-    """A run's edge list, with its adjacency kept across swaps."""
+    """A run's arcs (a list of `Graph.arcs`) and adjacency, rewired in place."""
 
-    def __init__(self, edges: Sequence[tuple[int, int]], n: int):
-        self.edges = list(edges)
-        self.adj = [set(nbrs) for nbrs in _adjacency(n, self.edges)]
+    def __init__(self, graph: Graph):
+        self.arcs = list(graph.arcs)
+        self.adj = [set(nbrs) for nbrs in graph.adjacency()]
 
     def _move(self, old, new) -> None:
         """Replace the edges `old` by `new` in the adjacency."""
@@ -462,44 +448,34 @@ class _Rewirer:
             self.adj[u].add(v)
             self.adj[v].add(u)
 
-    def swap(self, rng: random.Random) -> tuple[int, ...]:
-        """One connectivity-preserving double edge swap: the indices of the
-        two replaced edges, or () for a rejected proposal. The three draws
-        are made whether or not the proposal is accepted."""
-        edges = self.edges
-        m = len(edges)
+    def swap(self, rng: random.Random) -> bool:
+        """One connectivity-preserving double edge swap of edges i and j, which
+        rewrites arcs 2i, 2i + 1, 2j and 2j + 1; False for a rejected proposal.
+        The three draws are made whether or not the proposal is accepted."""
+        arcs = self.arcs
+        m = len(arcs) // 2
         if m < 2:
-            return ()
+            return False
         i = rng.randrange(m)
         j = rng.randrange(m - 1)
         j += j >= i
         flip = rng.randrange(2)
-        (u, v), (x, y) = edges[i], edges[j]
+        (u, v), (x, y) = arcs[2 * i], arcs[2 * j]
         if flip:
             x, y = y, x
         # propose (u,v),(x,y) -> (u,x),(v,y)
         if len({u, v, x, y}) < 4 or x in self.adj[u] or y in self.adj[v]:
-            return ()
+            return False
         old, new = ((u, v), (x, y)), ((u, x), (v, y))
         self._move(old, new)
         # every part left by deleting the old edges holds u, v, x or y, and
         # the new edges join u to x and v to y: connected iff u reaches v
         if v not in _reach(self.adj, u, v):
             self._move(new, old)
-            return ()
-        edges[i], edges[j] = (min(u, x), max(u, x)), (min(v, y), max(v, y))
-        return i, j
-
-
-def rewire(graph: Graph, policy: RewirePolicy, rng: random.Random) -> Graph:
-    """Apply one rewiring event under `policy`, returning a connected graph
-    on the same node set (identical graph for policy "none" or a rejected
-    proposal). A replaced edge keeps its position, as in `run`."""
-    if policy.kind == "none":
-        return graph
-    rewirer = _Rewirer(graph.edges, graph.n)
-    rewirer.swap(rng)
-    return Graph(graph.n, tuple(rewirer.edges), graph.generator_tag + "+swap")
+            return False
+        for k, (p, q) in ((2 * i, sorted((u, x))), (2 * j, sorted((v, y)))):
+            arcs[k], arcs[k + 1] = (p, q), (q, p)
+        return True
 
 
 def _check_rate(rate: float) -> None:
@@ -524,10 +500,9 @@ def run(
     seed: int = 0,
     max_steps: int = 10_000_000,
     expected: Any = None,
-    rewire_policy: Optional[RewirePolicy] = None,
+    swap_period: int = 0,
     rate: float = 1.0,
     record_trace: bool = False,
-    on_step: Optional[Callable[[int, list], None]] = None,
     table: Optional[TransitionTable] = None,
 ) -> RunResult:
     """Execute `protocol` on `graph` until stabilization or `max_steps`.
@@ -544,8 +519,8 @@ def run(
     of the final matching stretch (0: the initial configuration matched);
     None if the run ends unmatched or expected is None.
 
-    Agents hold ids of `table` (pass one to share it across runs); `on_step`
-    receives state objects.
+    Every `swap_period` activations, one connectivity-preserving double edge
+    swap is tried (0: none). Agents hold ids of `table`, which runs may share.
     """
     n = graph.n
     if len(inputs) != n:
@@ -557,6 +532,8 @@ def run(
     _check_rate(rate)
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if swap_period < 0:
+        raise ValueError(f"swap_period must be >= 0, got {swap_period}")
     if table is None:
         table = TransitionTable(protocol)
     elif table.protocol is not protocol:
@@ -569,10 +546,9 @@ def run(
 
     m = graph.m
     arcs = graph.arcs
-    period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
-    if period:
-        arcs = list(arcs)  # this run's own arcs, rewired in place
-        rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
+    if swap_period:
+        rewirer, rewire_rng = _Rewirer(graph), stream("rewire", seed)
+        arcs = rewirer.arcs  # this run's own arcs, rewired in place
 
     matched = gated = False
     if expected is not None:
@@ -587,10 +563,9 @@ def run(
     step = 0
     pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
-    every = record_trace or on_step is not None  # hooks that act at every step
     changed = False  # whether a state changed since the last quiescence check
     never = max_steps + 1
-    # No hook, rewiring or check can act before step `due`, so earlier steps
+    # No trace, rewiring or check can act before step `due`, so earlier steps
     # skip their tests. It is recomputed at that step, and lowered when
     # `changed` turns true.
     due = 0
@@ -627,19 +602,15 @@ def run(
             if step >= due:
                 if record_trace:
                     pairs.append((u, v))
-                if on_step is not None:
-                    on_step(step, [objs[s] for s in states])
-                if period and step % period == 0:
-                    for i in rewirer.swap(rewire_rng):  # the replaced edges
-                        x, y = rewirer.edges[i]
-                        arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
+                if swap_period and step % swap_period == 0:
+                    rewirer.swap(rewire_rng)
                 if changed and step % n == 0:
                     changed = False
                     if not (gated and 0 < match_count < n) and quiescent(table, states):
                         stopped_by = "quiescence"
                         break
-                due = step + 1 if every else min(
-                    step - step % period + period if period else never,
+                due = step + 1 if record_trace else min(
+                    step - step % swap_period + swap_period if swap_period else never,
                     step - step % n + n if changed else never)
 
     # a settled run is stabilized if it matches

@@ -33,6 +33,7 @@ __all__ = [
     "VerifyResult",
     "orbit_key",
     "audit_memory",
+    "audit_inputs",
     "AuditReport",
     "scaling_report",
     "ScalingFit",
@@ -311,6 +312,16 @@ def audit_memory(
     count = len(table.objs)
     measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
     return AuditReport(protocol.name, protocol.budget_bits, count, measured, note)
+
+
+def audit_inputs(colors: int, n: int) -> list[list[int]]:
+    """The inputs `anonet audit` runs on n agents: with two colours every
+    count of colour 0; with k >= 3 the round-robin (a tie when k divides n),
+    the round-robin of n - 2 and two more 0s (0 wins), and its mirror (k - 1 wins)."""
+    if colors == 2:
+        return [[0] * r + [1] * (n - r) for r in range(n + 1)]
+    lead = sorted([0, 0] + [i % colors for i in range(n - 2)])
+    return [sorted(i % colors for i in range(n)), lead, [colors - 1 - c for c in lead]]
 
 
 @dataclass

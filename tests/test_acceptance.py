@@ -20,9 +20,10 @@ from anonet.circuits import (
     parse_circuit,
     plurality_protocol,
 )
-from anonet.engine import build_graph, measure_meeting_time, parse_rewire, run
+from anonet.engine import build_graph, measure_meeting_time, run
 from anonet.oracle import audit_memory, scaling_report, verify_exhaustive
 from anonet.protocols import lsb_counter_protocol, threshold_protocol
+from replay import replay
 
 MAX_STEPS = 10_000_000
 
@@ -109,8 +110,9 @@ def sampled_cases(seed):
     return cases
 
 
-def run_sampled_suite(rewire_spec):
-    policy = parse_rewire(rewire_spec)
+def run_sampled_suite(rewired):
+    """Every sampled case on each graph of its trio; `rewired` swaps edges
+    every n activations."""
     runs = 0
     for seed in range(30):
         for proto, counts, expected in sampled_cases(seed):
@@ -119,7 +121,6 @@ def run_sampled_suite(rewire_spec):
                 continue
             inputs = spread(counts, seed)
             for graph in graph_trio(n, seed):
-                pol = policy if policy.kind == "none" else parse_rewire(f"swap:{n}")
                 res = run(
                     proto,
                     graph,
@@ -127,7 +128,7 @@ def run_sampled_suite(rewire_spec):
                     seed=seed,
                     max_steps=MAX_STEPS,
                     expected=expected,
-                    rewire_policy=pol,
+                    swap_period=n if rewired else 0,
                 )
                 assert res.stabilized and res.matched, (
                     proto.name,
@@ -167,7 +168,7 @@ def test_criterion_1_exhaustive():
 
 @criterion(2, "sampled correctness, 30 seeds x 3 graph families")
 def test_criterion_2_sampled_correctness():
-    runs = run_sampled_suite("none")
+    runs = run_sampled_suite(False)
     return f"{runs} runs, 100% stabilized to oracle"
 
 
@@ -186,7 +187,8 @@ def test_criterion_3_conservation():
                 assert sum(s.counter for s in states if s.active) % (1 << c) == r % (1 << c)
 
             res = run(parity, graph, inputs, seed=seed, expected=r % (1 << c),
-                      on_step=parity_check)
+                      record_trace=True)
+            replay(parity, inputs, res, parity_check)
             assert res.stabilized
             checks += res.total_steps
 
@@ -198,7 +200,8 @@ def test_criterion_3_conservation():
                 assert sum(s.counter for s in states if s.strong) == target
 
             res = run(thr, graph, inputs, seed=seed, expected=1 if target > 0 else 0,
-                      on_step=threshold_check)
+                      record_trace=True)
+            replay(thr, inputs, res, threshold_check)
             assert res.stabilized
             checks += res.total_steps
     return f"{checks} activations checked exactly"
@@ -330,5 +333,5 @@ def test_criterion_7_scaling():
 
 @criterion(8, "dynamic networks: sampled suite under edge swaps, period n")
 def test_criterion_8_dynamic():
-    runs = run_sampled_suite("swap:1")
+    runs = run_sampled_suite(True)
     return f"{runs} rewired runs, 100% stabilized to oracle"

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from anonet import cli
-from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
+from anonet import cli, oracle
+from anonet.catalog import KINDS, ConfigError, counts_of, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
 
@@ -421,6 +421,27 @@ class TestAuditCommand:
         assert [r["protocol"] for r in rows] == ["lsb:2", "max-gate"]
         assert all(r["ok"] for r in rows)
 
+    def test_plurality_inputs_have_a_unique_winner(self, capsys, monkeypatch):
+        # besides the round-robin input, an exact tie at n = 16, colour 0 and
+        # colour 3 each win one audited input
+        audited = []
+
+        def audit_memory(proto, graphs, input_sets, **kwargs):
+            audited.extend(input_sets)
+            return oracle.audit_memory(proto, graphs, input_sets, **kwargs)
+
+        monkeypatch.setattr(cli, "audit_memory", audit_memory)
+        code, out, _ = run_cli(capsys, ["audit", "plurality:4", "--n", "16"])
+        assert code == 0 and "PASS" in out
+        oracle_fn = resolve_protocol("plurality:4").oracle_fn
+        winners = []
+        for inputs in audited:
+            try:
+                winners.append(oracle_fn(counts_of(inputs, 4)))
+            except ValueError:  # a tie
+                winners.append(None)
+        assert winners == [None, 0, 3]
+
     @pytest.mark.parametrize("argv", [
         ["audit", "or", "--format", "csv"],
         ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
@@ -506,8 +527,9 @@ class TestBadInputs:
              "rate"),
             (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "-1"],
              "rate"),
-            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
-              "--rewire", "swap:x"], "--rewire 'swap:x'"),
+            *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+                "--rewire", spec], f"--rewire {spec!r}: expected none or swap:p with p >= 1\n")
+              for spec in ("swap:x", "swap:", "swap:0", "bogus")),
             (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "x:3,1:rest"],
              "--input 'x:3,1:rest'"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,x"],
@@ -551,7 +573,8 @@ class TestBadInputs:
             *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
         ],
-        ids=["rate-0", "rate-negative", "rewire-period", "input-color", "sweep-sizes",
+        ids=["rate-0", "rate-negative", "rewire-period", "rewire-empty-period",
+             "rewire-period-0", "rewire-unknown", "input-color", "sweep-sizes",
              "run-violation", "sweep-violation", "audit-violation", "audit-n-2",
              "sweep-input-color",
              "sweep-input-too-large", "max-configs-0", "verify-input-list",

@@ -23,8 +23,8 @@ from anonet.engine import (
     is_connected,
     load_edge_list,
     measure_meeting_time,
+    _Rewirer,
     parse_rewire,
-    rewire,
     run,
     settled,
     stream,
@@ -37,6 +37,7 @@ from anonet.protocols import (
     lsb_counter_protocol,
     or_protocol,
 )
+from replay import replay
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -222,29 +223,28 @@ class TestRunSemantics:
         assert r1.elapsed_time == r2.elapsed_time
 
     # 2m = 18 is no power of two, so some masked draws are rejected; 2m = 16
-    # is one, and every draw is kept. Swaps replace edges in place, in `run`
-    # and in `rewire` alike.
+    # is one, and every draw is kept. A swap replaces edges in place: draw k
+    # is edge k >> 1, reversed if k is odd.
     @pytest.mark.parametrize("spec", ["cycle:9", "cycle:8"])
     def test_trace_replays_stream_v2(self, spec):
         g = build_graph(spec)
         rate, period, seed = 2.5, 4, 21
-        policy = parse_rewire(f"swap:{period}")
         inputs = [i % 3 % 2 for i in range(g.n)]
         res = run(lsb_counter_protocol(2), g, inputs, seed=seed, expected=inputs.count(0) % 4,
-                  rate=rate, rewire_policy=policy, record_trace=True)
+                  rate=rate, swap_period=period, record_trace=True)
         steps = res.total_steps
         rewire_rng = stream("rewire", seed)
-        graph, pairs = g, []
+        rewirer, pairs = _Rewirer(g), []
         for step, k in enumerate(arc_draws(g.m, stream("schedule", seed), steps), 1):
-            u, v = graph.edges[k >> 1]
+            u, v = rewirer.arcs[k & ~1]
             pairs.append((v, u) if k & 1 else (u, v))
             if step % period == 0:
-                graph = rewire(graph, policy, rewire_rng)
+                rewirer.swap(rewire_rng)
         total, times = clock(steps, rate * g.m, stream("time", seed), trace=True)
         assert res.trace.activations == [
             Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)]
         assert res.elapsed_time == total
-        assert set(graph.edges) != set(g.edges)  # some swap was applied
+        assert set(rewirer.arcs[::2]) != set(g.edges)  # some swap was applied
 
     def test_trace_arcs_are_prefix_stable(self):
         # no stop rule: every run stops at max_steps
@@ -256,7 +256,7 @@ class TestRunSemantics:
 
         def arcs(max_steps):
             res = run(p, g, inputs, seed=8, expected=4 % 4, max_steps=max_steps,
-                      rewire_policy=parse_rewire("swap:3"), record_trace=True)
+                      swap_period=3, record_trace=True)
             assert res.total_steps == max_steps
             return [(a.initiator, a.responder) for a in res.trace.activations]
 
@@ -281,14 +281,15 @@ class TestRunSemantics:
         last, dirty = [p.init(c) for c in inputs], False
         due = 0 if mixed(last) else 1  # the check at step 0
 
-        def on_step(step, states):
+        def check(step, states):
             nonlocal last, dirty, due
             dirty, last = dirty or states != last, states
             if step % g.n == 0:
                 due, dirty = due + (dirty and not mixed(states)), False
 
-        res = run(p, g, inputs, seed=2, expected=expected, on_step=on_step)
+        res = run(p, g, inputs, seed=2, expected=expected, record_trace=True)
         assert res.stopped_by == "quiescence"
+        replay(p, inputs, res, check)
         assert len(calls) == due < 1 + res.total_steps // g.n
 
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
@@ -305,7 +306,8 @@ class TestRunSemantics:
         res = run(p, g, [0] * 5 + [1] * 3, seed=0, expected=1, max_steps=3)
         assert not res.stabilized and res.stopped_by == "max_steps"
 
-    @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps")])
+    @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps"),
+                                             (dict(swap_period=-1), "swap_period")])
     def test_limits_must_be_in_range(self, limits, name):
         g = build_graph("cycle:8")
         with pytest.raises(ValueError, match=name):
@@ -409,11 +411,11 @@ class TestStreamDistribution:
     SEEDS = range(200)
 
     def check(self, protocol, graph, inputs, expected, rewire_spec="none"):
-        policy = parse_rewire(rewire_spec)
+        period = parse_rewire(rewire_spec)
         engine = [run(protocol, graph, inputs, seed=seed, expected=expected,
-                      rewire_policy=policy).first_correct_step for seed in self.SEEDS]
-        reference = [reference_first_correct(protocol, graph, inputs, seed, expected,
-                                             policy.period) for seed in self.SEEDS]
+                      swap_period=period).first_correct_step for seed in self.SEEDS]
+        reference = [reference_first_correct(protocol, graph, inputs, seed, expected, period)
+                     for seed in self.SEEDS]
         assert None not in engine and None not in reference
         assert stats.ks_2samp(engine, reference).pvalue > self.ALPHA
 
@@ -480,7 +482,7 @@ class TestStopRule:
     def test_plurality_on_rewired_gnp_without_expected(self):
         g = build_graph("gnp:16:0.5", seed=4)
         res = run(plurality_protocol(4), g, [0] * 6 + [1] * 4 + [2] * 3 + [3] * 3, seed=4,
-                  rewire_policy=parse_rewire("swap:8"))
+                  swap_period=8)
         assert res.stopped_by == "quiescence" and res.stabilized
         assert set(res.final_outputs) == {0}
 
@@ -511,28 +513,35 @@ class TestStopRule:
 
 
 class TestRewiring:
-    def test_none_policy_identity(self):
-        g = build_graph("cycle:5")
-        assert rewire(g, parse_rewire("none"), random.Random(0)).edges == g.edges
+    def test_none_is_period_0(self):
+        assert parse_rewire("none") == 0
+        assert parse_rewire("swap:1") == 1 and parse_rewire("swap:16") == 16
 
     def test_swaps_preserve_connectivity_and_degrees(self):
-        g = build_graph("cycle:8")
-        rng = random.Random(2)
-        policy = parse_rewire("swap:1")
-        degs = sorted(sum(1 for e in g.edges if n in e) for n in range(g.n))
-        for _ in range(300):
-            g = rewire(g, policy, rng)
-            assert is_connected(g.n, g.edges)
-            assert nx.is_connected(to_nx(g))
-            now = sorted(sum(1 for e in g.edges if n in e) for n in range(g.n))
-            assert now == degs
+        for g in (build_graph("cycle:8"), build_graph("gnp:10:0.4", seed=2)):
+            rewirer, rng = _Rewirer(g), random.Random(2)
+            degs = Counter(node for edge in g.edges for node in edge)
+            accepted = 0
+            for _ in range(300):
+                before = list(rewirer.arcs)
+                if not rewirer.swap(rng):
+                    assert rewirer.arcs == before
+                    continue
+                accepted += 1
+                edges = rewirer.arcs[::2]
+                assert rewirer.arcs[1::2] == [(v, u) for u, v in edges]
+                assert all(u < v for u, v in edges) and len(set(edges)) == g.m
+                assert sum(a != b for a, b in zip(rewirer.arcs, before)) == 4
+                assert Counter(node for edge in edges for node in edge) == degs
+                assert nx.is_connected(to_nx(Graph(g.n, tuple(edges))))
+            assert 0 < accepted < 300, g.generator_tag
 
     def test_parity_stabilizes_under_rewiring(self):
         g = build_graph("cycle:8")
         p = lsb_counter_protocol(1)
         inputs = [0] * 3 + [1] * 5
         static = run(p, g, inputs, seed=4, expected=1)
-        dynamic = run(p, g, inputs, seed=4, expected=1, rewire_policy=parse_rewire("swap:8"))
+        dynamic = run(p, g, inputs, seed=4, expected=1, swap_period=8)
         assert static.stabilized and dynamic.stabilized
         assert set(static.final_outputs) == set(dynamic.final_outputs) == {1}
 

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonet import oracle
-from anonet.catalog import KINDS, resolve_protocol
+from anonet.catalog import KINDS, counts_of, resolve_protocol
 from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
 from anonet.engine import build_graph, match_rule, run
 from anonet.oracle import (
     _explore,
     _labelled,
     _symmetry,
+    audit_inputs,
     audit_memory,
     scaling_report,
     verify_exhaustive,
@@ -28,6 +29,7 @@ from anonet.protocols import (
     or_protocol,
     threshold_protocol,
 )
+from replay import replay
 
 
 def truth(spec, counts):
@@ -153,10 +155,7 @@ class TestAuditMemory:
         proto = resolve_protocol(spec).protocol
         n = 16
         graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
-        if proto.colors == 2:
-            input_sets = [[0] * r + [1] * (n - r) for r in range(n + 1)]
-        else:
-            input_sets = [sorted(i % proto.colors for i in range(n))]
+        input_sets = audit_inputs(proto.colors, n)
         seeds = range(5)
         report = audit_memory(proto, graphs, input_sets, seeds=seeds)
 
@@ -165,9 +164,20 @@ class TestAuditMemory:
             for inputs in input_sets:
                 seen.update(proto.init(c) for c in inputs)
                 for seed in seeds:
-                    run(proto, graph, inputs, seed=seed, max_steps=200_000,
-                        on_step=lambda step, states: seen.update(states))
+                    res = run(proto, graph, inputs, seed=seed, max_steps=200_000,
+                              record_trace=True)
+                    replay(proto, inputs, res, lambda step, states: seen.update(states))
         assert report.distinct_states == len(seen)
+
+    def test_inputs_keep_the_tie_and_add_a_first_and_a_last_winner(self):
+        for colors in range(3, 7):
+            for n in range(3, 20):
+                tie, *leads = [counts_of(x, colors) for x in audit_inputs(colors, n)]
+                assert sum(tie) == n and max(tie) - min(tie) <= 1
+                for counts, winner in zip(leads, (0, colors - 1)):
+                    top = max(counts)
+                    assert sum(counts) == n and counts.count(top) == 1
+                    assert counts.index(top) == winner
 
     def test_overbudget_detected(self):
         import dataclasses

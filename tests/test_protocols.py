@@ -16,6 +16,7 @@ from anonet.protocols import (
     or_protocol,
     threshold_protocol,
 )
+from replay import replay
 
 
 def inputs_with_r(n, r):
@@ -72,7 +73,8 @@ class TestLsbCounter:
             assert len(actives) <= seen["actives"]
             seen["actives"] = len(actives)
 
-        run(p, g, shuffled_inputs(8, r, 1), seed=2, expected=r % mod, on_step=check)
+        inputs = shuffled_inputs(8, r, 1)
+        replay(p, inputs, run(p, g, inputs, seed=2, expected=r % mod, record_trace=True), check)
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -119,7 +121,8 @@ class TestThreshold:
             assert sum(s.counter for s in states if s.strong) == target
 
         g = build_graph("cycle:9")
-        run(p, g, shuffled_inputs(n, r, 2), seed=3, expected=0, on_step=check)
+        inputs = shuffled_inputs(n, r, 2)
+        replay(p, inputs, run(p, g, inputs, seed=3, expected=0, record_trace=True), check)
 
     @given(
         st.integers(min_value=1, max_value=2),
@@ -208,7 +211,8 @@ class TestBit:
                 assert len(now) >= 1
             prev["levels"] = now
 
-        run(p, g, shuffled_inputs(n, r, 4), seed=6, expected=1, on_step=check)
+        inputs = shuffled_inputs(n, r, 4)
+        replay(p, inputs, run(p, g, inputs, seed=6, expected=1, record_trace=True), check)
 
 
 class TestEstimate:

@@ -1,5 +1,5 @@
 """`engine.run`'s loop is tuned for speed: it skips null pairs with one truth
-test, acts at a precomputed step instead of testing every hook each step,
+test, acts at a precomputed step instead of testing each action every step,
 and skips stop-rule calls that must fail. `reference_run` below is the
 plain loop it replaced, which tests everything at every step; both must give
 equal results, traces and final states included, over a grid of kinds,
@@ -29,10 +29,10 @@ from anonet.engine import (
 
 
 def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expected=None,
-                  rewire_policy=None, rate=1.0, record_trace=False, on_step=None, table=None):
-    """`engine.run` as a loop that tests each hook and the check step at
-    every activation, and calls the stop rule at every check step after a
-    change."""
+                  swap_period=0, rate=1.0, record_trace=False, table=None):
+    """`engine.run` as a loop that tests the trace, the swap and the check
+    step at every activation, and calls the stop rule at every check step
+    after a change."""
     n = graph.n
     if table is None:
         table = TransitionTable(protocol)
@@ -41,10 +41,8 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
     m = graph.m
-    arcs = list(graph.arcs)
-    period = rewire_policy.period if rewire_policy and rewire_policy.kind == "swap" else 0
-    if period:
-        rewirer, rewire_rng = _Rewirer(graph.edges, n), stream("rewire", seed)
+    rewirer, rewire_rng = _Rewirer(graph), stream("rewire", seed)
+    arcs = rewirer.arcs
 
     matched = False
     if expected is not None:
@@ -84,12 +82,8 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
 
             if record_trace:
                 pairs.append((u, v))
-            if on_step is not None:
-                on_step(step, [objs[s] for s in states])
-            if period and step % period == 0:
-                for i in rewirer.swap(rewire_rng):
-                    x, y = rewirer.edges[i]
-                    arcs[2 * i], arcs[2 * i + 1] = (x, y), (y, x)
+            if swap_period and step % swap_period == 0:
+                rewirer.swap(rewire_rng)
 
             if step % n == 0 and changed:
                 changed = False
@@ -135,7 +129,7 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
     protocol = resolved.protocol
     # each side shares one table across its runs, as `sweep` and `audit` do
     table, ref_table = TransitionTable(protocol), TransitionTable(protocol)
-    hooks = itertools.cycle(["none", "trace", "on_step", "both"])  # 4 is prime to the grid
+    traces = itertools.cycle([False, True])  # 2 is prime to the grid of 27
     for g_spec in GRAPHS:
         graph = build_graph(g_spec, seed=3)
         n = graph.n
@@ -150,18 +144,8 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
         for seed, (expected, rewire, max_steps) in enumerate(itertools.product(
                 (truth, truth + 1, None), ("none", "swap:1", "swap:7"),
                 (6 * n, 6 * n + 3, 3000))):
-            hook = next(hooks)
-            seen = {"run": [], "ref": []}
             kwargs = dict(seed=seed, max_steps=max_steps, expected=expected,
-                          rewire_policy=parse_rewire(rewire),
-                          record_trace=hook in ("trace", "both"))
-            results = {}
-            for side, fn, tab in (("run", run, table), ("ref", reference_run, ref_table)):
-                on_step = None
-                if hook in ("on_step", "both"):
-                    on_step = lambda step, states, log=seen[side]: log.append((step, states))
-                results[side] = fn(protocol, graph, inputs, table=tab, on_step=on_step,
-                                   **kwargs)
-            case = (g_spec, seed, expected, rewire, max_steps, hook)
-            assert results["run"] == results["ref"], case
-            assert seen["run"] == seen["ref"], case
+                          swap_period=parse_rewire(rewire), record_trace=next(traces))
+            case = (g_spec, kwargs)
+            assert (run(protocol, graph, inputs, table=table, **kwargs)
+                    == reference_run(protocol, graph, inputs, table=ref_table, **kwargs)), case
