@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .engine import Trace
@@ -165,6 +166,16 @@ class Circuit:
         walk(tree)
         self.leaf_colors = tuple(sorted(self.paths))
         self.depth = max(len(p) for p in self.paths.values())
+        # memoized per colour pair on first use: k colours make k^2 pairs, and
+        # meetings reach few of them
+        self.shared = cache(self._shared)
+
+    def _shared(self, cx: int, cy: int) -> tuple:
+        """The index pairs (i, j), bottom-up, of the gates paths[cx][i] ==
+        paths[cy][j]: the common suffix of two paths up one tree."""
+        p1, p2 = self.paths[cx], self.paths[cy]
+        k = len(set(p1).intersection(p2))
+        return tuple(zip(range(len(p1) - k, len(p1)), range(len(p2) - k, len(p2))))
 
     def describe(self) -> str:
         def fmt(node) -> str:
@@ -301,13 +312,6 @@ def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
     return changed
 
 
-def _shared(p1: Sequence[int], p2: Sequence[int]):
-    """The index pairs (i, j), bottom-up, of the gates p1[i] == p2[j] on both
-    paths. Paths up a tree share exactly their common suffix."""
-    k = len(set(p1).intersection(p2))
-    return zip(range(len(p1) - k, len(p1)), range(len(p2) - k, len(p2)))
-
-
 def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     cx, cy = sx.color, sy.color
     lx = list(sx.levels)
@@ -316,7 +320,7 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
     chy = _process_marks(cy, ly, circuit, sink)
     fired = False
 
-    for i, j in _shared(circuit.paths[cx], circuit.paths[cy]):
+    for i, j in circuit.shared(cx, cy):
         a = lx[i]
         b = ly[j]
         if a.charge and a.charge == -b.charge:
@@ -566,7 +570,7 @@ def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
     sides_y = circuit.sides[cy]
     fired = False
 
-    for i, j in _shared(circuit.paths[cx], circuit.paths[cy]):
+    for i, j in circuit.shared(cx, cy):
         a = lx[i]
         b = ly[j]
         effx = _eff(a, sides_x[i])

@@ -330,7 +330,7 @@ def cmd_verify(args) -> int:
         input_sets = (code[::-1] for code in itertools.product(range(colors), repeat=graph.n))
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
-    orbit = orbit_key(resolved.protocol, graph)
+    orbit = orbit_key(graph)
     # (orbit key, expected value) -> the result its inputs share. A FAIL is
     # not shared: the configuration its detail names depends on the input's
     # own labels, so each input of a failing orbit is explored.

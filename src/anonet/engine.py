@@ -14,14 +14,17 @@ own `random.Random`, seeded from the string `anonet-2:<purpose>:<seed>`
 (activated arcs), `rewire` (swap proposals), `time` (the clock) and `tokens`
 (meeting-time start nodes).
 
-- Arcs: the 2|E| ordered edges, arc 2i is edge i as stored and arc 2i+1 its
-  reverse (`Graph.arcs`). `arc_chunks` reads raw draws in chunks of 64, 128,
-  ... up to CHUNK draws: for 2|E| <= 256, bytes, each masked to the next power
-  of two >= 2|E| with values >= 2|E| rejected (two `bytes.translate` calls);
-  above, `getrandbits` draws of that width, rejected likewise. Accepted draws
-  are exactly uniform. Every chunk size is divisible by 4, so the chunks'
-  bytes are those of one long `randbytes` draw: the indices do not depend on
-  the chunk sizes, which only spare a short run the draws it never reads.
+- Arcs: `schedule` alone defines them, as (arcs, draws): step t activates
+  arcs[k] for the t-th draw k. Arc 2i is edge i as stored and arc 2i+1 its
+  reverse (`Graph.arcs`); with a swap period p, one double edge swap is
+  tried on a copy of them after every p draws. `arc_chunks` reads raw draws
+  in chunks of 64, 128, ... up to CHUNK draws: for 2|E| <= 256, bytes, each
+  masked to the next power of two >= 2|E| with values >= 2|E| rejected (two
+  `bytes.translate` calls); above, `getrandbits` draws of that width,
+  rejected likewise. Accepted draws are exactly uniform. Every chunk size is
+  divisible by 4, so the chunks' bytes are those of one long `randbytes`
+  draw: the indices do not depend on the chunk sizes, which only spare a
+  short run the draws it never reads.
 - Clock: stop rules read steps, never time, so a run stopping at step T
   draws its elapsed time once, Gamma(T, 1/(rate |E|)), and then, with a
   trace only, the T - 1 earlier activation times as sorted uniforms times
@@ -62,6 +65,7 @@ __all__ = [
     "stream",
     "arc_chunks",
     "clock",
+    "schedule",
     "match_rule",
     "run",
     "measure_meeting_time",
@@ -291,8 +295,9 @@ def _reach(adj: Sequence, u: int, stop: Optional[int] = None) -> set:
 
 
 def is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
-    """Whether every node reaches node 0."""
-    return len(_reach(_adjacency(n, edges), 0)) == n
+    """Whether every node reaches node 0; fewer than n - 1 edges fail before
+    the adjacency, which a huge node id would make huge, is built."""
+    return len(edges) >= n - 1 and len(_reach(_adjacency(n, edges), 0)) == n
 
 
 _GNP_ATTEMPTS = 200
@@ -478,6 +483,23 @@ class _Rewirer:
         return True
 
 
+def schedule(graph: Graph, seed: int, swap_period: int = 0):
+    """(arcs, draws) of `seed` on `graph`: step t activates arcs[k] for the
+    t-th draw k, read as k is drawn, since with `swap_period` p >= 1 one swap
+    is tried on this list of arcs between each p draws and the next."""
+    draws = chain.from_iterable(arc_chunks(graph.m, stream("schedule", seed)))
+    if not swap_period:
+        return graph.arcs, draws
+    rewirer, rng = _Rewirer(graph), stream("rewire", seed)
+
+    def periods():
+        while True:
+            yield islice(draws, swap_period)
+            rewirer.swap(rng)
+
+    return rewirer.arcs, chain.from_iterable(periods())
+
+
 def _check_rate(rate: float) -> None:
     if not 0 < rate < math.inf:
         raise ValueError(f"rate must be finite and > 0, got {rate}")
@@ -519,8 +541,11 @@ def run(
     of the final matching stretch (0: the initial configuration matched);
     None if the run ends unmatched or expected is None.
 
-    Every `swap_period` activations, one connectivity-preserving double edge
-    swap is tried (0: none). Agents hold ids of `table`, which runs may share.
+    The activations are `schedule(graph, seed, swap_period)`, which tries a
+    double edge swap every `swap_period` of them (0: none). The step loop
+    does only the pair lookup, the match bookkeeping and the check at step
+    `due`; a trace's arcs are drawn from the schedule again after the run.
+    Agents hold ids of `table`, which runs may share.
     """
     n = graph.n
     if len(inputs) != n:
@@ -544,12 +569,6 @@ def run(
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
-    m = graph.m
-    arcs = graph.arcs
-    if swap_period:
-        rewirer, rewire_rng = _Rewirer(graph), stream("rewire", seed)
-        arcs = rewirer.arcs  # this run's own arcs, rewired in place
-
     matched = gated = False
     if expected is not None:
         want, target = match_rule(protocol, expected, n)
@@ -561,20 +580,16 @@ def run(
 
     streak_start = 0  # where the matching stretch began; read only while matched
     step = 0
-    pairs: list[tuple[int, int]] = [] if record_trace else None  # type: ignore
     stopped_by = "max_steps"
-    changed = False  # whether a state changed since the last quiescence check
-    never = max_steps + 1
-    # No trace, rewiring or check can act before step `due`, so earlier steps
-    # skip their tests. It is recomputed at that step, and lowered when
-    # `changed` turns true.
-    due = 0
+    # The step of the next check: `never` until a state changes, then the
+    # first multiple of n from that step on, and `never` again once checked.
+    due = never = max_steps + 1
 
     if not (gated and 0 < match_count < n) and quiescent(table, states):
         stopped_by = "quiescence"
     else:
-        schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
-        for k in islice(schedule, max_steps):
+        arcs, draws = schedule(graph, seed, swap_period)
+        for k in islice(draws, max_steps):
             u, v = arcs[k]
             step += 1
 
@@ -587,9 +602,8 @@ def run(
                 pair = rows[a][b]
             if pair:  # () for a null pair
                 na, nb = pair
-                if not changed:
-                    changed = True
-                    due = min(due, step + -step % n)  # the next check, this step included
+                if due == never:
+                    due = step + -step % n
                 if expected is not None:
                     match_count += (outs[na] == want) - (outs[a] == want)
                     match_count += (outs[nb] == want) - (outs[b] == want)
@@ -599,25 +613,20 @@ def run(
                 states[u] = na
                 states[v] = nb
 
-            if step >= due:
-                if record_trace:
-                    pairs.append((u, v))
-                if swap_period and step % swap_period == 0:
-                    rewirer.swap(rewire_rng)
-                if changed and step % n == 0:
-                    changed = False
-                    if not (gated and 0 < match_count < n) and quiescent(table, states):
-                        stopped_by = "quiescence"
-                        break
-                due = step + 1 if record_trace else min(
-                    step - step % swap_period + swap_period if swap_period else never,
-                    step - step % n + n if changed else never)
+            if step == due:
+                due = never
+                if not (gated and 0 < match_count < n) and quiescent(table, states):
+                    stopped_by = "quiescence"
+                    break
 
     # a settled run is stabilized if it matches
     stabilized = stopped_by == "quiescence" and (matched or expected is None)
 
-    now, times = clock(step, rate * m, stream("time", seed), record_trace)
+    now, times = clock(step, rate * graph.m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
+    if record_trace:  # the run's arcs, drawn again: only the graph, seed and period fix them
+        arcs, draws = schedule(graph, seed, swap_period)
+        activations = [Activation(*arcs[k], t, i) for i, (t, k) in enumerate(zip(times, draws), 1)]
     return RunResult(
         protocol=protocol.name,
         n=n,
@@ -629,8 +638,7 @@ def run(
         stopped_by=stopped_by,
         matched=matched if expected is not None else stabilized,
         final_states=tuple(objs[s] for s in states),
-        trace=Trace([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)],
-                    outputs) if record_trace else None,
+        trace=Trace(activations, outputs) if record_trace else None,
     )
 
 
@@ -657,31 +665,23 @@ def measure_meeting_time(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_rate(rate)
-    edges = graph.edges
-    schedule = chain.from_iterable(arc_chunks(len(edges), stream("schedule", seed)))
+    arcs, draws = schedule(graph, seed)
     time_rng, tokens = stream("time", seed), stream("tokens", seed)
-    rate_m = rate * len(edges)
+    rate_m = rate * graph.m
     steps_samples = []
     time_samples = []
     for _ in range(trials):
         a = tokens.randrange(graph.n)
         b = tokens.randrange(graph.n - 1)
-        if b >= a:
-            b += 1
-        steps = 0
-        for k in schedule:
-            u, v = edges[k >> 1]
-            steps += 1
-            if (u == a and v == b) or (u == b and v == a):
-                break
-            if u == a:
-                a = v
-            elif v == a:
-                a = u
-            elif u == b:
-                b = v
-            elif v == b:
-                b = u
+        b += b >= a
+        for steps, k in enumerate(draws, 1):
+            u, v = arcs[k]
+            if a == u or a == v:
+                if b == u or b == v:
+                    break
+                a = u + v - a
+            elif b == u or b == v:
+                b = u + v - b
         steps_samples.append(steps)
         time_samples.append(clock(steps, rate_m, time_rng)[0])
 

@@ -115,18 +115,15 @@ def _symmetry(graph: Graph):
     return _labelled(graph)
 
 
-def orbit_key(protocol, graph: Graph):
+def orbit_key(graph: Graph):
     """A function from an input to the canonical form (`_symmetry`) of its
-    initial configuration, in ids given to the initial states in colour
-    order; or None on a graph without a reduction, where each input is its
-    own orbit. Inputs with one key and one expected value get the same
-    verdict and `states_explored` from `verify_exhaustive` (see there)."""
+    colours, or None without a reduction. Equal keys mean an automorphism
+    maps one input, and so its initial configuration, to the other: with one
+    expected value they get one verdict and count (`verify_exhaustive`)."""
     symmetry, order, _, canon = _symmetry(graph)
     if symmetry == "none":
         return None
-    ids: dict = {}
-    sid = [ids.setdefault(protocol.init(c), len(ids)) for c in range(protocol.colors)]
-    return lambda inputs: canon(tuple([sid[inputs[v]] for v in order]))
+    return lambda inputs: canon(tuple([inputs[v] for v in order]))
 
 
 def verify_exhaustive(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from anonet.circuits import (
     CircuitError,
-    _shared,
     collision_count_check,
     compile_circuit,
     complete_max_tree,
@@ -227,9 +226,15 @@ class TestSharedGates:
                                          "(max (max (max 0 1) 2) 3)", "(max 2 (max 3 4))")
     ], ids=[f"complete-{k}" for k in range(2, 14)] + ["readme", "gate", "chain", "phantom"])
     def test_matches_the_eager_rule_for_every_color_pair(self, circ):
-        for p1 in circ.paths.values():
-            for p2 in circ.paths.values():
-                assert tuple(_shared(p1, p2)) == eager_shared(p1, p2)
+        for cx, p1 in circ.paths.items():
+            for cy, p2 in circ.paths.items():
+                assert circ.shared(cx, cy) == eager_shared(p1, p2)
+
+    def test_shared_pairs_are_memoized_on_first_use(self):
+        circ = complete_max_tree(2048)
+        pairs = circ.shared(0, 2047)
+        assert circ.shared(0, 2047) is pairs
+        assert circ.shared.cache_info().currsize == 1  # not all 2048^2 colour pairs
 
     def test_plurality_2048_resolves_and_fills_a_pair(self):
         table = TransitionTable(plurality_protocol(2048))

@@ -275,6 +275,16 @@ class TestVerifyCommand:
         assert [r["input"] for r in records] == ["000", "100", "010", "110",
                                                  "001", "101", "011", "111"]
 
+    @pytest.mark.parametrize("graph", ["complete:4", "cycle:4", "path:4"])
+    def test_circuit_whose_leaves_skip_a_colour(self, capsys, tmp_path, graph):
+        # colour 1 is no leaf: the orbit key must not build its initial state
+        path = tmp_path / "gap.circ"
+        path.write_text("(max 0 2)\n")
+        code, out, err = run_cli(capsys, ["verify", "--protocol", f"circuit:{path}",
+                                          "--graph", graph, "--input", "0,2,0,2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "PASS"
+
     def test_threshold_tie_inputs_pass(self, capsys):
         code, out, _ = run_cli(
             capsys,

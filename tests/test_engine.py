@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from anonet import engine
 from anonet.circuits import plurality_protocol
 from anonet.engine import (
     CHUNK,
     Activation,
     Graph,
     GraphError,
+    MeetingStats,
     ProtocolViolation,
     TransitionTable,
     arc_chunks,
@@ -558,6 +560,21 @@ class TestMeetingTime:
         st_r = measure_meeting_time(build_graph("cycle:16"), trials=300, seed=1)
         assert st_c.mean_time < st_r.mean_time
 
+    def test_stats_are_pinned_bit_for_bit(self):
+        # recorded when the schedule still read the draws as edges[k >> 1];
+        # reading arcs[k] must give the same trials
+        pinned = {
+            ("cycle:8", 1): (33.42, 4.798306674106554, 2.86777674915581, 0.4114660405470174),
+            ("gnp:12:0.4", 3): (71.22, 10.807906780667192, 2.170314422038733,
+                                0.32464066711570955),
+            ("complete:16", 0): (79.42, 11.834508172014138, 0.44845522319843567,
+                                 0.07019926431732498),
+        }
+        for (spec, seed), (steps, se_steps, mean_time, se_time) in pinned.items():
+            g = build_graph(spec, seed=seed)
+            assert measure_meeting_time(g, 50, seed=seed, rate=1.5) == MeetingStats(
+                spec, g.n, 50, steps, se_steps, mean_time, se_time)
+
     def test_cycle_growth_exponent_in_time(self):
         pts = []
         for n in (8, 16, 32):
@@ -572,6 +589,18 @@ class TestMeetingTime:
 def test_gnp_builder_always_connected(n, seed):
     g = build_graph(f"gnp:{n}:0.5", seed=seed)
     assert is_connected(g.n, g.edges)
+
+
+def test_too_few_edges_fail_before_the_adjacency_is_built(tmp_path, monkeypatch):
+    def unbuilt(n, edges):
+        raise AssertionError(f"adjacency of {n} nodes built")
+
+    monkeypatch.setattr(engine, "_adjacency", unbuilt)
+    path = tmp_path / "far.txt"
+    path.write_text("0 1\n1 2000000\n")
+    with pytest.raises(GraphError, match="not connected"):
+        load_edge_list(str(path))
+    assert not is_connected(4, [(0, 1), (2, 3)])
 
 
 def test_trace_file_round_trip(tmp_path):

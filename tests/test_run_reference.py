@@ -1,9 +1,11 @@
-"""`engine.run`'s loop is tuned for speed: it skips null pairs with one truth
-test, acts at a precomputed step instead of testing each action every step,
-and skips stop-rule calls that must fail. `reference_run` below is the
-plain loop it replaced, which tests everything at every step; both must give
-equal results, traces and final states included, over a grid of kinds,
-graphs and options."""
+"""`engine.run`'s loop is tuned for speed: it reads its arcs from
+`engine.schedule`, which owns the rewiring, and draws a trace's arcs again
+after the run; it skips null pairs with one truth test, tests for a check
+only at the step `due` set by the first change since the last one, and
+skips stop-rule calls that must fail. `reference_run` below is a plain
+loop that draws, swaps, traces and tests everything at every step; both
+must give equal results, traces and final states included, over a grid of
+kinds, graphs and options."""
 
 import itertools
 import random
