@@ -137,7 +137,10 @@ class Circuit:
     The tree is nested tuples: a leaf is its color (an int) and a gate is
     the pair (left, right). Gates are numbered children-first. `paths[c]`
     lists the gates from leaf c up to the root, and `sides[c]` the side c
-    enters each of them by (+1 first child, -1 second).
+    enters each of them by (+1 first child, -1 second). A colour below the
+    largest leaf that is no leaf is a bystander: its path and sides are
+    empty, so it takes part in no gate, swaps with every agent it meets and
+    outputs 0.
     """
 
     def __init__(self, tree):
@@ -165,6 +168,9 @@ class Circuit:
 
         walk(tree)
         self.leaf_colors = tuple(sorted(self.paths))
+        for c in range(self.leaf_colors[-1]):
+            self.paths.setdefault(c, ())
+            self.sides.setdefault(c, ())
         self.depth = max(len(p) for p in self.paths.values())
         # memoized per colour pair on first use: k colours make k^2 pairs, and
         # meetings reach few of them
@@ -368,8 +374,6 @@ def compile_circuit(circuit: Circuit) -> ProtocolDef:
     n_colors = max(circuit.leaf_colors) + 1
 
     def init(color: int) -> CircuitState:
-        if color not in circuit.paths:
-            raise ValueError(f"color {color} is not a circuit leaf")
         levels = tuple(
             LevelState(side, 1, 1, 0) for side in circuit.sides[color]
         )
@@ -379,7 +383,7 @@ def compile_circuit(circuit: Circuit) -> ProtocolDef:
         return _ledger_meeting(x, y, circuit, None)
 
     def output(s: CircuitState) -> int:
-        return s.levels[-1].out
+        return s.levels[-1].out if s.levels else 0
 
     budget = 4 * circuit.depth + math.ceil(math.log2(max(2, n_colors)))
     return ProtocolDef(

@@ -55,13 +55,12 @@ class _Parser(argparse.ArgumentParser):
 _COMMON = {
     "--seed": dict(type=int, default=0),
     "--max-steps": dict(type=int, default=10_000_000),
-    "--rate": dict(type=float, default=1.0),
     "--rewire": dict(default="none",
                      help="none | swap:p, where p is an integer period: every p "
                           "activations, try one connectivity-preserving double edge swap"),
     "--trace": dict(default=None, help="write the activation trace here"),
 }
-_RUN_FLAGS = ("--max-steps", "--rate", "--rewire")
+_RUN_FLAGS = ("--max-steps", "--rewire")
 
 
 def _add_common(p: argparse.ArgumentParser, handler, *flags: str) -> None:
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meet = sub.add_parser("meet", help="token meeting-time statistics")
     p_meet.add_argument("--graph", nargs="+", required=True)
     p_meet.add_argument("--trials", type=int, default=200)
-    _add_common(p_meet, cmd_meet, "--seed", "--rate")
+    _add_common(p_meet, cmd_meet, "--seed")
 
     return parser
 
@@ -196,7 +195,7 @@ def _run_options(args) -> dict:
     bounds that engine.run checks are checked here first, so that the error
     names the flag and a sweep fails before its first graph."""
     _at_least("--max-steps", args.max_steps, 0)
-    return dict(max_steps=args.max_steps, rate=args.rate,
+    return dict(max_steps=args.max_steps,
                 swap_period=_flag("--rewire", parse_rewire, args.rewire))
 
 
@@ -331,9 +330,7 @@ def cmd_verify(args) -> int:
     else:
         input_sets = [_flag("--input", parse_inputs, args.input, graph.n, colors, seed=args.seed)]
     orbit = orbit_key(graph)
-    # (orbit key, expected value) -> the result its inputs share. A FAIL is
-    # not shared: the configuration its detail names depends on the input's
-    # own labels, so each input of a failing orbit is explored.
+    # (orbit key, expected value) -> the result its inputs share
     shared: dict = {}
     any_fail = False
     with _lines(args.output) as write:  # each record as soon as its input is done
@@ -350,7 +347,7 @@ def cmd_verify(args) -> int:
                 if res is None:
                     res = verify_exhaustive(resolved.protocol, graph, inputs, expected,
                                             max_configs=args.max_configs)
-                    if key and res.verdict != "FAIL":
+                    if key:
                         shared[key] = res
             if res.verdict == "FAIL":
                 any_fail = True
@@ -382,7 +379,7 @@ def cmd_meet(args) -> int:
     stats = []
     for spec in args.graph:
         graph = build_graph(spec, seed=args.seed)
-        stats.append(measure_meeting_time(graph, args.trials, seed=args.seed, rate=args.rate))
+        stats.append(measure_meeting_time(graph, args.trials, seed=args.seed))
     out: dict = {"schema_version": SCHEMA_VERSION, "measurements": [asdict(s) for s in stats]}
     sizes = [s.n for s in stats]
     if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n

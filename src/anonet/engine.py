@@ -3,9 +3,9 @@
 A run is a sequence of activations. Each activation picks one ordered edge
 (initiator, responder) uniformly at random and applies the protocol's
 transition rule to the two endpoint states. Continuous time is bookkept on
-the side: every edge carries an independent exponential clock of rate `rate`,
-so the superposed process selects edges uniformly and the holding time
-between activations is exponential with rate `rate * |E|`.
+the side: every edge carries an independent exponential clock of rate 1, so
+the superposed process selects edges uniformly and the holding time between
+activations is exponential with rate |E|.
 
 Randomness follows stream version 2 (`STREAM_VERSION`). Every purpose has its
 own `random.Random`, seeded from the string `anonet-2:<purpose>:<seed>`
@@ -26,7 +26,7 @@ own `random.Random`, seeded from the string `anonet-2:<purpose>:<seed>`
   draw: the indices do not depend on the chunk sizes, which only spare a
   short run the draws it never reads.
 - Clock: stop rules read steps, never time, so a run stopping at step T
-  draws its elapsed time once, Gamma(T, 1/(rate |E|)), and then, with a
+  draws its elapsed time once, Gamma(T, 1/|E|), and then, with a
   trace only, the T - 1 earlier activation times as sorted uniforms times
   that total: the order statistics of a Poisson process (`clock`).
 
@@ -38,7 +38,6 @@ limits) give bit-identical traces and results.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -500,11 +499,6 @@ def schedule(graph: Graph, seed: int, swap_period: int = 0):
     return rewirer.arcs, chain.from_iterable(periods())
 
 
-def _check_rate(rate: float) -> None:
-    if not 0 < rate < math.inf:
-        raise ValueError(f"rate must be finite and > 0, got {rate}")
-
-
 def match_rule(protocol, expected: Any, n: int) -> tuple:
     """(want, target): n outputs match `expected` when exactly `target` of
     them equal `want`. Protocols with match_mode "ones_count" match on the
@@ -523,7 +517,6 @@ def run(
     max_steps: int = 10_000_000,
     expected: Any = None,
     swap_period: int = 0,
-    rate: float = 1.0,
     record_trace: bool = False,
     table: Optional[TransitionTable] = None,
 ) -> RunResult:
@@ -539,7 +532,9 @@ def run(
     Any other run, and every run without a stop rule (`quiescent` None),
     stops by "max_steps", not stabilized. `first_correct_step` is the start
     of the final matching stretch (0: the initial configuration matched);
-    None if the run ends unmatched or expected is None.
+    None if the run ends unmatched or expected is None. `elapsed_time` is
+    the time of the last activation, every edge's clock running at rate 1
+    (`clock`).
 
     The activations are `schedule(graph, seed, swap_period)`, which tries a
     double edge swap every `swap_period` of them (0: none). The step loop
@@ -554,7 +549,6 @@ def run(
     for c in colors:
         if not (0 <= c < protocol.colors):
             raise ValueError(f"input color {c} invalid for {protocol.name}")
-    _check_rate(rate)
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if swap_period < 0:
@@ -622,7 +616,7 @@ def run(
     # a settled run is stabilized if it matches
     stabilized = stopped_by == "quiescence" and (matched or expected is None)
 
-    now, times = clock(step, rate * graph.m, stream("time", seed), record_trace)
+    now, times = clock(step, graph.m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     if record_trace:  # the run's arcs, drawn again: only the graph, seed and period fix them
         arcs, draws = schedule(graph, seed, swap_period)
@@ -653,10 +647,9 @@ class MeetingStats:
     stderr_time: float
 
 
-def measure_meeting_time(
-    graph: Graph, trials: int, seed: int = 0, rate: float = 1.0
-) -> MeetingStats:
-    """Mean activations and elapsed time until two walking tokens interact.
+def measure_meeting_time(graph: Graph, trials: int, seed: int = 0) -> MeetingStats:
+    """Mean activations and elapsed time until two walking tokens interact,
+    every edge's clock running at rate 1.
 
     Tokens start on distinct uniform nodes. When an activated edge has a
     token on exactly one endpoint the token crosses it (swap semantics); the
@@ -664,10 +657,8 @@ def measure_meeting_time(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_rate(rate)
     arcs, draws = schedule(graph, seed)
     time_rng, tokens = stream("time", seed), stream("tokens", seed)
-    rate_m = rate * graph.m
     steps_samples = []
     time_samples = []
     for _ in range(trials):
@@ -683,7 +674,7 @@ def measure_meeting_time(
             elif b == u or b == v:
                 b = u + v - b
         steps_samples.append(steps)
-        time_samples.append(clock(steps, rate_m, time_rng)[0])
+        time_samples.append(clock(steps, graph.m, time_rng)[0])
 
     def mean_se(xs):
         mu = sum(xs) / len(xs)

@@ -13,8 +13,8 @@ symmetry: `states_explored` counts multisets on complete graphs, classes
 under rotation and reflection on cycles, and labelled configurations on any
 other graph, as the result's `symmetry` ("complete" | "cycle" | "none") says.
 Each configuration canonicalizes each of its distinct successors once.
-Inputs whose initial configurations lie in one orbit get one verdict and
-count, so `orbit_key` lets a caller explore each orbit once.
+Inputs whose initial configurations lie in one orbit get one result, a
+FAIL's detail included, so `orbit_key` lets a caller explore each orbit once.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def orbit_key(graph: Graph):
     """A function from an input to the canonical form (`_symmetry`) of its
     colours, or None without a reduction. Equal keys mean an automorphism
     maps one input, and so its initial configuration, to the other: with one
-    expected value they get one verdict and count (`verify_exhaustive`)."""
+    expected value they get one result (`verify_exhaustive`)."""
     symmetry, order, _, canon = _symmetry(graph)
     if symmetry == "none":
         return None
@@ -147,8 +147,8 @@ def verify_exhaustive(
     some g, and d ->* g(c) ->* g(d) ->* g^2(c) ->* ... ->* g^k(c) = c with k
     the order of g. Members of an orbit have permuted outputs, which the
     match rule ignores, so the representatives decide the verdict. Starts
-    in one orbit reach the same orbits, so they also get one count
-    (`orbit_key`).
+    in one orbit have one canonical form, so they run one exploration and
+    get one result (`orbit_key`).
     """
     return _explore(protocol, inputs, expected, max_configs, *_symmetry(graph))
 
@@ -169,8 +169,11 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
     terminal component, and its lowest-index bad member is the evidence."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
-    start = [table.intern(protocol.init(c)) for c in inputs]
-    init = canon([start[v] for v in order])
+    # interned in colour order, so an input's ids depend only on its set of
+    # colours: every input of an orbit starts from one canonical
+    # configuration and runs one exploration, its FAIL detail included
+    start = {c: table.intern(protocol.init(c)) for c in sorted(set(inputs))}
+    init = canon([start[inputs[v]] for v in order])
     index = {init: 0}
     configs = [init]
     succ = array("I")

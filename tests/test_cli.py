@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import inspect
@@ -5,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,6 +287,18 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("graph", ["complete:3", "cycle:4", "path:4", "star:4"])
+    def test_all_inputs_of_a_circuit_whose_leaves_skip_a_colour(self, capsys, tmp_path, graph):
+        # colour 1 is no leaf but below `colors`: a bystander in every input
+        path = tmp_path / "gap.circ"
+        path.write_text("(max 0 2)\n")
+        code, out, err = run_cli(capsys, ["verify", "--protocol", f"circuit:{path}",
+                                          "--graph", graph, "--all-inputs"])
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 3 ** build_graph(graph).n
+        assert {r["verdict"] for r in records} == {"PASS"}
+
     def test_threshold_tie_inputs_pass(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -362,9 +376,10 @@ class TestVerifyCommand:
         assert code == 0 and len(explored) == len(lines) == 8
 
     def test_fail_is_explored_per_input(self, capsys, monkeypatch):
-        # a wrong answer makes every input FAIL; the terminal configuration
-        # that a FAIL names differs within an orbit (here on cycle:5), so
-        # each input is explored and its line matches its own `--input` call
+        # a wrong answer makes every input FAIL; the inputs of an orbit start
+        # from one canonical configuration, so a FAIL is explored once per
+        # orbit (the 8 binary bracelets of length 5) and each line still
+        # matches its own `--input` call
         resolve = cli.resolve_protocol
 
         def off_by_one(spec):
@@ -375,9 +390,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "resolve_protocol", off_by_one)
         code, lines, explored = self.records_each_explored_once(
             capsys, monkeypatch, ["verify", "--protocol", "max-gate", "--graph", "cycle:5"])
-        assert code == 2 and len(explored) == len(lines) == 32
+        assert code == 2 and len(lines) == 32
+        assert len(explored) == len(set(explored)) == self.orbits("max-gate", "cycle:5", 2) == 8
         assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
-        assert len({json.loads(line)["detail"] for line in lines}) > 1
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_each_record_is_written_when_its_input_is_done(self, capsys, monkeypatch, tmp_path,
@@ -430,6 +445,13 @@ class TestAuditCommand:
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert [r["protocol"] for r in rows] == ["lsb:2", "max-gate"]
         assert all(r["ok"] for r in rows)
+
+    def test_circuit_whose_leaves_skip_a_colour(self, capsys, tmp_path):
+        path = tmp_path / "gap.circ"
+        path.write_text("(max 0 2)\n")
+        code, out, err = run_cli(capsys, ["audit", f"circuit:{path}", "--n", "4"])
+        assert (code, err) == (0, "")
+        assert "(7 states)  PASS" in out
 
     def test_plurality_inputs_have_a_unique_winner(self, capsys, monkeypatch):
         # besides the round-robin input, an exact tie at n = 16, colour 0 and
@@ -528,15 +550,29 @@ class TestConfigFile:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "--confirm-window" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "meet"])
+    def test_retired_rate_key_exit_1(self, capsys, tmp_path, command):
+        # every edge's clock runs at rate 1; an old config file setting
+        # another rate fails loudly
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("rate=2\n")
+        argv = {"run": ["run", "--protocol", "lsb:2", "--graph", "cycle:8", "--input", "0:5,1:3"],
+                "sweep": ["sweep", "--protocol", "lsb:2", "--graph", "cycle", "--sizes", "4",
+                          "--seeds", "1"],
+                "meet": ["meet", "--graph", "path:2"]}[command]
+        code, out, err = run_cli(capsys, argv[:1] + ["--config", str(cfg)] + argv[1:])
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --rate 2\n"
+
 
 class TestBadInputs:
     @pytest.mark.parametrize(
         "argv,names",
         [
-            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "0"],
-             "rate"),
-            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--rate", "-1"],
-             "rate"),
+            *(([*argv, "--rate", "2"], "error: unrecognized arguments: --rate 2\n")
+              for argv in (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4"],
+                           ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4"],
+                           ["meet", "--graph", "path:2"])),
             *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
                 "--rewire", spec], f"--rewire {spec!r}: expected none or swap:p with p >= 1\n")
               for spec in ("swap:x", "swap:", "swap:0", "bogus")),
@@ -583,7 +619,8 @@ class TestBadInputs:
             *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
         ],
-        ids=["rate-0", "rate-negative", "rewire-period", "rewire-empty-period",
+        ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
+             "rewire-empty-period",
              "rewire-period-0", "rewire-unknown", "input-color", "sweep-sizes",
              "run-violation", "sweep-violation", "audit-violation", "audit-n-2",
              "sweep-input-color",
@@ -642,6 +679,21 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "MIN gates do not compose" in err and "min-gate" in err
+
+
+def test_readme_flag_bullets_match_the_parser():
+    # each subcommand's README bullet names only flags it declares, and
+    # every shared flag it declares
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    bullets = {cmd: re.findall(r"--[a-z][a-z-]*", text) for cmd, text in
+               re.findall(r"^\* `(\w+)`: (.*?)(?=^\S|^$)", readme, re.M | re.S)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(bullets) == set(sub.choices)
+    for cmd, parser in sub.choices.items():
+        declared = set(parser._option_string_actions)
+        assert set(bullets[cmd]) <= declared, cmd
+        assert declared & set(cli._COMMON) <= set(bullets[cmd]), cmd
 
 
 def test_cli_import_loads_stdlib_only():
