@@ -7,7 +7,6 @@ from .engine import (  # noqa: F401
     Activation,
     Graph,
     RunResult,
-    Trace,
     arc_chunks,
     build_graph,
     clock,

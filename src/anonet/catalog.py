@@ -140,18 +140,21 @@ def parse_inputs(spec: str, n: int, colors: int, seed: int = 0) -> list[int]:
         if ":" not in f:
             raise ConfigError(f"mixed input spec {spec!r}")
         color_s, count_s = f.split(":", 1)
-        color = int(color_s)
+        try:
+            color = int(color_s)
+            count = None if count_s == "rest" else int(count_s.removesuffix("%"))
+        except ValueError as exc:
+            raise ConfigError(f"bad input block {f!r}: expected color:count, color:p% "
+                              "or color:rest") from exc
         if not (0 <= color < colors):
             raise ConfigError(f"input color {color} out of range [0, {colors})")
-        if count_s == "rest":
+        if count is None:
             if rest_color is not None:
                 raise ConfigError("only one 'rest' block allowed")
             rest_color = color
             continue
         if count_s.endswith("%"):
-            count = (n * int(count_s[:-1])) // 100
-        else:
-            count = int(count_s)
+            count = n * count // 100
         if count < 0:
             raise ConfigError(f"negative count in {f!r}")
         counts[color] += count

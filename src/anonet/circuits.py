@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .engine import Trace
+from .engine import Activation
 from .protocols import ProtocolDef
 
 __all__ = [
@@ -102,10 +102,9 @@ def parse_circuit(text: str) -> "Circuit":
             return (left, right)
         if tok == ")":
             raise CircuitError("unexpected ')'")
-        try:
-            return int(tok)
-        except ValueError as exc:
-            raise CircuitError(f"bad token {tok!r}") from exc
+        if not tok.isdecimal():
+            raise CircuitError(f"bad token {tok!r}: a leaf is a colour, a decimal integer >= 0")
+        return int(tok)
 
     tree = parse()
     if pos != len(tokens):
@@ -445,9 +444,10 @@ class LedgerReport:
 
 
 def collision_count_check(
-    circuit: Circuit, inputs: Sequence[int], trace: Trace
+    circuit: Circuit, inputs: Sequence[int], trace: Sequence[Activation]
 ) -> LedgerReport:
-    """Replay a ledger-compiled run and check, per gate, the collision-count
+    """Replay a ledger-compiled run's `trace` (its `RunResult.trace`, the
+    activations in order) and check, per gate, the collision-count
     identity collisions = c2 + d2 + min(a, b) and ones = max(a, b), where a
     and b are the settled child outputs read from the final configuration:
     at an agent's path level i the child output is the leaf itself (i = 0)
@@ -456,7 +456,7 @@ def collision_count_check(
     proto = compile_circuit(circuit)
     states = [proto.init(c) for c in inputs]
     events: list = []
-    for act in trace.activations:
+    for act in trace:
         sx, sy = states[act.initiator], states[act.responder]
         nx, ny = _ledger_meeting(sx, sy, circuit, events)
         states[act.initiator] = nx

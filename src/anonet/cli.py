@@ -152,29 +152,14 @@ def _load_config_defaults(argv: list) -> list:
 
 
 @contextlib.contextmanager
-def _lines(path: Optional[str], file=None):
-    """A function that writes one line to `path`, created here, or else prints
-    it to `file` (stdout); each line is flushed, so that a long command holds
-    back no output."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield lambda text: print(text, file=fh, flush=True)
-    else:
-        yield lambda text: print(text, file=file, flush=True)
-
-
-def _emit(path: Optional[str], text: str, file=None) -> None:
-    """Write `text` and a newline to `path`, or else print it to `file` (stdout)."""
-    with _lines(path, file) as write:
-        write(text)
-
-
-def _writable(*paths: Optional[str]) -> None:
-    """Open each path given for appending, which creates it, so that a path
-    that cannot be written ends the command before its first run."""
-    for path in paths:
-        if path:
-            open(path, "a", encoding="utf-8").close()
+def _lines(*paths: Optional[str]):
+    """Open each path given for writing; yield the files, None for a path not
+    given (`print(..., file=None)` prints to stdout). Every subcommand enters
+    it for all it writes before its first run, verification, audit or walk,
+    and prints with flush=True, so that a long command holds back no output."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+               for path in paths]
 
 
 def _flag(flag: str, parse, value, *args, **kwargs):
@@ -210,38 +195,36 @@ def cmd_run(args) -> int:
         expected = resolved.oracle_fn(counts)
     except ValueError as exc:
         raise ConfigError(f"tie, unsupported: {exc}") from exc
-    empty = expected is None
-    run_expected = 0 if empty else expected
-    _writable(args.trace, args.output)
-    result = run(
-        resolved.protocol,
-        graph,
-        inputs,
-        seed=args.seed,
-        expected=run_expected,
-        record_trace=args.trace is not None,
-        **options,
-    )
-    if args.trace:
-        write_trace(args.trace, result.trace)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": args.protocol,
-        "graph": args.graph,
-        "n": graph.n,
-        "edges": graph.m,
-        "seed": args.seed,
-        "first_correct_step": result.first_correct_step,
-        "stabilized": result.stabilized,
-        "total_steps": result.total_steps,
-        "stopped_by": result.stopped_by,
-        "elapsed_time": result.elapsed_time,
-        "outputs_histogram": Counter(map(str, result.final_outputs)),  # keys sorted on dump
-        "oracle_value": expected,
-        "match": bool(result.matched),
-        "empty": empty,
-    }
-    _emit(args.output, json.dumps(record, sort_keys=True))
+    with _lines(args.output, args.trace) as (out, trace):
+        result = run(
+            resolved.protocol,
+            graph,
+            inputs,
+            seed=args.seed,
+            expected=0 if expected is None else expected,
+            record_trace=trace is not None,
+            **options,
+        )
+        if trace:
+            write_trace(trace, result)
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "protocol": args.protocol,
+            "graph": args.graph,
+            "n": graph.n,
+            "edges": graph.m,
+            "seed": args.seed,
+            "first_correct_step": result.first_correct_step,
+            "stabilized": result.stabilized,
+            "total_steps": result.total_steps,
+            "stopped_by": result.stopped_by,
+            "elapsed_time": result.elapsed_time,
+            "outputs_histogram": Counter(map(str, result.final_outputs)),  # keys sorted on dump
+            "oracle_value": expected,
+            "match": bool(result.matched),
+            "empty": expected is None,
+        }
+        print(json.dumps(record, sort_keys=True), file=out, flush=True)
     return EXIT_OK if (result.stabilized and result.matched) else EXIT_FAILURE
 
 
@@ -254,66 +237,66 @@ def cmd_sweep(args) -> int:
     _at_least("--sizes", min(sizes), 2)
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
-    _writable(args.output, args.summary)
-    table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
-    rows = []
-    samples: dict = {}
-    excluded = 0
-    failures = 0
-    for n in sizes:
-        spec = spec_of(n)
-        samples[n] = []
-        for seed in range(args.seeds):
-            inputs = _flag("--input", parse_inputs, args.input, n, resolved.protocol.colors,
-                           seed=seed)
-            try:
-                graph = build_graph(spec, seed=seed)
-                expected = resolved.oracle_fn(counts_of(inputs, resolved.protocol.colors))
-            except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
-                rows.append([args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"])
-                failures += 1
-                continue
-            result = run(
-                resolved.protocol,
-                graph,
-                inputs,
-                seed=seed,
-                expected=0 if expected is None else expected,
-                table=table,
-                **options,
-            )
-            first = result.first_correct_step
-            rows.append([args.protocol, n, graph.m, spec, seed, "" if first is None else first,
-                         result.total_steps, result.stopped_by, result.stabilized])
-            if result.stabilized and first is not None:
-                samples[n].append(max(1, first))
-            else:
-                excluded += 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["protocol", "n", "edges", "graph", "seed", "first_correct_step", "total_steps",
-         "stopped_by", "stabilized"]
-    )
-    writer.writerows(rows)
-    _emit(args.output, buf.getvalue().rstrip("\n"))
-    summary: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "protocol": args.protocol,
-        "graph_family": args.graph,
-        "sizes": sizes,
-        "seeds": args.seeds,
-        "excluded_runs": excluded,
-    }
-    try:
-        fit = scaling_report(samples)
-        summary["exponent"] = fit.exponent
-        summary["exponent_stderr"] = fit.stderr
-        summary["means"] = dict(zip([str(s) for s in fit.sizes], fit.means))
-    except ValueError as exc:
-        summary["exponent"] = None
-        summary["fit_error"] = str(exc)
-    _emit(args.summary, json.dumps(summary, sort_keys=True), sys.stderr)
+    with _lines(args.output, args.summary) as (out, summary_out):
+        table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
+        rows = []
+        samples: dict = {}
+        excluded = 0
+        failures = 0
+        for n in sizes:
+            spec = spec_of(n)
+            samples[n] = []
+            for seed in range(args.seeds):
+                inputs = _flag("--input", parse_inputs, args.input, n, resolved.protocol.colors,
+                               seed=seed)
+                try:
+                    graph = build_graph(spec, seed=seed)
+                    expected = resolved.oracle_fn(counts_of(inputs, resolved.protocol.colors))
+                except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
+                    rows.append([args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"])
+                    failures += 1
+                    continue
+                result = run(
+                    resolved.protocol,
+                    graph,
+                    inputs,
+                    seed=seed,
+                    expected=0 if expected is None else expected,
+                    table=table,
+                    **options,
+                )
+                first = result.first_correct_step
+                rows.append([args.protocol, n, graph.m, spec, seed, "" if first is None else first,
+                             result.total_steps, result.stopped_by, result.stabilized])
+                if result.stabilized and first is not None:
+                    samples[n].append(max(1, first))
+                else:
+                    excluded += 1
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            ["protocol", "n", "edges", "graph", "seed", "first_correct_step", "total_steps",
+             "stopped_by", "stabilized"]
+        )
+        writer.writerows(rows)
+        print(buf.getvalue().rstrip("\n"), file=out, flush=True)
+        summary: dict = {
+            "schema_version": SCHEMA_VERSION,
+            "protocol": args.protocol,
+            "graph_family": args.graph,
+            "sizes": sizes,
+            "seeds": args.seeds,
+            "excluded_runs": excluded,
+        }
+        try:
+            fit = scaling_report(samples)
+            summary["exponent"] = fit.exponent
+            summary["exponent_stderr"] = fit.stderr
+            summary["means"] = dict(zip([str(s) for s in fit.sizes], fit.means))
+        except ValueError as exc:
+            summary["exponent"] = None
+            summary["fit_error"] = str(exc)
+        print(json.dumps(summary, sort_keys=True), file=summary_out or sys.stderr, flush=True)
     return EXIT_FAILURE if (excluded or failures) else EXIT_OK
 
 
@@ -333,7 +316,7 @@ def cmd_verify(args) -> int:
     # (orbit key, expected value) -> the result its inputs share
     shared: dict = {}
     any_fail = False
-    with _lines(args.output) as write:  # each record as soon as its input is done
+    with _lines(args.output) as (out,):  # each record as soon as its input is done
         for inputs in input_sets:
             counts = counts_of(inputs, colors)
             try:
@@ -351,40 +334,40 @@ def cmd_verify(args) -> int:
                         shared[key] = res
             if res.verdict == "FAIL":
                 any_fail = True
-            write(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True))
+            print(json.dumps(res.record(args.protocol, args.graph, inputs), sort_keys=True),
+                  file=out, flush=True)
     return EXIT_FAILURE if any_fail else EXIT_OK
 
 
 def cmd_audit(args) -> int:
     _at_least("--n", args.n, 3)  # the cycle needs 3 nodes
+    n = args.n
+    protocols = [resolve_protocol(spec).protocol for spec in args.protocols]
+    graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
     lines = []
     violation = False
-    for spec in args.protocols:
-        resolved = resolve_protocol(spec)
-        proto = resolved.protocol
-        n = args.n
-        graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
-        note = "output register adds one bit over the counter tuple" if spec.startswith("bit:") else ""
-        report = audit_memory(proto, graphs, audit_inputs(proto.colors, n), note=note)
-        if args.format == "json":
-            lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True))
-        else:
-            lines.append(report.row())
-        violation = violation or not report.ok
-    _emit(args.output, "\n".join(lines))
+    with _lines(args.output) as (out,):
+        for spec, proto in zip(args.protocols, protocols):
+            note = ("output register adds one bit over the counter tuple"
+                    if spec.startswith("bit:") else "")
+            report = audit_memory(proto, graphs, audit_inputs(proto.colors, n), note=note)
+            lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True)
+                         if args.format == "json" else report.row())
+            violation = violation or not report.ok
+        print("\n".join(lines), file=out, flush=True)
     return EXIT_FAILURE if violation else EXIT_OK
 
 
 def cmd_meet(args) -> int:
-    stats = []
-    for spec in args.graph:
-        graph = build_graph(spec, seed=args.seed)
-        stats.append(measure_meeting_time(graph, args.trials, seed=args.seed))
-    out: dict = {"schema_version": SCHEMA_VERSION, "measurements": [asdict(s) for s in stats]}
-    sizes = [s.n for s in stats]
-    if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n
-        out["time_exponent"] = scaling_report({s.n: [s.mean_time] for s in stats}).exponent
-    _emit(args.output, json.dumps(out, sort_keys=True))
+    graphs = [build_graph(spec, seed=args.seed) for spec in args.graph]
+    with _lines(args.output) as (out,):
+        stats = [measure_meeting_time(graph, args.trials, seed=args.seed) for graph in graphs]
+        record: dict = {"schema_version": SCHEMA_VERSION,
+                        "measurements": [asdict(s) for s in stats]}
+        sizes = [s.n for s in stats]
+        if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n
+            record["time_exponent"] = scaling_report({s.n: [s.mean_time] for s in stats}).exponent
+        print(json.dumps(record, sort_keys=True), file=out, flush=True)
     return EXIT_OK
 
 

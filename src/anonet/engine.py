@@ -47,7 +47,6 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 __all__ = [
     "Graph",
     "Activation",
-    "Trace",
     "RunResult",
     "GraphError",
     "ProtocolViolation",
@@ -107,6 +106,19 @@ class TransitionTable:
             self.outs.append(self.protocol.output(state))
             self.rows.append({})
         return i
+
+    def start(self, n: int, inputs: Sequence[int]) -> list[int]:
+        """The ids of the initial configuration `inputs` of n agents, interned in
+        colour order, so that they depend only on the colours present; a
+        ValueError for another length or a colour outside [0, protocol.colors)."""
+        if len(inputs) != n:
+            raise ValueError(f"input length {len(inputs)} != n {n}")
+        colors = sorted(set(inputs))
+        for c in colors:
+            if not (0 <= c < self.protocol.colors):
+                raise ValueError(f"input color {c} invalid for {self.protocol.name}")
+        initial = {c: self.intern(self.protocol.init(c)) for c in colors}
+        return [initial[c] for c in inputs]
 
     def successors(self, x, y) -> tuple:
         """`protocol.transition(x, y)`, computed once for any two states."""
@@ -245,13 +257,10 @@ class Activation(NamedTuple):
 
 
 @dataclass
-class Trace:
-    activations: list[Activation]
-    final_outputs: tuple
-
-
-@dataclass
 class RunResult:
+    """What `run` returns; `trace`, with `record_trace` only, is the list of
+    the run's activations, which `write_trace` writes with `final_outputs`."""
+
     protocol: str
     n: int
     first_correct_step: Optional[int]
@@ -262,7 +271,7 @@ class RunResult:
     stopped_by: str  # "quiescence" (proved, by the stop rule) | "max_steps" (never stabilized)
     matched: bool
     final_states: tuple = ()
-    trace: Optional[Trace] = None
+    trace: Optional[list[Activation]] = None
 
 
 def parse_rewire(spec: str) -> int:
@@ -391,14 +400,14 @@ def load_edge_list(path: str) -> Graph:
     return Graph(1 + max(map(max, edges)), tuple(edges), f"file:{path}")
 
 
-def write_trace(path: str, trace: Trace) -> None:
-    """Write a trace file: one "step time initiator responder" line per
+def write_trace(fh, result: RunResult) -> None:
+    """Write the trace file of `result`, a run with `record_trace`, to the
+    open text file `fh`: one "step time initiator responder" line per
     activation, then a final line "outputs o0 o1 ...".
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for act in trace.activations:
-            fh.write(f"{act.step} {act.time:.9f} {act.initiator} {act.responder}\n")
-        fh.write("outputs " + " ".join(str(o) for o in trace.final_outputs) + "\n")
+    for act in result.trace:
+        fh.write(f"{act.step} {act.time:.9f} {act.initiator} {act.responder}\n")
+    fh.write("outputs " + " ".join(str(o) for o in result.final_outputs) + "\n")
 
 
 STREAM_VERSION = 2
@@ -543,12 +552,6 @@ def run(
     Agents hold ids of `table`, which runs may share.
     """
     n = graph.n
-    if len(inputs) != n:
-        raise ValueError(f"input length {len(inputs)} != n {n}")
-    colors = dict.fromkeys(inputs)  # each colour once, in order of first occurrence
-    for c in colors:
-        if not (0 <= c < protocol.colors):
-            raise ValueError(f"input color {c} invalid for {protocol.name}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if swap_period < 0:
@@ -558,8 +561,7 @@ def run(
     elif table.protocol is not protocol:
         raise ValueError("transition table belongs to another protocol")
 
-    initial = {c: table.intern(protocol.init(c)) for c in colors}
-    states = [initial[c] for c in inputs]
+    states = table.start(n, inputs)
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
@@ -632,7 +634,7 @@ def run(
         stopped_by=stopped_by,
         matched=matched if expected is not None else stabilized,
         final_states=tuple(objs[s] for s in states),
-        trace=Trace(activations, outputs) if record_trace else None,
+        trace=activations if record_trace else None,
     )
 
 

@@ -139,6 +139,8 @@ def verify_exhaustive(
     Explores the configuration graph up to the graph's symmetry (`_symmetry`)
     and requires every terminal configuration to match the expected output.
     SKIPPED when more than `max_configs` configurations are reachable.
+    ValueError, with `run`'s texts, for an input of another length than
+    the graph's n or with a colour outside [0, protocol.colors).
 
     Soundness: a transition reads only states, so an automorphism g maps an
     arc c -> d to g(c) -> g(d), and the orbit of c reaches that of d iff
@@ -154,11 +156,14 @@ def verify_exhaustive(
 
 
 def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, canon):
-    """The verifier over `canon`ical tuples of state ids in node `order`;
-    configuration i has the arcs succ[offsets[i] : offsets[i + 1]]: one to
-    each distinct canonical form of its labelled successors, each of which is
-    canonicalized once (two activations often give the same one), and none
-    to itself (a null activation, or a swap or rotation onto the same form).
+    """The verifier over `canon`ical tuples of state ids in node `order`,
+    from `run`'s start (`TransitionTable.start`), whose ids depend only on
+    the colours present: every input of an orbit starts from one canonical
+    configuration and runs one exploration. Configuration i has the arcs
+    succ[offsets[i] : offsets[i + 1]]: one to each distinct canonical form of
+    its labelled successors, each of which is canonicalized once (two
+    activations often give the same one), and none to itself (a null
+    activation, or a swap or rotation onto the same form).
 
     Let W hold the configurations that cannot reach a bad one. PASS iff all
     reach W, iff every terminal component T is correct. (=>) Each reaches
@@ -169,11 +174,8 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
     terminal component, and its lowest-index bad member is the evidence."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
-    # interned in colour order, so an input's ids depend only on its set of
-    # colours: every input of an orbit starts from one canonical
-    # configuration and runs one exploration, its FAIL detail included
-    start = {c: table.intern(protocol.init(c)) for c in sorted(set(inputs))}
-    init = canon([start[inputs[v]] for v in order])
+    start = table.start(len(order), inputs)
+    init = canon([start[v] for v in order])
     index = {init: 0}
     configs = [init]
     succ = array("I")

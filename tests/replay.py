@@ -8,7 +8,7 @@ def replay(protocol, inputs, result, check):
     and assert that the replay ends at `result.final_states`. The trace's
     arcs are those the run drew, rewiring included."""
     states = [protocol.init(c) for c in inputs]
-    for act in result.trace.activations:
+    for act in result.trace:
         u, v = act.initiator, act.responder
         states[u], states[v] = protocol.transition(states[u], states[v])
         check(act.step, list(states))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,13 @@ class TestDsl:
         for text in ("(max 0)", "max 0 1", "(max 0 1", "(max 0 1 2)", "(or 0 1)", "0"):
             with pytest.raises(CircuitError):
                 parse_circuit(text)
+
+    def test_a_leaf_is_a_decimal_colour(self):
+        # int() would read "-1" as a colour, which `evaluate` takes as the
+        # count of the largest colour
+        for tok in ("-1", "+2", "1_0", "0x1"):
+            with pytest.raises(CircuitError, match=re.escape(f"bad token {tok!r}")):
+                parse_circuit(f"(max {tok} 2)")
 
     def test_agent_color_must_be_leaf(self):
         proto = compile_circuit(parse_circuit("(max 0 1)"))

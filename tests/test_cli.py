@@ -577,7 +577,8 @@ class TestBadInputs:
                 "--rewire", spec], f"--rewire {spec!r}: expected none or swap:p with p >= 1\n")
               for spec in ("swap:x", "swap:", "swap:0", "bogus")),
             (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "x:3,1:rest"],
-             "--input 'x:3,1:rest'"),
+             "error: --input 'x:3,1:rest': bad input block 'x:3': expected color:count, "
+             "color:p% or color:rest\n"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,x"],
              "--sizes '8,x'"),
             (["run", "--protocol", "bit:0:4", "--graph", "complete:8", "--input", "0:8"], ""),
@@ -586,7 +587,9 @@ class TestBadInputs:
             (["audit", "bit:0:4", "--n", "8"], ""),
             (["audit", "or", "--n", "2"], "--n must be >= 3"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8",
-              "--input", "x:3,1:rest"], "--input 'x:3,1:rest'"),
+              "--input", "x:3,1:rest"],
+             "error: --input 'x:3,1:rest': bad input block 'x:3': expected color:count, "
+             "color:p% or color:rest\n"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,8",
               "--input", "0:5,1:rest"], "--input '0:5,1:rest'"),
             (["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
@@ -618,6 +621,10 @@ class TestBadInputs:
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,-5,6"], "--sizes"),
             *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
+            *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", f"{block},1:rest"],
+               f"error: --input '{block},1:rest': bad input block '{block}': expected "
+               "color:count, color:p% or color:rest\n")
+              for block in ("0:abc", "0:1.5", "0:5%%")),
         ],
         ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
              "rewire-empty-period",
@@ -630,7 +637,8 @@ class TestBadInputs:
              "run-output-unwritable", "sweep-summary-unwritable", "verify-output-unwritable",
              "sweep-seeds-0",
              "sweep-seeds-negative", "sweep-sizes-negative", "sweep-family-with-n",
-             "sweep-family-file", "sweep-family-gnp-without-p", "sweep-family-unknown"],
+             "sweep-family-file", "sweep-family-gnp-without-p", "sweep-family-unknown",
+             "input-count-word", "input-count-fraction", "input-count-percent"],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
@@ -679,6 +687,52 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert "MIN gates do not compose" in err and "min-gate" in err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep", "audit"])
+    def test_circuit_with_a_negative_leaf(self, capsys, tmp_path, command):
+        # -1 is no colour: int() would take it, and `evaluate` would read the
+        # count of the largest colour for it
+        path = tmp_path / "neg.circ"
+        path.write_text("(max -1 2)\n")
+        spec = f"circuit:{path}"
+        argv = {
+            "run": ["run", "--protocol", spec, "--graph", "complete:4", "--input", "2,2,0,1"],
+            "verify": ["verify", "--protocol", spec, "--graph", "complete:4", "--all-inputs"],
+            "sweep": ["sweep", "--protocol", spec, "--graph", "complete", "--sizes", "4"],
+            "audit": ["audit", spec],
+        }[command]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "bad token '-1'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
+         "--output", "TMP/missing/o.json"],
+        ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
+         "--output", "TMP/o.json", "--trace", "TMP/missing/t.txt"],
+        ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
+         "--output", "TMP/missing/rows.csv"],
+        ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
+         "--output", "TMP/rows.csv", "--summary", "TMP/missing/s.json"],
+        ["verify", "--protocol", "or", "--graph", "cycle:4", "--input", "0,1,0,0",
+         "--output", "TMP/missing/v.json"],
+        ["audit", "or", "lsb:2", "--output", "TMP/missing/a.txt"],
+        ["meet", "--graph", "cycle:8", "path:4", "--output", "TMP/missing/m.json"],
+    ], ids=["run-output", "run-trace", "sweep-output", "sweep-summary", "verify-output",
+            "audit-output", "meet-output"])
+    def test_an_unwritable_path_ends_the_command_before_its_work(
+            self, capsys, tmp_path, monkeypatch, argv):
+        def work(*args, **kwargs):
+            pytest.fail("the command started its work")
+
+        for name in ("run", "verify_exhaustive", "audit_memory", "measure_meeting_time"):
+            monkeypatch.setattr(cli, name, work)
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{tmp_path}/missing/" in err
 
 
 def test_readme_flag_bullets_match_the_parser():

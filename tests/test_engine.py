@@ -198,7 +198,7 @@ class TestScheduler:
     def test_time_strictly_increasing_in_trace(self):
         g = build_graph("cycle:5")
         res = run(or_protocol(), g, [0, 1, 0, 0, 0], seed=3, expected=1, record_trace=True)
-        times = [a.time for a in res.trace.activations]
+        times = [a.time for a in res.trace]
         assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
 
 
@@ -220,7 +220,7 @@ class TestRunSemantics:
         inputs = [0, 0, 0, 1, 0, 1, 1, 0]
         r1 = run(p, g, inputs, seed=42, expected=5 % 4, record_trace=True)
         r2 = run(p, g, inputs, seed=42, expected=5 % 4, record_trace=True)
-        assert r1.trace.activations == r2.trace.activations
+        assert r1.trace == r2.trace
         assert r1.final_outputs == r2.final_outputs
         assert r1.elapsed_time == r2.elapsed_time
 
@@ -243,7 +243,7 @@ class TestRunSemantics:
             if step % period == 0:
                 rewirer.swap(rewire_rng)
         total, times = clock(steps, g.m, stream("time", seed), trace=True)
-        assert res.trace.activations == [
+        assert res.trace == [
             Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)]
         assert res.elapsed_time == total
         assert set(rewirer.arcs[::2]) != set(g.edges)  # some swap was applied
@@ -260,7 +260,7 @@ class TestRunSemantics:
             res = run(p, g, inputs, seed=8, expected=4 % 4, max_steps=max_steps,
                       swap_period=3, record_trace=True)
             assert res.total_steps == max_steps
-            return [(a.initiator, a.responder) for a in res.trace.activations]
+            return [(a.initiator, a.responder) for a in res.trace]
 
         full = arcs(9000)  # more than a chunk of 4096 draws gives
         for k in (1, 7, 2500, 8999):
@@ -596,15 +596,23 @@ def test_too_few_edges_fail_before_the_adjacency_is_built(tmp_path, monkeypatch)
 
 
 def test_trace_file_round_trip(tmp_path):
-    g = build_graph("path:3")
-    res = run(or_protocol(), g, [0, 1, 0], seed=0, expected=1, record_trace=True)
-    path = tmp_path / "trace.txt"
-    write_trace(str(path), res.trace)
-    lines = path.read_text().strip().split("\n")
-    assert lines[-1].startswith("outputs ")
-    assert tuple(int(x) for x in lines[-1].split()[1:]) == res.final_outputs
-    for line, act in zip(lines, res.trace.activations):
-        step, t, ini, rsp = line.split()
-        assert int(step) == act.step
-        assert int(ini) == act.initiator and int(rsp) == act.responder
-        assert float(t) == pytest.approx(act.time, abs=1e-9)
+    # with a swap period, the trace holds the rewired arcs the run drew
+    for spec, swap_period in (("path:3", 0), ("cycle:6", 1)):
+        g = build_graph(spec)
+        inputs = [0, 1] + [0] * (g.n - 2)
+        res = run(or_protocol(), g, inputs, seed=0, expected=1, record_trace=True,
+                  swap_period=swap_period)
+        path = tmp_path / f"trace{swap_period}.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_trace(fh, res)
+        lines = path.read_text().strip().split("\n")
+        assert len(lines) == len(res.trace) + 1 == res.total_steps + 1
+        assert lines[-1].startswith("outputs ")
+        assert tuple(int(x) for x in lines[-1].split()[1:]) == res.final_outputs
+        for line, act in zip(lines, res.trace):
+            step, t, ini, rsp = line.split()
+            assert int(step) == act.step
+            assert int(ini) == act.initiator and int(rsp) == act.responder
+            assert float(t) == pytest.approx(act.time, abs=1e-9)
+        if swap_period:  # some activation is on an arc the static graph lacks
+            assert {(a.initiator, a.responder) for a in res.trace} - set(g.arcs)

@@ -124,6 +124,22 @@ class TestVerifyExhaustive:
             exhaustive = verify_exhaustive(p, g, list(bits), r % 4)
             assert sampled.stabilized and exhaustive.verdict == "PASS"
 
+    @pytest.mark.parametrize("protocol,inputs,expected,message", [
+        (or_protocol(), [0, 7, 0, 0], 7, "input color 7 invalid for or"),
+        (lsb_counter_protocol(2), [0, 1, 0, 1, 0, 0], 0, "input length 6 != n 4"),
+        (or_protocol(), [0, 1], 1, "input length 2 != n 4"),
+        (lsb_counter_protocol(2), [0, 5, 0, 1], 2, "input color 5 invalid for lsb:2"),
+    ], ids=["color-7", "length-6", "length-2", "color-5"])
+    def test_an_input_that_is_no_instance_is_rejected_as_run_rejects_it(
+            self, protocol, inputs, expected, message):
+        g = build_graph("cycle:4")
+        with pytest.raises(ValueError) as rejected:
+            run(protocol, g, inputs, expected=expected)
+        assert str(rejected.value) == message
+        with pytest.raises(ValueError) as rejected:
+            verify_exhaustive(protocol, g, inputs, expected)
+        assert str(rejected.value) == message
+
 
 class TestAuditMemory:
     def test_lsb2_at_most_8_states(self):

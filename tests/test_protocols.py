@@ -181,7 +181,7 @@ class TestBit:
         assert res.stabilized
         states = [p.init(c) for c in inputs]
         arrivals = [r] + [0] * 8
-        for act in res.trace.activations:
+        for act in res.trace:
             sx, sy = states[act.initiator], states[act.responder]
             if sx.active and sy.active and sx.level == sy.level and sx.color == sy.color == 1:
                 arrivals[sx.level + 1] += 1

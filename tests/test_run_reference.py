@@ -17,7 +17,6 @@ from anonet.catalog import KINDS, resolve_protocol
 from anonet.engine import (
     Activation,
     RunResult,
-    Trace,
     TransitionTable,
     _Rewirer,
     arc_chunks,
@@ -107,8 +106,8 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
         stopped_by=stopped_by,
         matched=matched if expected is not None else stabilized,
         final_states=tuple(objs[s] for s in states),
-        trace=Trace([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)],
-                    outputs) if record_trace else None,
+        trace=([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)]
+               if record_trace else None),
     )
 
 
