@@ -237,6 +237,11 @@ def cmd_sweep(args) -> int:
     _at_least("--sizes", min(sizes), 2)
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
+    colors = resolved.protocol.colors
+    # every (size, seed) input, each from its own seed, so that one that
+    # does not fit its size ends the sweep before its first run
+    input_of = {(n, seed): _flag("--input", parse_inputs, args.input, n, colors, seed=seed)
+                for n in sizes for seed in range(args.seeds)}
     with _lines(args.output, args.summary) as (out, summary_out):
         table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
         rows = []
@@ -247,11 +252,10 @@ def cmd_sweep(args) -> int:
             spec = spec_of(n)
             samples[n] = []
             for seed in range(args.seeds):
-                inputs = _flag("--input", parse_inputs, args.input, n, resolved.protocol.colors,
-                               seed=seed)
+                inputs = input_of[n, seed]
                 try:
                     graph = build_graph(spec, seed=seed)
-                    expected = resolved.oracle_fn(counts_of(inputs, resolved.protocol.colors))
+                    expected = resolved.oracle_fn(counts_of(inputs, colors))
                 except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
                     rows.append([args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"])
                     failures += 1

@@ -84,18 +84,20 @@ class TransitionTable:
     successor ids when a initiates and b responds, or () for a null pair (one
     that maps to (a, b)), which a run loop skips with one truth test. `fill`
     computes a pair the first time it meets and returns its successor ids,
-    for a null pair too; filling eagerly would also meet pairs no run reaches,
-    which raise ProtocolViolation for `bit` and `estimate`. So every interned
-    state is an initial state or the result of an applied transition. The
-    stop rule (`settled`) keeps the pairs it computes ahead of the runs in
-    `probed`, uninterned, until `fill` takes them over.
+    for a null pair too; filling eagerly would also meet pairs no run
+    reaches, which raise ProtocolViolation for `bit` and `estimate`. A
+    violating pair is never stored, so each request raises afresh. The stop
+    rule (`settled`) fills the pairs it looks ahead at like any others, so
+    interned states are not all held: `held[i]` is 1 for a state some agent
+    held, an initial state (`start`) or one an activation moved an agent to
+    (`run`).
     """
 
     def __init__(self, protocol):
         self.protocol = protocol
         self.ids: dict = {}
         self.objs, self.outs, self.rows = [], [], []
-        self.probed: dict = {}  # (x, y) -> successor states, or the ProtocolViolation raised
+        self.held = bytearray()  # 1 for a state some agent held
         self.closures: dict[frozenset, bool] = {}  # `settled`'s tier (b) verdicts
 
     def intern(self, state) -> int:
@@ -105,12 +107,14 @@ class TransitionTable:
             self.objs.append(state)
             self.outs.append(self.protocol.output(state))
             self.rows.append({})
+            self.held.append(0)
         return i
 
     def start(self, n: int, inputs: Sequence[int]) -> list[int]:
         """The ids of the initial configuration `inputs` of n agents, interned in
-        colour order, so that they depend only on the colours present; a
-        ValueError for another length or a colour outside [0, protocol.colors)."""
+        colour order, so that they depend only on the colours present, and
+        marked held; a ValueError for another length or a colour outside
+        [0, protocol.colors)."""
         if len(inputs) != n:
             raise ValueError(f"input length {len(inputs)} != n {n}")
         colors = sorted(set(inputs))
@@ -118,40 +122,19 @@ class TransitionTable:
             if not (0 <= c < self.protocol.colors):
                 raise ValueError(f"input color {c} invalid for {self.protocol.name}")
         initial = {c: self.intern(self.protocol.init(c)) for c in colors}
+        for i in initial.values():
+            self.held[i] = 1
         return [initial[c] for c in inputs]
 
-    def successors(self, x, y) -> tuple:
-        """`protocol.transition(x, y)`, computed once for any two states."""
-        a, b = self.ids.get(x), self.ids.get(y)
-        if a is not None and b in self.rows[a]:
-            return tuple(self.objs[i] for i in self.rows[a][b]) or (x, y)
-        if (x, y) not in self.probed:
-            try:
-                self.probed[x, y] = self.protocol.transition(x, y)
-            except ProtocolViolation as exc:
-                self.probed[x, y] = exc
-        if isinstance(self.probed[x, y], ProtocolViolation):
-            raise self.probed[x, y]
-        return self.probed[x, y]
-
     def fill(self, a: int, b: int) -> tuple[int, int]:
-        key = self.objs[a], self.objs[b]
-        x, y = self.successors(*key)
-        self.probed.pop(key, None)
-        pair = self.intern(x), self.intern(y)
-        self.rows[a][b] = () if pair == (a, b) else pair
-        return pair
-
-
-def _inert(table: TransitionTable, a: int, b: int) -> bool:
-    """Whether (a, b) maps to (a, b) or (b, a); if so it is filled (interning nothing)."""
-    pair = table.rows[a].get(b)
-    if pair is None:
-        x, y = table.objs[a], table.objs[b]
-        if table.successors(x, y) not in ((x, y), (y, x)):
-            return False
-        pair = table.fill(a, b)
-    return pair in ((), (a, b), (b, a))
+        """The successor ids of (a, b), for a null pair too, from `rows`, or
+        computed and stored there if the pair is new."""
+        pair = self.rows[a].get(b)
+        if pair is None:
+            x, y = self.protocol.transition(self.objs[a], self.objs[b])
+            pair = self.intern(x), self.intern(y)
+            self.rows[a][b] = () if pair == (a, b) else pair
+        return pair or (a, b)
 
 
 def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
@@ -171,7 +154,8 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
 
     Neither tier reads the graph, so both hold under rewiring. A pair that
     raises ProtocolViolation fails the check: a run that meets it raises.
-    The table memoizes pairs (`probed`, `rows`) and (b)'s verdicts by P.
+    The rule fills the pairs it reads in `table`, as a run does, but marks
+    no state held, and memoizes (b)'s verdicts by P in `closures`.
     """
     present = frozenset(ids)
     outputs = {table.outs[a] for a in present}
@@ -179,7 +163,7 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
     if per_node and len(outputs) > 1:
         return False
     try:
-        if all(_inert(table, a, b) for a in present for b in present
+        if all(table.fill(a, b) in ((a, b), (b, a)) for a in present for b in present
                if a != b or ids.count(a) > 1):
             return True
         if per_node and present not in table.closures:
@@ -191,18 +175,20 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
 
 
 def _closed(table: TransitionTable, present: frozenset, out) -> bool:
-    """Whether every state in the closure of `present` under all ordered
-    pairs outputs `out`; walked on state objects, so it interns nothing."""
-    walk = [table.objs[a] for a in present]
+    """Whether every state in the closure of the ids `present` under all
+    ordered pairs outputs `out`, read from `outs`; walked on ids, filling
+    the pairs it meets, so a violating pair raises."""
+    outs, fill = table.outs, table.fill
+    walk = list(present)
     known = set(walk)
-    for i, x in enumerate(walk):  # walk grows as it is read
-        for y in walk[: i + 1]:
-            for z in (*table.successors(x, y), *table.successors(y, x)):
-                if z not in known:
-                    if table.protocol.output(z) != out:
+    for i, a in enumerate(walk):  # walk grows as it is read
+        for b in walk[: i + 1]:
+            for c in (*fill(a, b), *fill(b, a)):
+                if c not in known:
+                    if outs[c] != out:
                         return False
-                    known.add(z)
-                    walk.append(z)
+                    known.add(c)
+                    walk.append(c)
     return True
 
 
@@ -549,7 +535,8 @@ def run(
     double edge swap every `swap_period` of them (0: none). The step loop
     does only the pair lookup, the match bookkeeping and the check at step
     `due`; a trace's arcs are drawn from the schedule again after the run.
-    Agents hold ids of `table`, which runs may share.
+    Agents hold ids of `table`, which runs may share, and every id an agent
+    takes is marked in `table.held`.
     """
     n = graph.n
     if max_steps < 0:
@@ -562,7 +549,7 @@ def run(
         raise ValueError("transition table belongs to another protocol")
 
     states = table.start(n, inputs)
-    objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
+    objs, outs, rows, held, fill = table.objs, table.outs, table.rows, table.held, table.fill
     quiescent = protocol.quiescent or (lambda table, ids: False)
 
     matched = gated = False
@@ -598,6 +585,7 @@ def run(
                 pair = rows[a][b]
             if pair:  # () for a null pair
                 na, nb = pair
+                held[na] = held[nb] = 1
                 if due == never:
                     due = step + -step % n
                 if expected is not None:

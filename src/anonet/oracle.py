@@ -296,12 +296,13 @@ def audit_memory(
     max_steps: int = 200_000,
     note: str = "",
 ) -> AuditReport:
-    """Count the distinct agent states reached across sampled runs of every
-    (graph, input, seed) combination and compare ceil(log2 count) against
-    the declared bit budget.
+    """Count the distinct states that agents held across sampled runs of
+    every (graph, input, seed) combination and compare ceil(log2 count)
+    against the declared bit budget.
 
-    All runs share one TransitionTable, whose interned states are exactly
-    the initial states and the results of applied transitions. An input
+    All runs share one TransitionTable, whose `held` marks exactly the
+    initial states and those an activation moved an agent to; the states
+    that only the stop rule's look-ahead interned are not counted. An input
     whose length is not its graph's n raises ValueError, as in `run`.
     """
     table = TransitionTable(protocol)
@@ -311,7 +312,7 @@ def audit_memory(
         for inputs in input_sets:
             for seed in seeds:
                 run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
-    count = len(table.objs)
+    count = table.held.count(1)
     measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
     return AuditReport(protocol.name, protocol.budget_bits, count, measured, note)
 

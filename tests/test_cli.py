@@ -734,6 +734,19 @@ class TestBadInputs:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{tmp_path}/missing/" in err
 
+    def test_a_sweep_input_that_fits_no_later_size_ends_it_before_its_runs(
+            self, capsys, tmp_path, monkeypatch):
+        def work(*args, **kwargs):
+            pytest.fail("the sweep started its runs")
+
+        monkeypatch.setattr(cli, "run", work)
+        rows = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, [
+            "sweep", "--protocol", "lsb:2", "--graph", "cycle", "--sizes", "64,4",
+            "--seeds", "20", "--input", "0:6,1:rest", "--output", str(rows)])
+        assert code == 1 and out == "" and not rows.exists()
+        assert err == "error: --input '0:6,1:rest': counts sum to 6 > n = 4\n"
+
 
 def test_readme_flag_bullets_match_the_parser():
     # each subcommand's README bullet names only flags it declares, and

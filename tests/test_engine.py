@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import traceback
 from collections import Counter
 
 import networkx as nx
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from anonet import engine
-from anonet.circuits import plurality_protocol
+from anonet.catalog import resolve_protocol
+from anonet.circuits import compile_circuit, parse_circuit, plurality_protocol
 from anonet.engine import (
     CHUNK,
     Activation,
@@ -39,7 +41,7 @@ from anonet.protocols import (
     lsb_counter_protocol,
     or_protocol,
 )
-from replay import replay
+from replay import held, replay
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -440,9 +442,8 @@ class TestTransitionTable:
         g = build_graph("complete:6")
         for seed in range(3):
             run(p, g, [0, 0, 0, 1, 1, 1], seed=seed, expected=3, table=table)
-        # the stop rule's probed pairs are counted beside the filled ones
-        assert len(calls) == len(set(calls)) == (sum(len(r) for r in table.rows)
-                                                 + len(table.probed))
+        # the stop rule's pairs are filled like the runs' ones
+        assert len(calls) == len(set(calls)) == sum(len(r) for r in table.rows)
         assert [table.intern(s) for s in table.objs] == list(range(len(table.objs)))
         assert table.outs == [p.output(s) for s in table.objs]
 
@@ -457,6 +458,27 @@ class TestTransitionTable:
             for a in range(len(table.objs)):
                 for b in range(len(table.objs)):
                     table.fill(a, b)
+
+    def test_held_marks_exactly_the_states_agents_held(self):
+        # the stop rule fills pairs ahead of the runs, interning states no
+        # agent holds: `held` leaves them out, and `audit` counts it
+        kinds = [resolve_protocol(spec).protocol
+                 for spec in ("plurality:4", "estimate:64", "bit:2:64", "threshold:2:1")]
+        kinds.append(compile_circuit(parse_circuit("(max (max 0 1) (max 2 3))")))
+        look_ahead = []
+        for p in kinds:
+            inputs = [i % p.colors for i in range(8)]
+            table, seen = TransitionTable(p), set()
+            for spec in ("complete:8", "cycle:8"):
+                for seed in range(4):
+                    res = run(p, build_graph(spec), inputs, seed=seed, table=table,
+                              record_trace=True)
+                    seen |= held(p, inputs, res)
+            marked = {table.objs[i] for i, h in enumerate(table.held) if h}
+            assert len(table.held) == len(table.objs)
+            assert marked == seen, p.name
+            look_ahead.append(len(marked) < len(table.objs))
+        assert any(look_ahead)
 
     def test_table_of_another_protocol_rejected(self):
         g = build_graph("path:3")
@@ -490,7 +512,7 @@ class TestStopRule:
         with pytest.raises(ProtocolViolation):
             table.fill(token, token)
 
-    def test_rule_interns_nothing_and_fill_reuses_its_pairs(self):
+    def test_the_rules_pairs_are_filled_once_and_held_by_no_agent(self):
         import dataclasses
 
         calls = []
@@ -498,12 +520,30 @@ class TestStopRule:
         p = dataclasses.replace(base, transition=lambda a, b: calls.append((a, b)) or
                                 base.transition(a, b))
         table = TransitionTable(p)
-        a = table.intern(ParityState(1, 1))
-        assert not settled(table, [a, a])  # the two tokens merge into counter 0
-        assert len(table.objs) == 1 and table.probed and table.closures
-        probed = len(calls)
+        ids = table.start(2, [0, 0])
+        a = ids[0]
+        assert table.objs[a] == ParityState(1, 1)
+        assert not settled(table, ids)  # the two tokens merge into counter 0
+        # only the initial state is held, not the two the rule looked ahead at
+        assert list(table.held) == [1, 0, 0] and table.rows[a] and table.closures
+        filled = len(calls)
         table.fill(a, a)
-        assert len(calls) == probed and len(table.objs) == 3
+        assert len(calls) == filled and len(table.objs) == 3
+
+    def test_each_violation_is_raised_afresh(self):
+        # a violating pair is never stored: an exception raised again would
+        # carry every earlier raise in its traceback
+        p = bit_protocol(0, 2)
+        table = TransitionTable(p)
+        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        depths, raised = [], []
+        for _ in range(4):
+            assert not settled(table, [token, token, passive])
+            with pytest.raises(ProtocolViolation) as exc:
+                table.fill(token, token)
+            raised.append(exc.value)
+            depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+        assert len(set(depths)) == 1 and len(set(map(id, raised))) == 4
 
 
 class TestRewiring:
