@@ -238,10 +238,10 @@ def cmd_sweep(args) -> int:
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors
-    # every (size, seed) input, each from its own seed, so that one that
-    # does not fit its size ends the sweep before its first run
-    input_of = {(n, seed): _flag("--input", parse_inputs, args.input, n, colors, seed=seed)
-                for n in sizes for seed in range(args.seeds)}
+    # whether the input spec fits depends on n alone, so parsing each size's
+    # input of seed 0 first ends a sweep whose spec does not fit some size
+    # before its first run; every other input is parsed just before its run
+    first_input = {n: _flag("--input", parse_inputs, args.input, n, colors) for n in sizes}
     with _lines(args.output, args.summary) as (out, summary_out):
         table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
         rows = []
@@ -252,7 +252,8 @@ def cmd_sweep(args) -> int:
             spec = spec_of(n)
             samples[n] = []
             for seed in range(args.seeds):
-                inputs = input_of[n, seed]
+                inputs = (first_input[n] if seed == 0 else
+                          parse_inputs(args.input, n, colors, seed=seed))
                 try:
                     graph = build_graph(spec, seed=seed)
                     expected = resolved.oracle_fn(counts_of(inputs, colors))

@@ -520,16 +520,17 @@ def run(
     The run stops by "quiescence" once `protocol.quiescent(table, ids)`
     (`settled`) proves that no output can change again. The rule is checked
     at step 0, and at every multiple of n activations at which a state
-    changed since the last check; with `expected` and a per-node match mode,
-    a check while some but not all outputs equal `expected` skips the rule,
-    which must fail there (see `ProtocolDef.quiescent`). A run so stopped is
-    stabilized if it matches `expected` (`match_rule`) or expected is None.
-    Any other run, and every run without a stop rule (`quiescent` None),
-    stops by "max_steps", not stabilized. `first_correct_step` is the start
-    of the final matching stretch (0: the initial configuration matched);
-    None if the run ends unmatched or expected is None. `elapsed_time` is
-    the time of the last activation, every edge's clock running at rate 1
-    (`clock`).
+    changed since the last check. Every run counts the outputs that equal a
+    reference (`match_rule`): `expected`, or, if it is None, the first
+    agent's initial output. For a per-node match mode, a check while some
+    but not all outputs equal it skips the rule, which must fail there (see
+    `ProtocolDef.quiescent`). A run so stopped is stabilized if it matches
+    `expected` or expected is None; any other run stops by "max_steps", not
+    stabilized. `first_correct_step` is the start of the final matching
+    stretch (0: the initial configuration matched); None if the run ends
+    unmatched or expected is None, since the count then serves only the
+    gate. `elapsed_time` is the time of the last activation, every edge's
+    clock running at rate 1 (`clock`).
 
     The activations are `schedule(graph, seed, swap_period)`, which tries a
     double edge swap every `swap_period` of them (0: none). The step loop
@@ -550,16 +551,15 @@ def run(
 
     states = table.start(n, inputs)
     objs, outs, rows, held, fill = table.objs, table.outs, table.rows, table.held, table.fill
-    quiescent = protocol.quiescent or (lambda table, ids: False)
 
-    matched = gated = False
-    if expected is not None:
-        want, target = match_rule(protocol, expected, n)
-        match_count = sum(1 for s in states if outs[s] == want)
-        matched = match_count == target
-        # per-node outputs differ while 0 < match_count < n: no check then
-        # calls the stop rule
-        gated = protocol.match_mode != "ones_count"
+    # one output count for every run: against `expected`, or without one
+    # against the first agent's initial output, which only the gate reads
+    want, target = match_rule(protocol, outs[states[0]] if expected is None else expected, n)
+    match_count = sum(1 for s in states if outs[s] == want)
+    matched = match_count == target
+    # per-node outputs differ while 0 < match_count < n: no check then
+    # calls the stop rule
+    gated = protocol.match_mode != "ones_count"
 
     streak_start = 0  # where the matching stretch began; read only while matched
     step = 0
@@ -568,11 +568,13 @@ def run(
     # first multiple of n from that step on, and `never` again once checked.
     due = never = max_steps + 1
 
-    if not (gated and 0 < match_count < n) and quiescent(table, states):
-        stopped_by = "quiescence"
-    else:
-        arcs, draws = schedule(graph, seed, swap_period)
-        for k in islice(draws, max_steps):
+    arcs, draws = schedule(graph, seed, swap_period)
+    draws = islice(draws, max_steps)
+    while True:  # the check at step 0, then one at each step `due`
+        if not (gated and 0 < match_count < n) and protocol.quiescent(table, states):
+            stopped_by = "quiescence"
+            break
+        for k in draws:
             u, v = arcs[k]
             step += 1
 
@@ -588,20 +590,19 @@ def run(
                 held[na] = held[nb] = 1
                 if due == never:
                     due = step + -step % n
-                if expected is not None:
-                    match_count += (outs[na] == want) - (outs[a] == want)
-                    match_count += (outs[nb] == want) - (outs[b] == want)
-                    if (match_count == target) != matched:
-                        matched = not matched
-                        streak_start = step
+                match_count += (outs[na] == want) - (outs[a] == want)
+                match_count += (outs[nb] == want) - (outs[b] == want)
+                if (match_count == target) != matched:
+                    matched = not matched
+                    streak_start = step
                 states[u] = na
                 states[v] = nb
 
             if step == due:
                 due = never
-                if not (gated and 0 < match_count < n) and quiescent(table, states):
-                    stopped_by = "quiescence"
-                    break
+                break
+        else:  # all max_steps activations done
+            break
 
     # a settled run is stabilized if it matches
     stabilized = stopped_by == "quiescence" and (matched or expected is None)
@@ -614,7 +615,7 @@ def run(
     return RunResult(
         protocol=protocol.name,
         n=n,
-        first_correct_step=streak_start if matched else None,
+        first_correct_step=streak_start if matched and expected is not None else None,
         stabilized=stabilized,
         final_outputs=outputs,
         total_steps=step,

@@ -349,12 +349,14 @@ def scaling_report(samples: dict) -> ScalingFit:
     xs = [math.log(n) for n in sizes]
     ys = [math.log(m) for m in means]
     # ordinary least squares, with r and the slope's standard error as
-    # scipy.stats.linregress computes them (r clipped to [-1, 1])
+    # scipy.stats.linregress computes them (r clipped to [-1, 1]). An exact
+    # fit (syy == 0: every mean equal) leaves no residual: r = 1 there gives
+    # a standard error of 0.0, where scipy returns NaN, which is not JSON
     xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
     sxx = sum((x - xm) ** 2 for x in xs)
     syy = sum((y - ym) ** 2 for y in ys)
     sxy = sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
-    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy))) if syy else math.nan
+    r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy))) if syy else 1.0
     slope = sxy / sxx
     return ScalingFit(
         exponent=slope,

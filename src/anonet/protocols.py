@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .engine import ProtocolViolation, settled
 
@@ -43,14 +43,13 @@ class ProtocolDef:
     single instance is safe to share across parallel runs. `quiescent(table,
     ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
     rule must fail while a per-node kind's outputs differ, and `engine.run`
-    may skip it then. With None there is no stop rule, so every run ends at
-    `max_steps`, not stabilized."""
+    skips it then, whether or not the run is given an answer."""
 
     name: str
     init: Callable
     transition: Callable
     output: Callable
-    quiescent: Optional[Callable] = settled  # the stop rule; None: no stop rule
+    quiescent: Callable = settled  # the stop rule
     budget_bits: int = 0
     colors: int = 2
     match_mode: str = "per_node"  # "per_node" | "ones_count"

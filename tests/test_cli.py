@@ -19,6 +19,14 @@ from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
 
 
+def strict_json(text):
+    """The JSON value of `text`; NaN and Infinity, which plain `json.loads`
+    accepts, are not JSON and raise."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -109,13 +117,13 @@ class TestRunCommand:
              "--input", "0:5,1:3", "--seed", "1"],
         )
         assert code == 0
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert rec["oracle_value"] == 1  # 5 mod 4
         assert rec["match"] is True and rec["stabilized"] is True
         assert rec["schema_version"] == 2
         assert rec["stopped_by"] == "quiescence"
         assert rec["n"] == 8 and rec["edges"] == 8
-        assert json.loads(json.dumps(rec)) == rec
+        assert strict_json(json.dumps(rec)) == rec
 
     def test_or_all_zero(self, capsys):
         code, out, _ = run_cli(
@@ -123,7 +131,7 @@ class TestRunCommand:
             ["run", "--protocol", "or", "--graph", "complete:4",
              "--input", "1:0,0:4"],
         )
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert code == 0 and rec["oracle_value"] == 0
 
     def test_plurality_on_gnp(self, capsys):
@@ -132,7 +140,7 @@ class TestRunCommand:
             ["run", "--protocol", "plurality:4", "--graph", "gnp:12:0.4",
              "--input", "0:5,1:3,2:2,3:2", "--seed", "3"],
         )
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert code == 0 and rec["oracle_value"] == 0 and rec["match"]
 
     def test_estimate_empty_input(self, capsys):
@@ -141,7 +149,7 @@ class TestRunCommand:
             ["run", "--protocol", "estimate:8", "--graph", "complete:4",
              "--input", "1:4,0:0"],
         )
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert code == 0 and rec["empty"] is True and rec["oracle_value"] is None
 
     def test_stabilization_failure_exit_2(self, capsys):
@@ -151,7 +159,7 @@ class TestRunCommand:
              "--input", "0:5,1:3", "--max-steps", "3"],
         )
         assert code == 2
-        assert json.loads(out)["stabilized"] is False
+        assert strict_json(out)["stabilized"] is False
 
     def test_config_error_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -183,7 +191,7 @@ class TestRunCommand:
             ["run", "--protocol", "lsb:1", "--graph", "cycle:8",
              "--input", "0:5,1:3", "--rewire", "swap:8"],
         )
-        assert code == 0 and json.loads(out)["match"]
+        assert code == 0 and strict_json(out)["match"]
 
 
 class TestSweepCommand:
@@ -201,7 +209,7 @@ class TestSweepCommand:
                            "first_correct_step", "total_steps", "stopped_by", "stabilized"]
         assert {row[7] for row in rows[1:]} == {"quiescence"}
         assert len(rows) == 1 + 3 * 4
-        summary = json.loads(summary_path.read_text())
+        summary = strict_json(summary_path.read_text())
         assert "exponent" in summary and summary["exponent"] is not None
         # CSV round-trip: parse back and compare a row
         assert rows[1][0] == "lsb:1" and int(rows[1][1]) == 8
@@ -238,6 +246,40 @@ class TestSweepCommand:
         assert tables[0] is not None and tables[0].rows
         assert outputs[0] == outputs[1]
 
+    def test_sweep_parses_one_input_per_size_before_its_first_run(self, capsys, monkeypatch):
+        # the fit of the input spec is checked once per size; each run's
+        # input is parsed in the loop, from its own seed
+        from anonet import engine
+
+        events = []
+
+        def parse(*args, **kwargs):
+            events.append("parse")
+            return parse_inputs(*args, **kwargs)
+
+        def work(*args, **kwargs):
+            events.append("run")
+            return engine.run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_inputs", parse)
+        monkeypatch.setattr(cli, "run", work)
+        sizes = [8, 12, 16]
+        code, out, _ = run_cli(capsys, [
+            "sweep", "--protocol", "lsb:1", "--graph", "cycle", "--sizes", "8,12,16",
+            "--seeds", "5", "--input", "0:50%,1:rest"])
+        assert code == 0 and events.count("run") == 15
+        assert events.index("run") <= len(sizes)
+
+    def test_summary_of_equal_means_is_strict_json(self, capsys):
+        # every run stops at step 0, so every mean is 1: an exact fit, whose
+        # standard error is 0.0, not NaN
+        code, _, err = run_cli(capsys, [
+            "sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,8,16",
+            "--seeds", "2", "--input", "1:rest"])
+        summary = strict_json(err)
+        assert code == 0 and summary["exponent_stderr"] == 0.0
+        assert summary["means"] == {"4": 1.0, "8": 1.0, "16": 1.0}
+
     def test_plurality_tie_at_one_size_is_an_error_row(self, capsys, tmp_path):
         # n = 6 splits 2/1/1/2, a tie with no answer; n = 8 and 10 have a winner
         code, out, _ = run_cli(
@@ -270,7 +312,7 @@ class TestVerifyCommand:
             capsys, ["verify", "--protocol", "lsb:1", "--graph", "path:3", "--all-inputs"]
         )
         assert code == 0
-        records = [json.loads(line) for line in out.strip().split("\n")]
+        records = [strict_json(line) for line in out.strip().split("\n")]
         assert len(records) == 8
         assert all(r["verdict"] == "PASS" for r in records)
         # node 0 varies fastest
@@ -285,7 +327,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", "--protocol", f"circuit:{path}",
                                           "--graph", graph, "--input", "0,2,0,2"])
         assert (code, err) == (0, "")
-        assert json.loads(out)["verdict"] == "PASS"
+        assert strict_json(out)["verdict"] == "PASS"
 
     @pytest.mark.parametrize("graph", ["complete:3", "cycle:4", "path:4", "star:4"])
     def test_all_inputs_of_a_circuit_whose_leaves_skip_a_colour(self, capsys, tmp_path, graph):
@@ -295,7 +337,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", "--protocol", f"circuit:{path}",
                                           "--graph", graph, "--all-inputs"])
         assert (code, err) == (0, "")
-        records = [json.loads(line) for line in out.splitlines()]
+        records = [strict_json(line) for line in out.splitlines()]
         assert len(records) == 3 ** build_graph(graph).n
         assert {r["verdict"] for r in records} == {"PASS"}
 
@@ -305,14 +347,14 @@ class TestVerifyCommand:
             ["verify", "--protocol", "threshold:1:1", "--graph", "complete:4", "--all-inputs"],
         )
         assert code == 0
-        assert all(json.loads(l)["verdict"] == "PASS" for l in out.strip().split("\n"))
+        assert all(strict_json(l)["verdict"] == "PASS" for l in out.strip().split("\n"))
 
     def test_plurality_tie_is_a_skipped_record(self, capsys):
         code, out, _ = run_cli(
             capsys, ["verify", "--protocol", "plurality:2", "--graph", "complete:4", "--all-inputs"]
         )
         assert code == 0
-        records = [json.loads(line) for line in out.strip().split("\n")]
+        records = [strict_json(line) for line in out.strip().split("\n")]
         tie = records[3]  # input 1100
         assert tie == {"protocol": "plurality:2", "graph": "complete:4", "input": "1100",
                        "verdict": "SKIPPED", "states_explored": 0, "symmetry": "none",
@@ -334,7 +376,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, [*argv, "--all-inputs"])
         lines, orbit_calls = out.splitlines(), explored[:]
         for line in lines:
-            one = run_cli(capsys, [*argv, "--input", ",".join(json.loads(line)["input"])])
+            one = run_cli(capsys, [*argv, "--input", ",".join(strict_json(line)["input"])])
             assert one[1].splitlines() == [line]
         return code, lines, orbit_calls
 
@@ -368,7 +410,7 @@ class TestVerifyCommand:
         assert len(explored) == len(set(explored)) == self.orbits(spec, graph, colors)
         assert orbits is None or len(explored) == orbits
         if spec.startswith("plurality"):
-            assert any(json.loads(line)["verdict"] == "SKIPPED" for line in lines)
+            assert any(strict_json(line)["verdict"] == "SKIPPED" for line in lines)
 
     def test_labelled_inputs_are_their_own_orbits(self, capsys, monkeypatch):
         code, lines, explored = self.records_each_explored_once(
@@ -392,7 +434,7 @@ class TestVerifyCommand:
             capsys, monkeypatch, ["verify", "--protocol", "max-gate", "--graph", "cycle:5"])
         assert code == 2 and len(lines) == 32
         assert len(explored) == len(set(explored)) == self.orbits("max-gate", "cycle:5", 2) == 8
-        assert all(json.loads(line)["verdict"] == "FAIL" for line in lines)
+        assert all(strict_json(line)["verdict"] == "FAIL" for line in lines)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
     def test_each_record_is_written_when_its_input_is_done(self, capsys, monkeypatch, tmp_path,
@@ -425,7 +467,7 @@ class TestVerifyCommand:
              "--input", "0,0,0,1", "--max-configs", "5"],
         )
         assert code == 0
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert rec["verdict"] == "SKIPPED" and rec["symmetry"] == "cycle"
         assert rec["detail"] == "reachable set exceeds guard (5)"
 
@@ -442,7 +484,7 @@ class TestAuditCommand:
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["audit", "lsb:2", "max-gate", "--format", "json"])
         assert code == 0
-        rows = [json.loads(line) for line in out.strip().split("\n")]
+        rows = [strict_json(line) for line in out.strip().split("\n")]
         assert [r["protocol"] for r in rows] == ["lsb:2", "max-gate"]
         assert all(r["ok"] for r in rows)
 
@@ -489,7 +531,7 @@ class TestMeetCommand:
     def test_single_graph(self, capsys):
         code, out, _ = run_cli(capsys, ["meet", "--graph", "path:2", "--trials", "50"])
         assert code == 0
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert rec["measurements"][0]["mean_steps"] == 1.0
 
     def test_grid_exponent(self, capsys):
@@ -497,7 +539,7 @@ class TestMeetCommand:
             capsys,
             ["meet", "--graph", "cycle:8", "cycle:16", "cycle:32", "--trials", "150"],
         )
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert code == 0 and rec["time_exponent"] <= 2.3
 
     @pytest.mark.parametrize("graphs", [["cycle:8", "complete:8", "cycle:16", "cycle:32"],
@@ -505,7 +547,7 @@ class TestMeetCommand:
                              ids=["one-size-twice", "one-size-thrice"])
     def test_repeated_size_is_not_fitted(self, capsys, graphs):
         code, out, err = run_cli(capsys, ["meet", "--graph", *graphs, "--trials", "20"])
-        rec = json.loads(out)
+        rec = strict_json(out)
         assert code == 0 and err == ""
         assert len(rec["measurements"]) == len(graphs) and "time_exponent" not in rec
 
@@ -516,9 +558,9 @@ class TestConfigFile:
         cfg.write_text("protocol=lsb:2\ngraph=cycle:8\ninput=0:5,1:3\nseed=5\n")
         code, out, _ = run_cli(capsys, ["run", "--config", str(cfg)])
         assert code == 0
-        assert json.loads(out)["seed"] == 5
+        assert strict_json(out)["seed"] == 5
         code, out, _ = run_cli(capsys, ["run", "--config", str(cfg), "--seed", "9"])
-        assert json.loads(out)["seed"] == 9  # explicit flag wins
+        assert strict_json(out)["seed"] == 9  # explicit flag wins
 
     def test_bad_config_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

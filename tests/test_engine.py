@@ -251,11 +251,11 @@ class TestRunSemantics:
         assert set(rewirer.arcs[::2]) != set(g.edges)  # some swap was applied
 
     def test_trace_arcs_are_prefix_stable(self):
-        # no stop rule: every run stops at max_steps
+        # a stop rule that never holds: every run stops at max_steps
         import dataclasses
 
         g = build_graph("gnp:9:0.5", seed=3)
-        p = dataclasses.replace(lsb_counter_protocol(2), quiescent=None)
+        p = dataclasses.replace(lsb_counter_protocol(2), quiescent=lambda table, ids: False)
         inputs = [0, 1, 1, 0, 1, 0, 0, 1, 1]
 
         def arcs(max_steps):
@@ -272,29 +272,59 @@ class TestRunSemantics:
         import dataclasses
 
         base = lsb_counter_protocol(1)
-        calls = []
-        p = dataclasses.replace(base, quiescent=lambda table, ids: calls.append(1) or
-                                settled(table, ids))
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
-        expected = inputs.count(0) % 2
+        for expected in (inputs.count(0) % 2, None):
+            # outputs are counted against the answer, or without one against
+            # the first agent's initial output (1 here, against the answer 0)
+            want = base.output(base.init(inputs[0])) if expected is None else expected
+            calls = []
+            p = dataclasses.replace(base, quiescent=lambda table, ids: calls.append(1) or
+                                    settled(table, ids))
 
-        def mixed(states):  # some but not all outputs match: the rule must fail, and is skipped
-            return 0 < sum(p.output(s) == expected for s in states) < g.n
+            def mixed(states):  # some but not all outputs match: the rule must fail, and is skipped
+                return 0 < sum(p.output(s) == want for s in states) < g.n
 
-        last, dirty = [p.init(c) for c in inputs], False
-        due = 0 if mixed(last) else 1  # the check at step 0
+            last, dirty = [p.init(c) for c in inputs], False
+            due = 0 if mixed(last) else 1  # the check at step 0
 
-        def check(step, states):
-            nonlocal last, dirty, due
-            dirty, last = dirty or states != last, states
-            if step % g.n == 0:
-                due, dirty = due + (dirty and not mixed(states)), False
+            def check(step, states):
+                nonlocal last, dirty, due
+                dirty, last = dirty or states != last, states
+                if step % g.n == 0:
+                    due, dirty = due + (dirty and not mixed(states)), False
 
-        res = run(p, g, inputs, seed=2, expected=expected, record_trace=True)
-        assert res.stopped_by == "quiescence"
-        replay(p, inputs, res, check)
-        assert len(calls) == due < 1 + res.total_steps // g.n
+            res = run(p, g, inputs, seed=2, expected=expected, record_trace=True)
+            assert res.stopped_by == "quiescence"
+            replay(p, inputs, res, check)
+            assert len(calls) == due < 1 + res.total_steps // g.n, expected
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_an_unanswered_run_skips_the_rule_while_outputs_differ(self, c):
+        # a run without `expected` counts its outputs against the first
+        # agent's initial output and skips the rule while some but not all
+        # outputs equal it. With two output values (c = 1), it is never
+        # called while outputs differ.
+        import dataclasses
+
+        base = lsb_counter_protocol(c)
+        g = build_graph("cycle:12")
+        inputs = [i % 3 % 2 for i in range(g.n)]
+        want = base.output(base.init(inputs[0]))
+        calls = []  # (distinct outputs, outputs equal to `want`) at each call
+
+        def recorded(table, ids):
+            outputs = [table.outs[i] for i in ids]
+            calls.append((len(set(outputs)), outputs.count(want)))
+            return settled(table, ids)
+
+        p = dataclasses.replace(base, quiescent=recorded)
+        for seed in range(5):
+            res = run(p, g, inputs, seed=seed)
+            assert res.stopped_by == "quiescence" and res.stabilized
+        assert calls and all(count in (0, g.n) for _, count in calls)
+        if c == 1:
+            assert {distinct for distinct, _ in calls} == {1}
 
     def test_max_steps_reported_not_fatal(self):
         g = build_graph("cycle:8")
@@ -322,7 +352,7 @@ class TestRunSemantics:
         import dataclasses
 
         g = build_graph("complete:5")
-        p = dataclasses.replace(lsb_counter_protocol(1), quiescent=None)
+        p = dataclasses.replace(lsb_counter_protocol(1), quiescent=lambda table, ids: False)
         for expected in (1, None):
             res = run(p, g, [0, 0, 0, 1, 1], seed=8, expected=expected, max_steps=5000)
             assert res.stopped_by == "max_steps" and res.total_steps == 5000

@@ -30,7 +30,7 @@ from anonet.engine import (
 
 
 def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expected=None,
-                  swap_period=0, rate=1.0, record_trace=False, table=None):
+                  swap_period=0, record_trace=False, table=None):
     """`engine.run` as a loop that tests the trace, the swap and the check
     step at every activation, and calls the stop rule at every check step
     after a change."""
@@ -39,7 +39,6 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
         table = TransitionTable(protocol)
     states = [table.intern(protocol.init(c)) for c in inputs]
     objs, outs, fill = table.objs, table.outs, table.fill
-    quiescent = protocol.quiescent or (lambda table, ids: False)
 
     m = graph.m
     rewirer, rewire_rng = _Rewirer(graph), stream("rewire", seed)
@@ -57,7 +56,7 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
     stopped_by = "max_steps"
     changed = False
 
-    if quiescent(table, states):
+    if protocol.quiescent(table, states):
         stopped_by = "quiescence"
     else:
         schedule = chain.from_iterable(arc_chunks(m, stream("schedule", seed)))
@@ -88,12 +87,12 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
 
             if step % n == 0 and changed:
                 changed = False
-                if quiescent(table, states):
+                if protocol.quiescent(table, states):
                     stopped_by = "quiescence"
                     break
 
     stabilized = stopped_by != "max_steps" and (matched or expected is None)
-    now, times = clock(step, rate * m, stream("time", seed), record_trace)
+    now, times = clock(step, m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     return RunResult(
         protocol=protocol.name,
