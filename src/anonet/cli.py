@@ -25,6 +25,7 @@ from .engine import (
     TransitionTable,
     build_graph,
     graph_family,
+    map_jobs,
     measure_meeting_time,
     parse_rewire,
     run,
@@ -243,40 +244,42 @@ def cmd_sweep(args) -> int:
     # before its first run; every other input is parsed just before its run
     first_input = {n: _flag("--input", parse_inputs, args.input, n, colors) for n in sizes}
     with _lines(args.output, args.summary) as (out, summary_out):
-        table = TransitionTable(resolved.protocol)  # ids stay internal, so runs share it
-        rows = []
-        samples: dict = {}
-        excluded = 0
-        failures = 0
-        for n in sizes:
+        # ids stay internal, so the runs of each process share one table
+        table = TransitionTable(resolved.protocol)
+
+        def row(job) -> list:
+            n, seed = job
             spec = spec_of(n)
-            samples[n] = []
-            for seed in range(args.seeds):
-                inputs = (first_input[n] if seed == 0 else
-                          parse_inputs(args.input, n, colors, seed=seed))
-                try:
-                    graph = build_graph(spec, seed=seed)
-                    expected = resolved.oracle_fn(counts_of(inputs, colors))
-                except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
-                    rows.append([args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"])
-                    failures += 1
-                    continue
-                result = run(
-                    resolved.protocol,
-                    graph,
-                    inputs,
-                    seed=seed,
-                    expected=0 if expected is None else expected,
-                    table=table,
-                    **options,
-                )
-                first = result.first_correct_step
-                rows.append([args.protocol, n, graph.m, spec, seed, "" if first is None else first,
-                             result.total_steps, result.stopped_by, result.stabilized])
-                if result.stabilized and first is not None:
-                    samples[n].append(max(1, first))
-                else:
-                    excluded += 1
+            inputs = (first_input[n] if seed == 0 else
+                      parse_inputs(args.input, n, colors, seed=seed))
+            try:
+                graph = build_graph(spec, seed=seed)
+                expected = resolved.oracle_fn(counts_of(inputs, colors))
+            except ValueError as exc:  # a GraphError, or no answer (a plurality tie)
+                return [args.protocol, n, "", spec, seed, "", "", "", f"error:{exc}"]
+            result = run(
+                resolved.protocol,
+                graph,
+                inputs,
+                seed=seed,
+                expected=0 if expected is None else expected,
+                table=table,
+                **options,
+            )
+            first = result.first_correct_step
+            return [args.protocol, n, graph.m, spec, seed, "" if first is None else first,
+                    result.total_steps, result.stopped_by, result.stabilized]
+
+        rows = map_jobs(row, [(n, seed) for n in sizes for seed in range(args.seeds)])
+        samples: dict = {n: [] for n in sizes}
+        excluded = failures = 0
+        for _, n, _, _, _, first, _, _, stabilized in rows:
+            if isinstance(stabilized, str):  # an error row
+                failures += 1
+            elif stabilized and first != "":
+                samples[n].append(max(1, first))
+            else:
+                excluded += 1
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(

@@ -66,6 +66,7 @@ __all__ = [
     "schedule",
     "match_rule",
     "run",
+    "map_jobs",
     "measure_meeting_time",
 ]
 
@@ -522,15 +523,16 @@ def run(
     at step 0, and at every multiple of n activations at which a state
     changed since the last check. Every run counts the outputs that equal a
     reference (`match_rule`): `expected`, or, if it is None, the first
-    agent's initial output. For a per-node match mode, a check while some
-    but not all outputs equal it skips the rule, which must fail there (see
-    `ProtocolDef.quiescent`). A run so stopped is stabilized if it matches
-    `expected` or expected is None; any other run stops by "max_steps", not
-    stabilized. `first_correct_step` is the start of the final matching
-    stretch (0: the initial configuration matched); None if the run ends
-    unmatched or expected is None, since the count then serves only the
-    gate. `elapsed_time` is the time of the last activation, every edge's
-    clock running at rate 1 (`clock`).
+    agent's initial output, moved to agent 0's current output (and
+    recounted) at a check at which no agent holds it. For a per-node match
+    mode, a check while some but not all outputs equal it skips the rule,
+    which must fail there (see `ProtocolDef.quiescent`). A run so stopped
+    is stabilized if it matches `expected` or expected is None; any other
+    run stops by "max_steps", not stabilized. `first_correct_step` is the
+    start of the final matching stretch (0: the initial configuration
+    matched); None if the run ends unmatched or expected is None, since the
+    count then serves only the gate. `elapsed_time` is the time of the last
+    activation, every edge's clock running at rate 1 (`clock`).
 
     The activations are `schedule(graph, seed, swap_period)`, which tries a
     double edge swap every `swap_period` of them (0: none). The step loop
@@ -553,13 +555,15 @@ def run(
     objs, outs, rows, held, fill = table.objs, table.outs, table.rows, table.held, table.fill
 
     # one output count for every run: against `expected`, or without one
-    # against the first agent's initial output, which only the gate reads
+    # against an output some agent holds, which only the gate reads: the
+    # first agent's, again at a check at which no agent holds the last one
     want, target = match_rule(protocol, outs[states[0]] if expected is None else expected, n)
     match_count = sum(1 for s in states if outs[s] == want)
     matched = match_count == target
     # per-node outputs differ while 0 < match_count < n: no check then
     # calls the stop rule
     gated = protocol.match_mode != "ones_count"
+    reanchor = gated and expected is None
 
     streak_start = 0  # where the matching stretch began; read only while matched
     step = 0
@@ -571,6 +575,9 @@ def run(
     arcs, draws = schedule(graph, seed, swap_period)
     draws = islice(draws, max_steps)
     while True:  # the check at step 0, then one at each step `due`
+        if reanchor and not match_count:
+            want = outs[states[0]]
+            match_count = sum(1 for s in states if outs[s] == want)
         if not (gated and 0 < match_count < n) and protocol.quiescent(table, states):
             stopped_by = "quiescence"
             break
@@ -625,6 +632,98 @@ def run(
         final_states=tuple(objs[s] for s in states),
         trace=activations if record_trace else None,
     )
+
+
+def map_jobs(job: Callable, jobs: Sequence) -> list:
+    """`[job(x) for x in jobs]`, computed on every CPU this process may use.
+
+    With w = min(len(os.sched_getaffinity(0)), len(jobs)) >= 2, the process
+    forks w - 1 workers. Worker i computes jobs[i::w] while the process
+    computes jobs[0::w], and each worker sends its results back pickled
+    through a pipe. So jobs must be independent, and a result must not
+    depend on the process that computes it: whatever else a job changes is
+    lost in a worker. If jobs raise, the exception of the lowest such job is
+    raised, as the loop would raise it. A worker that ends without sending
+    its results raises ChildProcessError. stdout and stderr are flushed
+    before the first fork, and a worker leaves only by `os._exit`, so it
+    writes out no buffer it inherited. A worker exits between jobs once its
+    parent is gone, and every worker is reaped before this returns or
+    raises. With one CPU, fewer than 2 jobs or no `os.fork`, it is the
+    loop, and forks nothing.
+    """
+    import os
+    import pickle
+    import signal
+    import sys
+
+    jobs = list(jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    w = min(cpus, len(jobs)) if hasattr(os, "fork") else 1
+    if w < 2:
+        return [job(x) for x in jobs]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    fds: set = set()  # the pipe ends this process holds, closed at the end
+    workers: dict = {}  # pid -> the read end of its pipe, until it is reaped
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            fds |= {r, wr}
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds - {wr}:
+                        os.close(fd)
+                    share = _share(job, jobs, i, w, parent)
+                    with open(wr, "wb") as pipe:
+                        pickle.dump(share, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers[pid] = r
+            os.close(wr)
+            fds.discard(wr)
+        shares = [_share(job, jobs, 0, w)]
+        for pid, r in list(workers.items()):
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if code:
+                raise ChildProcessError(f"a worker process ended with exit code {code} "
+                                        "before sending its results")
+            shares.append(pickle.loads(data))
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+    failed = [fail for _, fail in shares if fail]
+    if failed:
+        raise min(failed)[1]
+    results: list = [None] * len(jobs)
+    for i, (share, _) in enumerate(shares):
+        results[i::w] = share
+    return results
+
+
+def _share(job: Callable, jobs: Sequence, start: int, step: int, parent: Optional[int] = None):
+    """(the results of jobs[start::step] in order up to the first that raises,
+    and None or (index, exception) of that one). A worker passes its parent's
+    pid, and exits before a job once the parent is gone."""
+    import os
+
+    results = []
+    for k in range(start, len(jobs), step):
+        if parent is not None and os.getppid() != parent:
+            raise SystemExit(1)
+        try:
+            results.append(job(jobs[k]))
+        except Exception as exc:  # raised by `map_jobs` if no lower job raises
+            return results, (k, exc)
+    return results, None
 
 
 @dataclass

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .engine import Graph, TransitionTable, match_rule, run
+from .engine import Graph, TransitionTable, map_jobs, match_rule, run
 
 __all__ = [
     "verify_exhaustive",
@@ -300,19 +300,25 @@ def audit_memory(
     every (graph, input, seed) combination and compare ceil(log2 count)
     against the declared bit budget.
 
-    All runs share one TransitionTable, whose `held` marks exactly the
-    initial states and those an activation moved an agent to; the states
-    that only the stop rule's look-ahead interned are not counted. An input
-    whose length is not its graph's n raises ValueError, as in `run`.
+    The (graph, input) runs are spread over the CPUs (`map_jobs`). The runs
+    of each process share one TransitionTable, whose `held` marks exactly
+    the initial states and those an activation moved an agent to; the
+    states that only the stop rule's look-ahead interned are not counted.
+    The count is the union of those states over the processes' tables. An
+    input whose length is not its graph's n raises ValueError, as in `run`.
     """
     table = TransitionTable(protocol)
-    graphs = list(graphs)
-    input_sets = list(input_sets)
-    for graph in graphs:
-        for inputs in input_sets:
-            for seed in seeds:
-                run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
-    count = table.held.count(1)
+    seeds, input_sets = list(seeds), list(input_sets)
+
+    def held(job) -> list:
+        """The states agents held in this process's runs so far, these included."""
+        graph, inputs = job
+        for seed in seeds:
+            run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
+        return list(compress(table.objs, table.held))
+
+    jobs = [(graph, inputs) for graph in graphs for inputs in input_sets]
+    count = len(set(chain.from_iterable(map_jobs(held, jobs))))
     measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
     return AuditReport(protocol.name, protocol.budget_bits, count, measured, note)
 

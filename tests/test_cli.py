@@ -33,6 +33,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def pin_cpus(monkeypatch, count):
+    """Let `engine.map_jobs` see `count` CPUs, whatever this machine has. A
+    test that observes runs through a wrapper in this process pins one:
+    wrappers called in a worker record nothing here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestResolver:
     def test_known_specs(self):
         for spec in ("or", "lsb:2", "threshold:2:1", "bit:1:16", "estimate:16",
@@ -235,6 +242,7 @@ class TestSweepCommand:
         def private(*args, table=None, **kwargs):
             return engine.run(*args, **kwargs)
 
+        pin_cpus(monkeypatch, 1)
         outputs = []
         for name, runner in (("shared", shared), ("private", private)):
             monkeypatch.setattr(cli, "run", runner)
@@ -263,6 +271,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli, "parse_inputs", parse)
         monkeypatch.setattr(cli, "run", work)
+        pin_cpus(monkeypatch, 1)
         sizes = [8, 12, 16]
         code, out, _ = run_cli(capsys, [
             "sweep", "--protocol", "lsb:1", "--graph", "cycle", "--sizes", "8,12,16",
@@ -525,6 +534,76 @@ class TestAuditCommand:
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--format" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="runs are spread over CPUs by os.fork")
+class TestParallelRuns:
+    """`sweep` and `audit` spread their runs over the CPUs (`engine.map_jobs`),
+    with the output of one CPU."""
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("argv,forks", [
+        (["sweep", "--protocol", "lsb:1", "--graph", "cycle", "--sizes", "8,12,16",
+          "--seeds", "5", "--input", "0:50%,1:rest", "--output", "OUT", "--summary", "SUM"], 1),
+        (["sweep", "--protocol", "plurality:4", "--graph", "gnp:0.5", "--sizes", "8,12,16",
+          "--seeds", "3", "--rewire", "swap:8", "--input", "0:50%,1:20%,2:10%,3:rest",
+          "--output", "OUT", "--summary", "SUM"], 1),
+        (["audit", "lsb:2", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"],
+         2),  # one fork per protocol
+    ], ids=["lsb-cycle", "plurality-gnp-rewired", "audit"])
+    def test_outputs_are_identical_on_one_and_two_cpus(self, capsys, tmp_path, monkeypatch,
+                                                       argv, forks):
+        real_fork, forked = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real_fork())
+        outputs = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            paths = {name: tmp_path / f"{name}{cpus}" for name in ("OUT", "SUM")}
+            result = run_cli(capsys, [str(paths.get(arg, arg)) for arg in argv])
+            files = [path.read_bytes() for path in paths.values() if path.exists()]
+            outputs.append((result, files))
+            self.no_child_left()
+            assert len(forked) == (cpus - 1) * forks
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (0, "", "") and outputs[0][1][0]
+
+    def test_a_run_that_raises_in_a_worker_gives_the_serial_error(self, capsys, monkeypatch):
+        # every run raises, the worker's among them; the lowest job's error is reported
+        argv = ["sweep", "--protocol", "estimate:4", "--graph", "complete", "--sizes", "8,9,10",
+                "--input", "0:100%"]
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            results.append(run_cli(capsys, argv))
+            self.no_child_left()
+        assert results[0] == results[1]
+        code, out, err = results[1]
+        assert code == 1 and out == ""
+        assert err == "error: token would exceed level 2: r, the count of color 0, must be < 2^3\n"
+
+    def test_a_worker_that_dies_is_an_error_without_rows(self, capsys, tmp_path, monkeypatch):
+        from anonet import engine
+
+        parent = os.getpid()
+
+        def work(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return engine.run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", work)
+        pin_cpus(monkeypatch, 2)
+        rows = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, [
+            "sweep", "--protocol", "lsb:1", "--graph", "cycle", "--sizes", "8,12,16",
+            "--seeds", "2", "--output", str(rows)])
+        self.no_child_left()
+        assert code == 1 and out == "" and rows.read_text() == ""
+        assert err == "error: a worker process ended with exit code 3 before sending its results\n"
 
 
 class TestMeetCommand:

@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import math
+import os
 import random
+import time
 import traceback
 from collections import Counter
 
@@ -28,6 +31,8 @@ from anonet.engine import (
     load_edge_list,
     measure_meeting_time,
     _Rewirer,
+    _share,
+    map_jobs,
     parse_rewire,
     run,
     settled,
@@ -303,8 +308,9 @@ class TestRunSemantics:
     def test_an_unanswered_run_skips_the_rule_while_outputs_differ(self, c):
         # a run without `expected` counts its outputs against the first
         # agent's initial output and skips the rule while some but not all
-        # outputs equal it. With two output values (c = 1), it is never
-        # called while outputs differ.
+        # outputs equal it; at a check at which none does, it counts
+        # against agent 0's output instead. So with any number of output
+        # values, the rule is never called while outputs differ.
         import dataclasses
 
         base = lsb_counter_protocol(c)
@@ -323,8 +329,7 @@ class TestRunSemantics:
             res = run(p, g, inputs, seed=seed)
             assert res.stopped_by == "quiescence" and res.stabilized
         assert calls and all(count in (0, g.n) for _, count in calls)
-        if c == 1:
-            assert {distinct for distinct, _ in calls} == {1}
+        assert {distinct for distinct, _ in calls} == {1}
 
     def test_max_steps_reported_not_fatal(self):
         g = build_graph("cycle:8")
@@ -608,6 +613,79 @@ class TestRewiring:
         dynamic = run(p, g, inputs, seed=4, expected=1, swap_period=8)
         assert static.stabilized and dynamic.stabilized
         assert set(static.final_outputs) == set(dynamic.final_outputs) == {1}
+
+
+@contextlib.contextmanager
+def leaves_nothing():
+    """The block leaves no child process and no open file descriptor behind."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="map_jobs forks only where os.fork exists")
+class TestMapJobs:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_results_come_in_job_order_from_interleaved_shares(self):
+        with leaves_nothing():
+            results = map_jobs(lambda x: (x * x, os.getpid()), range(7))
+        assert [square for square, _ in results] == [x * x for x in range(7)]
+        pids = [pid for _, pid in results]
+        assert set(pids[0::2]) == {os.getpid()} and len(set(pids[1::2])) == 1
+        assert pids[1] != os.getpid()
+
+    @pytest.mark.parametrize("low", [2, 3])
+    def test_the_lowest_failing_job_raises(self, low):
+        # jobs 0, 2, 4, ... are this process's and 1, 3, 5, ... the worker's;
+        # both shares fail, and the lowest job's exception is raised
+        def job(x):
+            if x >= low:
+                raise ValueError(f"job {x}")
+            return x
+
+        with leaves_nothing(), pytest.raises(ValueError, match=f"^job {low}$"):
+            map_jobs(job, range(8))
+
+    def test_a_worker_that_dies_is_an_error(self):
+        parent = os.getpid()
+
+        def job(x):
+            if os.getpid() != parent:
+                os._exit(3)
+            return x
+
+        with leaves_nothing(), pytest.raises(ChildProcessError, match="exit code 3"):
+            map_jobs(job, range(4))
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self):
+        parent = os.getpid()
+
+        def job(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        started = time.monotonic()
+        with leaves_nothing(), pytest.raises(KeyboardInterrupt):
+            map_jobs(job, range(2))
+        assert time.monotonic() - started < 30
+
+    def test_a_worker_exits_before_a_job_once_its_parent_is_gone(self):
+        # this process is not its own parent, as a worker's pid is not once
+        # its parent is gone
+        with pytest.raises(SystemExit):
+            _share(pytest.fail, [0], 0, 1, parent=os.getpid())
+
+    @pytest.mark.parametrize("cpus,jobs", [({0}, range(5)), ({0, 1}, [3])])
+    def test_one_cpu_or_one_job_forks_nothing(self, monkeypatch, cpus, jobs):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert map_jobs(lambda x: 2 * x, jobs) == [2 * x for x in jobs]
 
 
 class TestMeetingTime:

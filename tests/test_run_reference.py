@@ -7,6 +7,7 @@ loop that draws, swaps, traces and tests everything at every step; both
 must give equal results, traces and final states included, over a grid of
 kinds, graphs and options."""
 
+import dataclasses
 import itertools
 import random
 from itertools import chain, islice
@@ -25,6 +26,7 @@ from anonet.engine import (
     match_rule,
     parse_rewire,
     run,
+    settled,
     stream,
 )
 
@@ -149,3 +151,37 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
             case = (g_spec, kwargs)
             assert (run(protocol, graph, inputs, table=table, **kwargs)
                     == reference_run(protocol, graph, inputs, table=ref_table, **kwargs)), case
+
+
+@pytest.mark.parametrize("spec", ["lsb:2", "estimate:8", "plurality:3"])
+def test_an_unanswered_run_calls_the_rule_only_on_equal_outputs(spec):
+    # per-node kinds with more than two outputs: a run without `expected`
+    # moves its reference output at a check at which no agent holds it, so
+    # it calls the rule only when all outputs are equal, and its results are
+    # those of the reference loop, which calls the rule at every check
+    base = resolve_protocol(spec).protocol
+    distinct = []  # the distinct outputs at each call
+
+    def recorded(table, ids):
+        distinct.append(len({table.outs[i] for i in ids}))
+        return settled(table, ids)
+
+    protocol = dataclasses.replace(base, quiescent=recorded)
+    table, ref_table = TransitionTable(protocol), TransitionTable(protocol)
+    calls = 0
+    for g_spec in GRAPHS:
+        graph = build_graph(g_spec, seed=3)
+        n = graph.n
+        rng = random.Random(g_spec)
+        for seed in range(4):
+            # colour 0 holds a strict majority, so plurality runs settle
+            inputs = [0] * (n // 2 + 1) + [rng.randrange(protocol.colors)
+                                           for _ in range(n - n // 2 - 1)]
+            rng.shuffle(inputs)
+            del distinct[:]
+            result = run(protocol, graph, inputs, seed=seed, max_steps=3000, table=table)
+            assert set(distinct) <= {1}, (g_spec, seed)
+            calls += len(distinct)
+            assert result == reference_run(protocol, graph, inputs, seed=seed, max_steps=3000,
+                                           table=ref_table), (g_spec, seed)
+    assert calls
