@@ -239,17 +239,19 @@ def cmd_sweep(args) -> int:
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors
-    # whether the input spec fits depends on n alone, so parsing each size's
-    # input of seed 0 first ends a sweep whose spec does not fit some size
-    # before its first run; every other input is parsed just before its run
+    # whether the input spec fits, and whether the graph is under the edge
+    # limit, depends on n alone, so parsing each size's input of seed 0 and
+    # spec first ends a sweep that does not fit some size before its first
+    # run; every other input is parsed just before its run
     first_input = {n: _flag("--input", parse_inputs, args.input, n, colors) for n in sizes}
+    specs = {n: spec_of(n) for n in sizes}
     with _lines(args.output, args.summary) as (out, summary_out):
         # ids stay internal, so the runs of each process share one table
         table = TransitionTable(resolved.protocol)
 
         def row(job) -> list:
             n, seed = job
-            spec = spec_of(n)
+            spec = specs[n]
             inputs = (first_input[n] if seed == 0 else
                       parse_inputs(args.input, n, colors, seed=seed))
             try:
@@ -348,22 +350,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    """One `audit_memory` call for all the protocols, so the audit forks at
+    most once to spread their (graph, protocol) jobs over the CPUs."""
     _at_least("--n", args.n, 3)  # the cycle needs 3 nodes
     n = args.n
     protocols = [resolve_protocol(spec).protocol for spec in args.protocols]
     graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
-    lines = []
-    violation = False
     with _lines(args.output) as (out,):
-        for spec, proto in zip(args.protocols, protocols):
-            note = ("output register adds one bit over the counter tuple"
-                    if spec.startswith("bit:") else "")
-            report = audit_memory(proto, graphs, audit_inputs(proto.colors, n), note=note)
+        reports = audit_memory([(proto, audit_inputs(proto.colors, n)) for proto in protocols],
+                               graphs)
+        lines = []
+        for spec, report in zip(args.protocols, reports):
+            if spec.startswith("bit:"):
+                report.note = "output register adds one bit over the counter tuple"
             lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True)
                          if args.format == "json" else report.row())
-            violation = violation or not report.ok
         print("\n".join(lines), file=out, flush=True)
-    return EXIT_FAILURE if violation else EXIT_OK
+    return EXIT_OK if all(report.ok for report in reports) else EXIT_FAILURE
 
 
 def cmd_meet(args) -> int:

@@ -53,6 +53,7 @@ __all__ = [
     "TransitionTable",
     "settled",
     "GRAPH_KINDS",
+    "MAX_EDGES",
     "build_graph",
     "graph_family",
     "parse_rewire",
@@ -91,7 +92,9 @@ class TransitionTable:
     rule (`settled`) fills the pairs it looks ahead at like any others, so
     interned states are not all held: `held[i]` is 1 for a state some agent
     held, an initial state (`start`) or one an activation moved an agent to
-    (`run`).
+    (`run`). `verdicts` is the stop rule's memo, keyed by the set of states
+    present. The runs that share a table (a sweep's, or an audit's of one
+    protocol in one process) share its fills and its memo.
     """
 
     def __init__(self, protocol):
@@ -99,7 +102,7 @@ class TransitionTable:
         self.ids: dict = {}
         self.objs, self.outs, self.rows = [], [], []
         self.held = bytearray()  # 1 for a state some agent held
-        self.closures: dict[frozenset, bool] = {}  # `settled`'s tier (b) verdicts
+        self.verdicts: dict[frozenset, list] = {}  # `settled`'s, by the states present
 
     def intern(self, state) -> int:
         i = self.ids.get(state)
@@ -156,23 +159,33 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
     Neither tier reads the graph, so both hold under rewiring. A pair that
     raises ProtocolViolation fails the check: a run that meets it raises.
     The rule fills the pairs it reads in `table`, as a run does, but marks
-    no state held, and memoizes (b)'s verdicts by P in `closures`.
+    no state held. Only (a)'s self pairs depend on more than P, so
+    `table.verdicts[P]` keeps [whether (a) holds but for them, (b)'s verdict
+    or None until a call needs it], and a call with a known P reads only the
+    self pairs of the states present twice. A pair of P that raises makes
+    both False, whichever pair is read first: (b) reads every pair of P
+    before it can hold.
     """
     present = frozenset(ids)
-    outputs = {table.outs[a] for a in present}
-    per_node = table.protocol.match_mode != "ones_count"
-    if per_node and len(outputs) > 1:
-        return False
+    fill = table.fill
     try:
-        if all(table.fill(a, b) in ((a, b), (b, a)) for a in present for b in present
-               if a != b or ids.count(a) > 1):
+        verdict = table.verdicts.get(present)
+        if verdict is None:
+            # False for both if the outputs differ or a pair raises
+            verdict = table.verdicts[present] = [False, False]
+            per_node = table.protocol.match_mode != "ones_count"
+            if not per_node or len({table.outs[a] for a in present}) == 1:
+                verdict[:] = (all(fill(a, b) in ((a, b), (b, a))
+                                  for a in present for b in present if a != b),
+                              None if per_node else False)
+        if verdict[0] and all(fill(a, a) == (a, a) for a in present if ids.count(a) > 1):
             return True
-        if per_node and present not in table.closures:
-            table.closures[present] = False  # the verdict if a pair raises
-            table.closures[present] = _closed(table, present, outputs.pop())
+        if verdict[1] is None:
+            verdict[1] = False  # if a pair raises
+            verdict[1] = _closed(table, present, table.outs[ids[0]])
     except ProtocolViolation:
         return False
-    return per_node and table.closures[present]
+    return verdict[1]
 
 
 def _closed(table: TransitionTable, present: frozenset, out) -> bool:
@@ -319,49 +332,70 @@ def _gnp(n: int, rng: random.Random, p: float):
     raise GraphError(f"gnp:{n}:{p} produced no connected sample in {_GNP_ATTEMPTS} attempts")
 
 
-# kind -> (parsers of the parameters after n, edges(n, rng, *params)); rng is
-# the seed's `graph` stream
-GRAPH_KINDS: dict[str, tuple[tuple[Callable, ...], Callable]] = {
-    "complete": ((), lambda n, rng: [(u, v) for u in range(n) for v in range(u + 1, n)]),
-    "cycle": ((), _cycle),
-    "path": ((), lambda n, rng: [(i, i + 1) for i in range(n - 1)]),
-    "star": ((), lambda n, rng: [(0, i) for i in range(1, n)]),
-    "gnp": ((_probability,), _gnp),
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+# kind -> (parsers of the parameters after n, edges(n, rng, *params), the
+# largest edge count of n nodes); rng is the seed's `graph` stream
+GRAPH_KINDS: dict[str, tuple[tuple[Callable, ...], Callable, Callable[[int], int]]] = {
+    "complete": ((), lambda n, rng: [(u, v) for u in range(n) for v in range(u + 1, n)], _pairs),
+    "cycle": ((), _cycle, lambda n: n),
+    "path": ((), lambda n, rng: [(i, i + 1) for i in range(n - 1)], lambda n: n - 1),
+    "star": ((), lambda n, rng: [(0, i) for i in range(1, n)], lambda n: n - 1),
+    "gnp": ((_probability,), _gnp, _pairs),
 }
+# a built graph peaks at ~275 bytes per edge (its edges, arcs and adjacency),
+# so this many take ~2.7 GB
+MAX_EDGES = 10_000_000
 
 
-def _kind(kind: str, fields: Sequence[str]) -> tuple[Callable, list]:
-    """(edges function, parsed parameters) of `kind` given the fields after n."""
-    parsers, edges = GRAPH_KINDS.get(kind, (None, None))
+def _kind(kind: str, fields: Sequence[str]) -> tuple[Callable, list, Callable[[int], int]]:
+    """(edges function, parsed parameters, largest edge count of n nodes) of
+    `kind` given the fields after n."""
+    parsers, edges, most = GRAPH_KINDS.get(kind, (None, None, None))
     if parsers is None or len(fields) != len(parsers):
         raise GraphError(f"no graph kind {kind!r} with {len(fields)} parameter(s) after n")
-    return edges, [parse(f) for parse, f in zip(parsers, fields)]
+    return edges, [parse(f) for parse, f in zip(parsers, fields)], most
+
+
+def _bounded(spec: str, n: int, most: Callable[[int], int]) -> str:
+    """`spec`, or a GraphError if a graph of its kind on n nodes may have
+    more than MAX_EDGES edges: checked before anything is built."""
+    if most(n) > MAX_EDGES:
+        raise GraphError(f"graph {spec!r} may have {most(n):,} edges, over the limit of "
+                         f"{MAX_EDGES:,}")
+    return spec
 
 
 def build_graph(spec: str, seed: int = 0) -> Graph:
     """Build a graph from a spec `kind:n[:params]`, a `GRAPH_KINDS` kind with
     exactly its parameters (complete:n, cycle:n, path:n, star:n, gnp:n:p),
-    or `file:path`. `seed` picks the gnp sample."""
+    or `file:path`. `seed` picks the gnp sample. A spec whose kind may have
+    more than MAX_EDGES edges on n nodes is a GraphError before anything is
+    built (a gnp spec counts every pair)."""
     kind, colon, rest = spec.partition(":")
     if kind == "file" and colon:
         return load_edge_list(rest)
     n, *fields = rest.split(":")
     try:
-        edges, params = _kind(kind, fields)
+        edges, params, most = _kind(kind, fields)
         n = int(n)
     except ValueError as exc:  # GraphError included
         raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
     if n < 2:
         raise GraphError(f"need at least 2 nodes, got {n}")
+    _bounded(spec, n, most)
     return Graph(n, tuple(edges(n, stream("graph", seed), *params)), spec)
 
 
 def graph_family(family: str) -> Callable[[int], str]:
     """n -> the spec `kind:n[:params]` of the family `kind[:params]` (a
-    `GRAPH_KINDS` spec without its n); ValueError for a bad family."""
+    `GRAPH_KINDS` spec without its n); ValueError for a bad family, and a
+    GraphError for an n over `build_graph`'s edge limit."""
     kind, colon, rest = family.partition(":")
-    _kind(kind, rest.split(":") if colon else [])
-    return lambda n: f"{kind}:{n}{colon}{rest}"
+    most = _kind(kind, rest.split(":") if colon else [])[2]
+    return lambda n: _bounded(f"{kind}:{n}{colon}{rest}", n, most)
 
 
 def load_edge_list(path: str) -> Graph:

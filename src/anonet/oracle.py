@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -288,39 +288,50 @@ class AuditReport:
 
 
 def audit_memory(
-    protocol,
+    audits: Sequence[tuple],
     graphs: Iterable[Graph],
-    input_sets: Iterable[Sequence[int]],
     *,
     seeds: Iterable[int] = range(5),
     max_steps: int = 200_000,
-    note: str = "",
-) -> AuditReport:
-    """Count the distinct states that agents held across sampled runs of
-    every (graph, input, seed) combination and compare ceil(log2 count)
-    against the declared bit budget.
+) -> list[AuditReport]:
+    """One report per (protocol, input sets) pair of `audits`: the distinct
+    states that agents held across sampled runs of every (graph, input, seed)
+    combination, and ceil(log2 count) against the declared bit budget.
 
-    The (graph, input) runs are spread over the CPUs (`map_jobs`). The runs
-    of each process share one TransitionTable, whose `held` marks exactly
-    the initial states and those an activation moved an agent to; the
-    states that only the stop rule's look-ahead interned are not counted.
-    The count is the union of those states over the processes' tables. An
-    input whose length is not its graph's n raises ValueError, as in `run`.
+    One `map_jobs` call spreads the (graph, protocol) jobs, graph by graph,
+    over the CPUs, so the whole audit forks at most once; a job runs every
+    input with every seed. Each process keeps one TransitionTable per protocol, so
+    its jobs of one protocol share their fills and stop-rule verdicts. A job
+    returns the states held in its process's table so far: `held` marks the
+    initial states and those an activation moved an agent to, not those only
+    the stop rule's look-ahead interned. A protocol's count is the union
+    over its jobs. An input whose length is not its graph's n raises
+    ValueError, as in `run`.
     """
-    table = TransitionTable(protocol)
-    seeds, input_sets = list(seeds), list(input_sets)
+    audits, seeds = list(audits), list(seeds)
+    tables = [TransitionTable(protocol) for protocol, _ in audits]  # copied by the fork
 
     def held(job) -> list:
-        """The states agents held in this process's runs so far, these included."""
-        graph, inputs = job
-        for seed in seeds:
-            run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
+        """The states agents held in this process's runs of the job's
+        protocol so far, the job's included."""
+        graph, k = job
+        protocol, input_sets = audits[k]
+        table = tables[k]
+        for inputs in input_sets:
+            for seed in seeds:
+                run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
         return list(compress(table.objs, table.held))
 
-    jobs = [(graph, inputs) for graph in graphs for inputs in input_sets]
-    count = len(set(chain.from_iterable(map_jobs(held, jobs))))
-    measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
-    return AuditReport(protocol.name, protocol.budget_bits, count, measured, note)
+    jobs = [(graph, k) for graph in graphs for k in range(len(audits))]
+    states: list = [set() for _ in audits]
+    for (_, k), found in zip(jobs, map_jobs(held, jobs)):
+        states[k].update(found)
+    reports = []
+    for (protocol, _), found in zip(audits, states):
+        count = len(found)
+        measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
+        reports.append(AuditReport(protocol.name, protocol.budget_bits, count, measured))
+    return reports
 
 
 def audit_inputs(colors: int, n: int) -> list[list[int]]:

@@ -247,20 +247,18 @@ def test_criterion_5_memory_audits():
                            ("threshold:2:1:1", 3), ("max-gate", 3), ("min-gate", 3)):
         proto = resolve_protocol(spec).protocol
         assert proto.budget_bits == declared, spec
-        report = audit_memory(
-            proto,
+        [report] = audit_memory(
+            [(proto, binary_inputs(8))],
             [build_graph("complete:8"), build_graph("cycle:8")],
-            binary_inputs(8),
         )
         assert report.ok, report.row()
         audits.append(report)
 
     plur = plurality_protocol(4)
     assert plur.budget_bits == 12
-    report = audit_memory(
-        plur,
+    [report] = audit_memory(
+        [(plur, [spread([4, 3, 2, 1], s) for s in range(6)])],
         [build_graph("complete:10"), build_graph("cycle:10")],
-        [spread([4, 3, 2, 1], s) for s in range(6)],
         seeds=range(4),
     )
     assert report.ok and report.distinct_states <= 4096, report.row()
@@ -270,12 +268,11 @@ def test_criterion_5_memory_audits():
     # (color, status, level) tuple; its declared budget already includes it
     bit = resolve_protocol("bit:1:8").protocol
     assert bit.budget_bits == math.ceil(math.log2(4)) + 3
-    report = audit_memory(
-        bit,
+    [report] = audit_memory(
+        [(bit, binary_inputs(8))],
         [build_graph("complete:8"), build_graph("cycle:8")],
-        binary_inputs(8),
-        note="output register adds one bit",
     )
+    report.note = "output register adds one bit"
     assert report.ok, report.row()
     audits.append(report)
     return "; ".join(f"{r.protocol} {r.measured_bits}<={r.declared_bits}b" for r in audits)

@@ -509,9 +509,10 @@ class TestAuditCommand:
         # colour 3 each win one audited input
         audited = []
 
-        def audit_memory(proto, graphs, input_sets, **kwargs):
-            audited.extend(input_sets)
-            return oracle.audit_memory(proto, graphs, input_sets, **kwargs)
+        def audit_memory(audits, graphs, **kwargs):
+            for _, input_sets in audits:
+                audited.extend(input_sets)
+            return oracle.audit_memory(audits, graphs, **kwargs)
 
         monkeypatch.setattr(cli, "audit_memory", audit_memory)
         code, out, _ = run_cli(capsys, ["audit", "plurality:4", "--n", "16"])
@@ -552,9 +553,15 @@ class TestParallelRuns:
         (["sweep", "--protocol", "plurality:4", "--graph", "gnp:0.5", "--sizes", "8,12,16",
           "--seeds", "3", "--rewire", "swap:8", "--input", "0:50%,1:20%,2:10%,3:rest",
           "--output", "OUT", "--summary", "SUM"], 1),
+        # one fork for the whole audit, whatever the number of protocols: the
+        # (graph, protocol) jobs of an even number of protocols give each
+        # process both graphs of its protocols, an odd number deals them out
+        # graph by graph, and a single protocol's two jobs still use two CPUs
         (["audit", "lsb:2", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"],
-         2),  # one fork per protocol
-    ], ids=["lsb-cycle", "plurality-gnp-rewired", "audit"])
+         1),
+        (["audit", "lsb:2", "max-gate", "plurality:4", "--n", "8", "--output", "OUT"], 1),
+        (["audit", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"], 1),
+    ], ids=["lsb-cycle", "plurality-gnp-rewired", "audit", "audit-odd", "audit-one"])
     def test_outputs_are_identical_on_one_and_two_cpus(self, capsys, tmp_path, monkeypatch,
                                                        argv, forks):
         real_fork, forked = os.fork, []
@@ -854,6 +861,30 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{tmp_path}/missing/" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "or", "--graph", "complete:10000", "--input", "0:rest"],
+        ["sweep", "--protocol", "or", "--graph", "complete", "--sizes", "8,10000",
+         "--output", "TMP/rows.csv"],
+        ["audit", "or", "--n", "5000"],
+        ["verify", "--protocol", "or", "--graph", "gnp:5000:0.001", "--input", "0:rest"],
+    ], ids=["run", "sweep", "audit", "verify"])
+    def test_a_graph_over_the_edge_limit_ends_the_command_before_it_is_built(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # complete:10000 may have 49,995,000 edges, ~13 GB at ~270 bytes each
+        def work(*args, **kwargs):
+            pytest.fail("the command built a graph or started its work")
+
+        for kind, (parsers, _, most) in list(GRAPH_KINDS.items()):
+            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, work, most))
+        for name in ("run", "verify_exhaustive", "audit_memory"):
+            monkeypatch.setattr(cli, name, work)
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: graph '") and err.endswith(
+            " edges, over the limit of 10,000,000\n")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_a_sweep_input_that_fits_no_later_size_ends_it_before_its_runs(
             self, capsys, tmp_path, monkeypatch):

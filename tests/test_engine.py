@@ -18,6 +18,8 @@ from anonet.catalog import resolve_protocol
 from anonet.circuits import compile_circuit, parse_circuit, plurality_protocol
 from anonet.engine import (
     CHUNK,
+    GRAPH_KINDS,
+    MAX_EDGES,
     Activation,
     Graph,
     GraphError,
@@ -27,6 +29,7 @@ from anonet.engine import (
     arc_chunks,
     build_graph,
     clock,
+    graph_family,
     is_connected,
     load_edge_list,
     measure_meeting_time,
@@ -57,6 +60,30 @@ def to_nx(graph: Graph) -> nx.Graph:
 
 
 class TestBuildGraph:
+    def test_a_spec_over_the_edge_limit_is_rejected_before_it_is_built(self, monkeypatch):
+        # every edge builder fails, so a spec under the limit reaches one and
+        # a spec over it allocates nothing
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        for kind, (parsers, _, most) in list(GRAPH_KINDS.items()):
+            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, build, most))
+        assert MAX_EDGES == 10_000_000
+        # complete:4472 may have 9,997,156 edges and complete:4473 10,001,628
+        for under, over in (("complete:4472", "complete:4473"), ("gnp:4472:0.5", "gnp:4473:0"),
+                            ("cycle:10000000", "cycle:10000001"),
+                            ("path:10000001", "path:10000002"),
+                            ("star:10000001", "star:10000002")):
+            with pytest.raises(Built):
+                build_graph(under)
+            with pytest.raises(GraphError, match=r"edges, over the limit of 10,000,000$"):
+                build_graph(over)
+        with pytest.raises(GraphError, match="^graph 'cycle:10000001' may have 10,000,001 edges"):
+            graph_family("cycle")(10_000_001)
+
     def test_complete_edge_count(self):
         g = build_graph("complete:4")
         assert g.m == 6  # n(n-1)/2
@@ -547,6 +574,20 @@ class TestStopRule:
         with pytest.raises(ProtocolViolation):
             table.fill(token, token)
 
+    def test_a_violating_self_pair_of_a_state_present_once_is_never_read(self):
+        # the memo of {token, passive} is made while the token is present once:
+        # (token, token) never meets then, so tier (a) holds, and the memo
+        # must not carry the pair's violation to that configuration, nor its
+        # absence to the one with two tokens
+        p = bit_protocol(0, 2)
+        table = TransitionTable(p)
+        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        for _ in range(2):
+            assert settled(table, [passive, token, passive])
+            assert not settled(table, [token, passive, token])
+        assert list(table.verdicts) == [frozenset({token, passive})]
+        assert token not in table.rows[token]
+
     def test_the_rules_pairs_are_filled_once_and_held_by_no_agent(self):
         import dataclasses
 
@@ -560,7 +601,7 @@ class TestStopRule:
         assert table.objs[a] == ParityState(1, 1)
         assert not settled(table, ids)  # the two tokens merge into counter 0
         # only the initial state is held, not the two the rule looked ahead at
-        assert list(table.held) == [1, 0, 0] and table.rows[a] and table.closures
+        assert list(table.held) == [1, 0, 0] and table.rows[a] and table.verdicts
         filled = len(calls)
         table.fill(a, a)
         assert len(calls) == filled and len(table.objs) == 3

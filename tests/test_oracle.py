@@ -146,7 +146,7 @@ class TestAuditMemory:
         p = lsb_counter_protocol(2)
         graphs = [build_graph("complete:6"), build_graph("cycle:6")]
         inputs = [[0] * r + [1] * (6 - r) for r in range(7)]
-        report = audit_memory(p, graphs, inputs)
+        [report] = audit_memory([(p, inputs)], graphs)
         assert report.distinct_states <= 8
         assert report.measured_bits <= report.declared_bits == 3
         assert report.ok
@@ -154,10 +154,9 @@ class TestAuditMemory:
     def test_max_gate_at_most_8_states(self):
         from anonet.circuits import max_gate_protocol
 
-        report = audit_memory(
-            max_gate_protocol(),
+        [report] = audit_memory(
+            [(max_gate_protocol(), [[0] * 4 + [1] * 2, [0] * 2 + [1] * 4])],
             [build_graph("complete:6")],
-            [[0] * 4 + [1] * 2, [0] * 2 + [1] * 4],
         )
         assert report.distinct_states <= 8
         assert report.ok
@@ -173,7 +172,7 @@ class TestAuditMemory:
         graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
         input_sets = audit_inputs(proto.colors, n)
         seeds = range(5)
-        report = audit_memory(proto, graphs, input_sets, seeds=seeds)
+        [report] = audit_memory([(proto, input_sets)], graphs, seeds=seeds)
 
         seen = set()
         for graph in graphs:
@@ -200,9 +199,7 @@ class TestAuditMemory:
 
         p = lsb_counter_protocol(2)
         tight = dataclasses.replace(p, budget_bits=1)
-        report = audit_memory(
-            tight, [build_graph("complete:6")], [[0] * 5 + [1]]
-        )
+        [report] = audit_memory([(tight, [[0] * 5 + [1]])], [build_graph("complete:6")])
         assert not report.ok
 
 

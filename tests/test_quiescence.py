@@ -11,19 +11,17 @@ import pytest
 
 from anonet.catalog import KINDS, resolve_protocol
 from anonet.circuits import compile_circuit, parse_circuit
-from anonet.engine import TransitionTable, build_graph
+from anonet.engine import TransitionTable, build_graph, settled
 
 GRAPHS = ("path:4", "star:4", "cycle:4", "complete:4", "cycle:5")
 # plurality:3 on cycle:5 alone takes ~60 s
 SMALL_GRAPHS = GRAPHS[:4]
 
 
-def stop_rule_violation(protocol, graph):
-    """A (settled configuration, reachable configuration with other outputs)
-    pair as state-object tuples, or None, over every configuration that some
-    input reaches on `graph`. Inputs share their reachable configurations, so
-    each is explored once. The rule is called as `run` calls it, on the
-    search's own table."""
+def search(protocol, graph):
+    """(the search's table, its successor function, every labelled
+    configuration that some input reaches on `graph`). Inputs share their
+    reachable configurations, so each is explored once."""
     table = TransitionTable(protocol)
     ordered = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
 
@@ -40,10 +38,6 @@ def stop_rule_violation(protocol, graph):
                 nxt[u], nxt[v] = na, nb
                 yield tuple(nxt)
 
-    def outputs(cfg):
-        outs = tuple(table.outs[s] for s in cfg)
-        return tuple(sorted(outs)) if protocol.match_mode == "ones_count" else outs
-
     reachable = set()
     for inputs in itertools.product(range(protocol.colors), repeat=graph.n):
         init = tuple(table.intern(protocol.init(c)) for c in inputs)
@@ -54,6 +48,19 @@ def stop_rule_violation(protocol, graph):
                 if d not in reachable:
                     reachable.add(d)
                     frontier.append(d)
+    return table, successors, reachable
+
+
+def stop_rule_violation(protocol, graph):
+    """A (settled configuration, reachable configuration with other outputs)
+    pair as state-object tuples, or None, over every configuration that some
+    input reaches on `graph`. The rule is called as `run` calls it, on the
+    search's own table."""
+    table, successors, reachable = search(protocol, graph)
+
+    def outputs(cfg):
+        outs = tuple(table.outs[s] for s in cfg)
+        return tuple(sorted(outs)) if protocol.match_mode == "ones_count" else outs
 
     # Everything reached from a settled configuration gives that one's
     # outputs, so a later search may stop at it after comparing outputs.
@@ -89,6 +96,25 @@ def test_quiescence_is_never_left_for_other_outputs(protocol):
     for spec in GRAPHS if protocol.colors == 2 else SMALL_GRAPHS:
         bad = stop_rule_violation(protocol, build_graph(spec))
         assert bad is None, (spec, bad)
+
+
+@pytest.mark.parametrize("protocol", protocols(), ids=lambda p: p.name)
+def test_the_memo_gives_a_fresh_tables_verdict(protocol):
+    # `settled` decides each set of present states once per table; on the
+    # search's table, which every configuration's call fills and memoizes,
+    # its verdict must be that of a table holding only this configuration's
+    # states. The rule reads the states as a multiset, so one fresh table
+    # serves every arrangement of it
+    for spec in GRAPHS if protocol.colors == 2 else SMALL_GRAPHS:
+        table, _, reachable = search(protocol, build_graph(spec))
+        fresh_verdicts = {}
+        for cfg in reachable:
+            multiset = tuple(sorted(cfg))
+            if multiset not in fresh_verdicts:
+                fresh = TransitionTable(protocol)
+                ids = [fresh.intern(table.objs[s]) for s in multiset]
+                fresh_verdicts[multiset] = settled(fresh, ids)
+            assert settled(table, cfg) == fresh_verdicts[multiset], (spec, cfg)
 
 
 def test_every_kind_is_checked():
