@@ -871,7 +871,7 @@ class TestBadInputs:
     ], ids=["run", "sweep", "audit", "verify"])
     def test_a_graph_over_the_edge_limit_ends_the_command_before_it_is_built(
             self, capsys, tmp_path, monkeypatch, argv):
-        # complete:10000 may have 49,995,000 edges, ~13 GB at ~270 bytes each
+        # complete:10000 may have 49,995,000 edges, ~13 GB at ~275 bytes each
         def work(*args, **kwargs):
             pytest.fail("the command built a graph or started its work")
 
