@@ -300,13 +300,13 @@ def audit_memory(
 
     One `map_jobs` call spreads the (graph, protocol) jobs, graph by graph,
     over the CPUs, so the whole audit forks at most once; a job runs every
-    input with every seed. Each process keeps one TransitionTable per protocol, so
-    its jobs of one protocol share their fills and stop-rule verdicts. A job
-    returns the states held in its process's table so far: `held` marks the
-    initial states and those an activation moved an agent to, not those only
-    the stop rule's look-ahead interned. A protocol's count is the union
-    over its jobs. An input whose length is not its graph's n raises
-    ValueError, as in `run`.
+    input with every seed. Each process keeps one TransitionTable per
+    protocol, so its jobs of one protocol share their fills and stop-rule
+    verdicts. A job returns the states held in its process's table so far:
+    `held` marks the initial states and those an activation moved an agent
+    to, not those only the stop rule's look-ahead interned. A protocol's
+    count is the union over its jobs. An input whose length is not its
+    graph's n raises ValueError, as in `run`.
     """
     audits, seeds = list(audits), list(seeds)
     tables = [TransitionTable(protocol) for protocol, _ in audits]  # copied by the fork
