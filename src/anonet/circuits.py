@@ -17,12 +17,21 @@ ledger semantics (`compile_circuit`)
     Faithful bookkeeping with one mark bit per level. When an agent's output
     at level l flips, its level-(l+1) mark is set; the mark is cleared by
     (i) consuming the agent's own upper charge (flipping its upper output
-    and propagating the mark), (ii) re-issuing an opposite charge when the
-    upper charge was already spent, or (iii) waiting. Every output flip of a
-    collision must land on an out=1 party; when both colliders are already
-    dark the pending decrement is parked in the (charge 0, live) state and
-    discharged on the first chargeless out=1 agent of that gate. With these
-    rules the per-gate ledger
+    and propagating the mark), or (ii) re-issuing an opposite charge when
+    the upper charge was already spent. Every output flip of a collision
+    lands on an out=1 party; when both colliders are already dark the
+    pending decrement is parked in the (charge 0, live) state and
+    discharged on the first chargeless out=1 agent of that gate.
+
+    No level ever waits. A level's output only falls, from 1 to 0: only
+    `_spend` lowers it, and only from 1, because a collision or a discharge
+    spends its out=1 party and case (i) needs charge == side, which only an
+    unspent level holds. So each level spends at most once, and only that
+    spend marks the level above: no level is marked while the level below it
+    can still spend. The opposite charge and a pending decrement are both
+    created only after case (ii) has cleared the level's only mark, so a
+    marked level holds its side's charge or 0, and never a pending
+    decrement. With these rules the per-gate ledger
 
         collisions = c2 + d2 + min(a, b),   ones = max(a, b)
 
@@ -273,11 +282,6 @@ def _zeroed(lv: LevelState) -> LevelState:
     return LevelState(0, 1 if lv.out else 0, lv.out, lv.mark)
 
 
-def _up_busy(levels: list, i: int) -> bool:
-    """Level i+1 already holds a mark, so level i's output may not drop."""
-    return i + 1 < len(levels) and levels[i + 1].mark != 0
-
-
 def _spend(levels: list, i: int, mark: int) -> None:
     """Spend level i's output unit and mark the level above, which must pass
     the decrement on."""
@@ -287,10 +291,11 @@ def _spend(levels: list, i: int, mark: int) -> None:
 
 
 def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
-    """Clear pending marks bottom-up. Case (i) consumes the agent's own
-    same-sign charge and pushes the decrement one level up; case (ii)
-    re-issues an opposite charge when the unit was already spent; an
-    opposite charge or a pending-decrement slot means wait."""
+    """Clear pending marks bottom-up. Case (i): the charge equals the side,
+    so the unit is unspent; spend it and mark the level above, which passes
+    the decrement on. Case (ii): any other charge means the unit was already
+    spent, so re-issue the opposite charge. A marked level never holds the
+    opposite charge or a pending decrement (see the module docstring)."""
     sides = circuit.sides[color]
     path = circuit.paths[color]
     changed = False
@@ -300,20 +305,14 @@ def _process_marks(color: int, levels: list, circuit: Circuit, sink) -> bool:
             continue
         s = sides[i]
         if lv.charge == s:
-            if _up_busy(levels, i):
-                continue
             _spend(levels, i, 0)
-            if sink is not None:
-                sink.append(("case1", path[i], s))
-            changed = True
-        elif lv.charge == 0:
-            if lv.live and lv.out == 0:
-                continue  # pending decrement must discharge first
+            event = "case1"
+        else:
             levels[i] = LevelState(-s, 1, lv.out, 0)
-            if sink is not None:
-                sink.append(("case2", path[i], s))
-            changed = True
-        # charge == -s: wait until a collision changes it
+            event = "case2"
+        if sink is not None:
+            sink.append((event, path[i], s))
+        changed = True
     return changed
 
 
@@ -330,28 +329,22 @@ def _ledger_meeting(sx: CircuitState, sy: CircuitState, circuit: Circuit, sink):
         b = ly[j]
         if a.charge and a.charge == -b.charge:
             event = "collision"
-            if b.out and not _up_busy(ly, j):
+            if b.out:
                 _spend(ly, j, b.mark)
                 lx[i] = _zeroed(a)
-            elif a.out and not _up_busy(lx, i):
+            elif a.out:
                 _spend(lx, i, a.mark)
                 ly[j] = _zeroed(b)
-            elif not a.out and not b.out:
+            else:
                 lx[i] = LevelState(0, 1, 0, a.mark)  # carries the owed decrement
                 ly[j] = LevelState(0, 0, 0, b.mark)
-            else:
-                continue  # flippable party blocked by a pending upward mark
         elif a.charge == b.charge == 0 and a.out != b.out and (b if a.out else a).live:
             # a pending decrement discharges on the chargeless out=1 party
             event = "discharge"
             if a.out:
-                if _up_busy(lx, i):
-                    continue
                 _spend(lx, i, a.mark)
                 ly[j] = LevelState(0, 0, 0, b.mark)
             else:
-                if _up_busy(ly, j):
-                    continue
                 _spend(ly, j, b.mark)
                 lx[i] = LevelState(0, 0, 0, a.mark)
         else:
@@ -597,21 +590,15 @@ def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
             lx[i], ly[j] = heard_x, heard_y
             fired = True
 
-    fx, fy = sx.final, sy.final
     cert_x = all(lv.out for lv in lx)
     cert_y = all(lv.out for lv in ly)
-    if cert_y and fx != cy:
-        fx = cy
-        fired = True
-    if cert_x and fy != cx:
-        fy = cx
-        fired = True
-    if cert_x and fx != cx:
-        fx = cx
-        fired = True
-    if cert_y and fy != cy:
-        fy = cy
-        fired = True
+    # a certified agent's final register holds its own colour; any other
+    # copies a certified partner's
+    fx = cx if cert_x else cy if cert_y else sx.final
+    fy = cy if cert_y else cx if cert_x else sy.final
+    # two certified agents of different colours fire even when neither
+    # register changes, so they do not swap
+    fired |= (fx, fy) != (sx.final, sy.final) or cert_x and cert_y and cx != cy
     nx = PluralityState(cx, fx, tuple(lx))
     ny = PluralityState(cy, fy, tuple(ly))
     if fired or chx or chy:

@@ -329,7 +329,7 @@ def _gnp(n: int, rng: random.Random, p: float):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         if is_connected(n, edges):
             return edges
-    raise GraphError(f"gnp:{n}:{p} produced no connected sample in {_GNP_ATTEMPTS} attempts")
+    raise GraphError(f"no connected sample in {_GNP_ATTEMPTS} attempts")
 
 
 def _pairs(n: int) -> int:
@@ -373,7 +373,8 @@ def build_graph(spec: str, seed: int = 0) -> Graph:
     exactly its parameters (complete:n, cycle:n, path:n, star:n, gnp:n:p),
     or `file:path`. `seed` picks the gnp sample. A spec whose kind may have
     more than MAX_EDGES edges on n nodes is a GraphError before anything is
-    built (a gnp spec counts every pair)."""
+    built (a gnp spec counts every pair); any other bad spec is a GraphError
+    `bad graph spec '...': ...` that names it."""
     kind, colon, rest = spec.partition(":")
     if kind == "file" and colon:
         return load_edge_list(rest)
@@ -381,12 +382,15 @@ def build_graph(spec: str, seed: int = 0) -> Graph:
     try:
         edges, params, most = _kind(kind, fields)
         n = int(n)
+        if n < 2:
+            raise GraphError(f"need at least 2 nodes, got {n}")
     except ValueError as exc:  # GraphError included
         raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
-    if n < 2:
-        raise GraphError(f"need at least 2 nodes, got {n}")
     _bounded(spec, n, most)
-    return Graph(n, tuple(edges(n, stream("graph", seed), *params)), spec)
+    try:  # a cycle under 3 nodes, or a gnp sample never connected
+        return Graph(n, tuple(edges(n, stream("graph", seed), *params)), spec)
+    except GraphError as exc:
+        raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
 def graph_family(family: str) -> Callable[[int], str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from anonet.circuits import (
     CircuitError,
+    LedgerReport,
     collision_count_check,
     compile_circuit,
     complete_max_tree,
@@ -17,6 +19,7 @@ from anonet.circuits import (
     plurality_protocol,
 )
 from anonet.engine import TransitionTable, build_graph, run
+from test_protocols import state_closure
 
 
 def agents_for(counts, seed=0):
@@ -158,10 +161,59 @@ class TestLedgerCheck:
         rep = collision_count_check(circ, inputs, res.trace)
         assert rep.passed, f"counts {counts}\n{rep}"
 
+    def test_report_prints_a_header_and_one_verdict_row_per_gate(self):
+        circ = parse_circuit("(max (max 0 1) (max 2 3))")
+        inputs = agents_for([3, 5, 2, 4])
+        res = run(compile_circuit(circ), build_graph("complete:14"), inputs, seed=0,
+                  expected=5, record_trace=True)
+        rep = collision_count_check(circ, inputs, res.trace)
+        assert rep.passed
+
+        def row(gate, verdict):
+            return " ".join(map(str, dataclasses.astuple(gate))) + f" {verdict}"
+
+        header = "gate A B a b c1 c2 d1 d2 collisions ones ok"
+        assert str(rep).split("\n") == [header] + [row(g, "PASS") for g in rep.gates]
+        *lower, root = rep.gates
+        broken = dataclasses.replace(root, ones=root.ones + 1)
+        assert str(LedgerReport([*lower, broken], False)).split("\n") == (
+            [header] + [row(g, "PASS") for g in lower] + [row(broken, "FAIL")])
+
     def test_requires_max_only(self):
         for text in ("(max (min 0 1) 2)", "(min (max 0 1) 2)", "(min 0 1)"):
             with pytest.raises(CircuitError, match="MIN gates do not compose.*min-gate"):
                 parse_circuit(text)
+
+
+def max_tree_shapes(lo, hi):
+    """Every MAX tree over the leaves lo..hi-1, in that order."""
+    if hi - lo == 1:
+        yield str(lo)
+        return
+    for mid in range(lo + 1, hi):
+        for left in max_tree_shapes(lo, mid):
+            for right in max_tree_shapes(mid, hi):
+                yield f"(max {left} {right})"
+
+
+class TestNoLevelWaits:
+    """The ledger never has to hold a decrement back: each level spends at
+    most once and only that spend marks the level above, and a marked level
+    is cleared by case (i) or (ii) whatever else it holds."""
+
+    @pytest.mark.parametrize("text", [
+        *(t for leaves in (2, 3, 4) for t in max_tree_shapes(0, leaves)), "(max 0 2)"])
+    def test_every_reachable_level(self, text):
+        circ = parse_circuit(text)
+        proto = compile_circuit(circ)
+        for state in state_closure(proto):
+            levels = state.levels
+            for i, (lv, side) in enumerate(zip(levels, circ.sides[state.color])):
+                if lv.out and i + 1 < len(levels):
+                    assert not levels[i + 1].mark, state
+                if lv.mark:
+                    assert lv.charge in (side, 0), state
+                    assert (lv.charge, lv.live, lv.out) != (0, 1, 0), state
 
 
 class TestPlurality:

@@ -303,6 +303,15 @@ class TestSweepCommand:
             [("6", "error:plurality tie between colors [0, 3]")] * 2
             + [("8", "True")] * 2 + [("10", "True")] * 2)
 
+    def test_a_graph_error_row_names_the_spec(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--protocol", "or", "--graph", "cycle",
+                                        "--sizes", "2,3,4", "--seeds", "1"])
+        assert code == 2  # two sizes left, too few for a fit
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(row[1], row[-1]) for row in rows] == [
+            ("2", "error:bad graph spec 'cycle:2': cycle needs n >= 3"),
+            ("3", "True"), ("4", "True")]
+
     def test_forced_timeout_flagged(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
@@ -753,6 +762,31 @@ class TestBadInputs:
                f"error: --input '{block},1:rest': bad input block '{block}': expected "
                "color:count, color:p% or color:rest\n")
               for block in ("0:abc", "0:1.5", "0:5%%")),
+            *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", spec],
+               f"error: --input {spec!r}: {message}\n")
+              for spec, message in (("", "empty input spec"),
+                                    ("0,1,5,0", "input color 5 out of range [0, 2)"),
+                                    ("0:2,1", "mixed input spec '0:2,1'"),
+                                    ("0:-1,1:rest", "negative count in '0:-1'"))),
+            *((["run", "--protocol", spec, "--graph", "cycle:4", "--input", "0:2,1:rest"],
+               f"error: bad protocol spec {spec!r}: {message}\n")
+              for spec, message in (
+                  ("circuit:TMP/open.circ", "unexpected end of circuit expression"),
+                  ("circuit:TMP/trailing.circ", "trailing tokens after circuit expression"),
+                  ("lsb:0", "c must be >= 1"),
+                  ("estimate:1", "n_max must be >= 2"),
+                  ("bit:9:4", "bit index 9 outside [0, 3)"))),
+            *((["run", "--protocol", "or", "--graph", spec, "--input", "0:1,1:rest"],
+               f"error: bad graph spec {spec!r}: {message}\n")
+              for spec, message in (("cycle:2", "cycle needs n >= 3"),
+                                    ("complete:1", "need at least 2 nodes, got 1"))),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", ","],
+             "error: empty size grid\n"),
+            (["verify", "--protocol", "plurality:8", "--graph", "cycle:8", "--all-inputs"],
+             "error: 8^8 inputs is too many to enumerate\n"),
+            (["meet", "--graph", "cycle:4", "--trials", "0"], "error: trials must be >= 1\n"),
+            (["run", "--config", "TMP/missing.json", "--protocol", "or", "--graph", "cycle:4",
+              "--input", "0:4"], "error: cannot read config file TMP/missing.json: "),
         ],
         ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
              "rewire-empty-period",
@@ -766,10 +800,17 @@ class TestBadInputs:
              "sweep-seeds-0",
              "sweep-seeds-negative", "sweep-sizes-negative", "sweep-family-with-n",
              "sweep-family-file", "sweep-family-gnp-without-p", "sweep-family-unknown",
-             "input-count-word", "input-count-fraction", "input-count-percent"],
+             "input-count-word", "input-count-fraction", "input-count-percent",
+             "input-empty", "input-list-color", "input-mixed", "input-count-negative",
+             "circuit-unclosed", "circuit-trailing", "lsb-0", "estimate-1", "bit-index",
+             "cycle-2", "complete-1", "sweep-sizes-empty", "verify-all-inputs-too-many",
+             "meet-trials-0", "config-missing"],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
+        (tmp_path / "open.circ").write_text("(max 0\n")
+        (tmp_path / "trailing.circ").write_text("(max 0 1) 2\n")
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        names = names.replace("TMP", str(tmp_path))
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
