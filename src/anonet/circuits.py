@@ -616,8 +616,6 @@ def plurality_protocol(k: int) -> ProtocolDef:
     with a unique plurality color those agents are eventually exactly the
     plurality-colored ones, so every final register converges to it.
     """
-    if k < 2:
-        raise CircuitError("need k >= 2")
     tree = complete_max_tree(k)
 
     def init(color: int) -> PluralityState:

@@ -234,17 +234,16 @@ def cmd_sweep(args) -> int:
     resolved = resolve_protocol(args.protocol)
     sizes = _flag("--sizes", lambda spec: [int(s) for s in spec.split(",") if s], args.sizes)
     if not sizes:
-        raise ConfigError("empty size grid")
-    _at_least("--sizes", min(sizes), 2)
+        raise ConfigError(f"--sizes {args.sizes!r}: no size given")
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors
-    # whether the input spec fits, and whether the graph is under the edge
-    # limit, depends on n alone, so parsing each size's input of seed 0 and
-    # spec first ends a sweep that does not fit some size before its first
-    # run; every other input is parsed just before its run
-    first_input = {n: _flag("--input", parse_inputs, args.input, n, colors) for n in sizes}
+    # whether a size fits its graph kind and the edge limit, and whether the
+    # input spec fits it, depends on n alone, so checking each size's spec and
+    # parsing its input of seed 0 first ends a sweep that does not fit some
+    # size before its first run; every other input is parsed just before its run
     specs = {n: spec_of(n) for n in sizes}
+    first_input = {n: _flag("--input", parse_inputs, args.input, n, colors) for n in sizes}
     with _lines(args.output, args.summary) as (out, summary_out):
         # ids stay internal, so the runs of each process share one table
         table = TransitionTable(resolved.protocol)
@@ -317,7 +316,7 @@ def cmd_verify(args) -> int:
     colors = resolved.protocol.colors
     if args.all_inputs:
         if colors ** graph.n > 1 << 22:
-            raise ConfigError(f"{colors}^{graph.n} inputs is too many to enumerate")
+            raise ConfigError(f"--all-inputs: {colors}^{graph.n} inputs is over the limit of 2^22")
         # little-endian: node 0 varies fastest
         input_sets = (code[::-1] for code in itertools.product(range(colors), repeat=graph.n))
     else:
@@ -352,7 +351,6 @@ def cmd_verify(args) -> int:
 def cmd_audit(args) -> int:
     """One `audit_memory` call for all the protocols, so the audit forks at
     most once to spread their (graph, protocol) jobs over the CPUs."""
-    _at_least("--n", args.n, 3)  # the cycle needs 3 nodes
     n = args.n
     protocols = [resolve_protocol(spec).protocol for spec in args.protocols]
     graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -311,12 +311,6 @@ def is_connected(n: int, edges: Sequence[tuple[int, int]]) -> bool:
 _GNP_ATTEMPTS = 200
 
 
-def _cycle(n: int, rng: random.Random):
-    if n < 3:
-        raise GraphError("cycle needs n >= 3")
-    return [(i, (i + 1) % n) for i in range(n)]
-
-
 def _probability(text: str) -> float:
     if not 0 <= float(text) <= 1:
         raise ValueError(f"p must be in [0, 1], got {text}")
@@ -337,31 +331,34 @@ def _pairs(n: int) -> int:
 
 
 # kind -> (parsers of the parameters after n, edges(n, rng, *params), the
-# largest edge count of n nodes); rng is the seed's `graph` stream
-GRAPH_KINDS: dict[str, tuple[tuple[Callable, ...], Callable, Callable[[int], int]]] = {
-    "complete": ((), lambda n, rng: [(u, v) for u in range(n) for v in range(u + 1, n)], _pairs),
-    "cycle": ((), _cycle, lambda n: n),
-    "path": ((), lambda n, rng: [(i, i + 1) for i in range(n - 1)], lambda n: n - 1),
-    "star": ((), lambda n, rng: [(0, i) for i in range(1, n)], lambda n: n - 1),
-    "gnp": ((_probability,), _gnp, _pairs),
+# smallest n, the largest edge count of n nodes); rng is the seed's `graph`
+# stream. `build_graph` and `graph_family` check both sizes before building
+GRAPH_KINDS: dict[str, tuple[tuple[Callable, ...], Callable, int, Callable[[int], int]]] = {
+    "complete": ((), lambda n, rng: list(combinations(range(n), 2)), 2, _pairs),
+    "cycle": ((), lambda n, rng: [(i, (i + 1) % n) for i in range(n)], 3, lambda n: n),
+    "path": ((), lambda n, rng: [(i, i + 1) for i in range(n - 1)], 2, lambda n: n - 1),
+    "star": ((), lambda n, rng: [(0, i) for i in range(1, n)], 2, lambda n: n - 1),
+    "gnp": ((_probability,), _gnp, 2, _pairs),
 }
 # a built graph peaks at ~275 bytes per edge (its edges, arcs and adjacency),
 # so this many take ~2.7 GB
 MAX_EDGES = 10_000_000
 
 
-def _kind(kind: str, fields: Sequence[str]) -> tuple[Callable, list, Callable[[int], int]]:
-    """(edges function, parsed parameters, largest edge count of n nodes) of
-    `kind` given the fields after n."""
-    parsers, edges, most = GRAPH_KINDS.get(kind, (None, None, None))
+def _kind(kind: str, fields: Sequence[str]) -> tuple[Callable, list]:
+    """(edges function, parsed parameters) of `kind` given the fields after n."""
+    parsers, edges, *_ = GRAPH_KINDS.get(kind, (None, None))
     if parsers is None or len(fields) != len(parsers):
         raise GraphError(f"no graph kind {kind!r} with {len(fields)} parameter(s) after n")
-    return edges, [parse(f) for parse, f in zip(parsers, fields)], most
+    return edges, [parse(f) for parse, f in zip(parsers, fields)]
 
 
-def _bounded(spec: str, n: int, most: Callable[[int], int]) -> str:
-    """`spec`, or a GraphError if a graph of its kind on n nodes may have
-    more than MAX_EDGES edges: checked before anything is built."""
+def _bounded(spec: str, kind: str, n: int) -> str:
+    """`spec`, or a GraphError if `kind` has no graph on n nodes or one that
+    may have more than MAX_EDGES edges: checked before anything is built."""
+    least, most = GRAPH_KINDS[kind][2:]
+    if n < least:
+        raise GraphError(f"bad graph spec {spec!r}: need at least {least} nodes, got {n}")
     if most(n) > MAX_EDGES:
         raise GraphError(f"graph {spec!r} may have {most(n):,} edges, over the limit of "
                          f"{MAX_EDGES:,}")
@@ -371,23 +368,20 @@ def _bounded(spec: str, n: int, most: Callable[[int], int]) -> str:
 def build_graph(spec: str, seed: int = 0) -> Graph:
     """Build a graph from a spec `kind:n[:params]`, a `GRAPH_KINDS` kind with
     exactly its parameters (complete:n, cycle:n, path:n, star:n, gnp:n:p),
-    or `file:path`. `seed` picks the gnp sample. A spec whose kind may have
-    more than MAX_EDGES edges on n nodes is a GraphError before anything is
-    built (a gnp spec counts every pair); any other bad spec is a GraphError
-    `bad graph spec '...': ...` that names it."""
+    or `file:path`. `seed` picks the gnp sample. `_bounded` checks n against
+    its kind before anything is built; every bad spec but one over the edge
+    limit is a GraphError `bad graph spec '...': ...` that names it."""
     kind, colon, rest = spec.partition(":")
     if kind == "file" and colon:
         return load_edge_list(rest)
     n, *fields = rest.split(":")
     try:
-        edges, params, most = _kind(kind, fields)
+        edges, params = _kind(kind, fields)
         n = int(n)
-        if n < 2:
-            raise GraphError(f"need at least 2 nodes, got {n}")
     except ValueError as exc:  # GraphError included
         raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
-    _bounded(spec, n, most)
-    try:  # a cycle under 3 nodes, or a gnp sample never connected
+    _bounded(spec, kind, n)
+    try:  # a gnp sample never connected
         return Graph(n, tuple(edges(n, stream("graph", seed), *params)), spec)
     except GraphError as exc:
         raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
@@ -396,10 +390,10 @@ def build_graph(spec: str, seed: int = 0) -> Graph:
 def graph_family(family: str) -> Callable[[int], str]:
     """n -> the spec `kind:n[:params]` of the family `kind[:params]` (a
     `GRAPH_KINDS` spec without its n); ValueError for a bad family, and a
-    GraphError for an n over `build_graph`'s edge limit."""
+    GraphError for an n that `_bounded` rejects."""
     kind, colon, rest = family.partition(":")
-    most = _kind(kind, rest.split(":") if colon else [])[2]
-    return lambda n: _bounded(f"{kind}:{n}{colon}{rest}", n, most)
+    _kind(kind, rest.split(":") if colon else [])
+    return lambda n: _bounded(f"{kind}:{n}{colon}{rest}", kind, n)
 
 
 def load_edge_list(path: str) -> Graph:

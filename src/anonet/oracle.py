@@ -287,16 +287,19 @@ class AuditReport:
         )
 
 
+AUDIT_MAX_STEPS = 200_000  # activations per audited run, at most
+
+
 def audit_memory(
     audits: Sequence[tuple],
     graphs: Iterable[Graph],
     *,
     seeds: Iterable[int] = range(5),
-    max_steps: int = 200_000,
 ) -> list[AuditReport]:
     """One report per (protocol, input sets) pair of `audits`: the distinct
-    states that agents held across sampled runs of every (graph, input, seed)
-    combination, and ceil(log2 count) against the declared bit budget.
+    states that agents held across sampled runs (AUDIT_MAX_STEPS activations
+    at most) of every (graph, input, seed) combination, and ceil(log2 count)
+    against the declared bit budget.
 
     One `map_jobs` call spreads the (graph, protocol) jobs, graph by graph,
     over the CPUs, so the whole audit forks at most once; a job runs every
@@ -319,7 +322,7 @@ def audit_memory(
         table = tables[k]
         for inputs in input_sets:
             for seed in seeds:
-                run(protocol, graph, inputs, seed=seed, max_steps=max_steps, table=table)
+                run(protocol, graph, inputs, seed=seed, max_steps=AUDIT_MAX_STEPS, table=table)
         return list(compress(table.objs, table.held))
 
     jobs = [(graph, k) for graph in graphs for k in range(len(audits))]

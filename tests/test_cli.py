@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from anonet import cli, oracle
+from anonet import cli, engine, oracle
 from anonet.catalog import KINDS, ConfigError, counts_of, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
@@ -200,6 +200,24 @@ class TestRunCommand:
         )
         assert code == 0 and strict_json(out)["match"]
 
+    def test_rewire_with_one_edge(self, capsys, monkeypatch):
+        # a one-edge graph has no second edge to swap with: every proposal
+        # is rejected and the run goes on
+        swaps = []
+        swap = engine._Rewirer.swap
+        monkeypatch.setattr(engine._Rewirer, "swap",
+                            lambda self, rng: swaps.append(swap(self, rng)) or swaps[-1])
+        code, out, _ = run_cli(
+            capsys,
+            ["run", "--protocol", "or", "--graph", "complete:2", "--input", "0,1",
+             "--rewire", "swap:1"],
+        )
+        rec = strict_json(out)
+        assert code == 0 and rec["edges"] == 1
+        assert swaps and not any(swaps)
+        assert rec["stabilized"] and rec["stopped_by"] == "quiescence"
+        assert rec["total_steps"] == 2
+
 
 class TestSweepCommand:
     def test_rows_and_summary(self, capsys, tmp_path):
@@ -304,13 +322,14 @@ class TestSweepCommand:
             + [("8", "True")] * 2 + [("10", "True")] * 2)
 
     def test_a_graph_error_row_names_the_spec(self, capsys):
-        code, out, _ = run_cli(capsys, ["sweep", "--protocol", "or", "--graph", "cycle",
-                                        "--sizes", "2,3,4", "--seeds", "1"])
-        assert code == 2  # two sizes left, too few for a fit
+        # at p = 0.001 no sample of 3 or 30 nodes connects
+        code, out, _ = run_cli(capsys, ["sweep", "--protocol", "or", "--graph", "gnp:0.001",
+                                        "--sizes", "3,30", "--seeds", "1"])
+        assert code == 2
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [(row[1], row[-1]) for row in rows] == [
-            ("2", "error:bad graph spec 'cycle:2': cycle needs n >= 3"),
-            ("3", "True"), ("4", "True")]
+            (n, f"error:bad graph spec 'gnp:{n}:0.001': no connected sample in 200 attempts")
+            for n in ("3", "30")]
 
     def test_forced_timeout_flagged(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -646,6 +665,12 @@ class TestMeetCommand:
         assert code == 0 and err == ""
         assert len(rec["measurements"]) == len(graphs) and "time_exponent" not in rec
 
+    def test_one_trial_has_zero_stderr(self, capsys):
+        code, out, _ = run_cli(capsys, ["meet", "--graph", "cycle:4", "--trials", "1"])
+        (stats,) = strict_json(out)["measurements"]
+        assert code == 0 and stats["trials"] == 1
+        assert stats["stderr_steps"] == stats["stderr_time"] == 0.0
+
 
 class TestConfigFile:
     def test_config_provides_defaults_cli_overrides(self, capsys, tmp_path):
@@ -656,6 +681,15 @@ class TestConfigFile:
         assert strict_json(out)["seed"] == 5
         code, out, _ = run_cli(capsys, ["run", "--config", str(cfg), "--seed", "9"])
         assert strict_json(out)["seed"] == 9  # explicit flag wins
+
+    def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# a comment line\nprotocol=lsb:2\n\n"
+                       "graph=cycle:8  # an inline comment\ninput=0:5,1:3\nseed=5 #\n")
+        code, out, _ = run_cli(capsys, ["run", "--config", str(cfg)])
+        rec = strict_json(out)
+        assert code == 0
+        assert (rec["protocol"], rec["graph"], rec["seed"]) == ("lsb:2", "cycle:8", 5)
 
     def test_bad_config_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -722,7 +756,8 @@ class TestBadInputs:
             (["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
               "--input", "0:8"], ""),
             (["audit", "bit:0:4", "--n", "8"], ""),
-            (["audit", "or", "--n", "2"], "--n must be >= 3"),
+            (["audit", "or", "--n", "2"],
+             "error: bad graph spec 'cycle:2': need at least 3 nodes, got 2\n"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8",
               "--input", "x:3,1:rest"],
              "error: --input 'x:3,1:rest': bad input block 'x:3': expected color:count, "
@@ -755,7 +790,8 @@ class TestBadInputs:
              "--seeds"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "-3"],
              "--seeds"),
-            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,-5,6"], "--sizes"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,-5,6"],
+             "error: bad graph spec 'cycle:-5': need at least 3 nodes, got -5\n"),
             *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
             *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", f"{block},1:rest"],
@@ -775,15 +811,16 @@ class TestBadInputs:
                   ("circuit:TMP/trailing.circ", "trailing tokens after circuit expression"),
                   ("lsb:0", "c must be >= 1"),
                   ("estimate:1", "n_max must be >= 2"),
-                  ("bit:9:4", "bit index 9 outside [0, 3)"))),
+                  ("bit:9:4", "bit index 9 outside [0, 3)"),
+                  ("plurality:1", "need k >= 2"))),
             *((["run", "--protocol", "or", "--graph", spec, "--input", "0:1,1:rest"],
                f"error: bad graph spec {spec!r}: {message}\n")
-              for spec, message in (("cycle:2", "cycle needs n >= 3"),
+              for spec, message in (("cycle:2", "need at least 3 nodes, got 2"),
                                     ("complete:1", "need at least 2 nodes, got 1"))),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", ","],
-             "error: empty size grid\n"),
+             "error: --sizes ',': no size given\n"),
             (["verify", "--protocol", "plurality:8", "--graph", "cycle:8", "--all-inputs"],
-             "error: 8^8 inputs is too many to enumerate\n"),
+             "error: --all-inputs: 8^8 inputs is over the limit of 2^22\n"),
             (["meet", "--graph", "cycle:4", "--trials", "0"], "error: trials must be >= 1\n"),
             (["run", "--config", "TMP/missing.json", "--protocol", "or", "--graph", "cycle:4",
               "--input", "0:4"], "error: cannot read config file TMP/missing.json: "),
@@ -803,6 +840,7 @@ class TestBadInputs:
              "input-count-word", "input-count-fraction", "input-count-percent",
              "input-empty", "input-list-color", "input-mixed", "input-count-negative",
              "circuit-unclosed", "circuit-trailing", "lsb-0", "estimate-1", "bit-index",
+             "plurality-1",
              "cycle-2", "complete-1", "sweep-sizes-empty", "verify-all-inputs-too-many",
              "meet-trials-0", "config-missing"],
     )
@@ -916,8 +954,8 @@ class TestBadInputs:
         def work(*args, **kwargs):
             pytest.fail("the command built a graph or started its work")
 
-        for kind, (parsers, _, most) in list(GRAPH_KINDS.items()):
-            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, work, most))
+        for kind, (parsers, _, *size) in list(GRAPH_KINDS.items()):
+            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, work, *size))
         for name in ("run", "verify_exhaustive", "audit_memory"):
             monkeypatch.setattr(cli, name, work)
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
@@ -925,6 +963,24 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err.startswith("error: graph '") and err.endswith(
             " edges, over the limit of 10,000,000\n")
+        assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "2,3,4", "--seeds", "1",
+         "--output", "TMP/rows.csv"],
+        ["audit", "or", "--n", "2"],
+    ], ids=["sweep", "audit"])
+    def test_a_size_under_its_kinds_smallest_n_ends_the_command_before_its_runs(
+            self, capsys, tmp_path, monkeypatch, argv):
+        def work(*args, **kwargs):
+            pytest.fail("the command started its runs")
+
+        for name in ("run", "audit_memory"):
+            monkeypatch.setattr(cli, name, work)
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: bad graph spec 'cycle:2': need at least 3 nodes, got 2\n"
         assert not (tmp_path / "rows.csv").exists()
 
     def test_a_sweep_input_that_fits_no_later_size_ends_it_before_its_runs(

@@ -69,8 +69,8 @@ class TestBuildGraph:
         def build(*args):
             raise Built
 
-        for kind, (parsers, _, most) in list(GRAPH_KINDS.items()):
-            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, build, most))
+        for kind, (parsers, _, *size) in list(GRAPH_KINDS.items()):
+            monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, build, *size))
         assert MAX_EDGES == 10_000_000
         # complete:4472 may have 9,997,156 edges and complete:4473 10,001,628
         for under, over in (("complete:4472", "complete:4473"), ("gnp:4472:0.5", "gnp:4473:0"),
@@ -83,6 +83,29 @@ class TestBuildGraph:
                 build_graph(over)
         with pytest.raises(GraphError, match="^graph 'cycle:10000001' may have 10,000,001 edges"):
             graph_family("cycle")(10_000_001)
+
+    @pytest.mark.parametrize("kind", sorted(GRAPH_KINDS))
+    def test_a_spec_under_its_kinds_smallest_n_is_rejected_before_it_is_built(
+            self, monkeypatch, kind):
+        parsers, edges, least, most = GRAPH_KINDS[kind]
+        assert least == (3 if kind == "cycle" else 2)
+        params = ":1" * len(parsers)  # p = 1 for gnp
+        assert build_graph(f"{kind}:{least}{params}").n == least
+        # the model has no graph of the kind on one node fewer
+        with pytest.raises(GraphError):
+            Graph(least - 1, tuple(edges(least - 1, stream("graph", 0),
+                                         *(parse("1") for parse in parsers))))
+
+        def build(*args):
+            pytest.fail("the edges were built")
+
+        monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, build, least, most))
+        spec = f"{kind}:{least - 1}{params}"
+        message = f"^bad graph spec '{spec}': need at least {least} nodes, got {least - 1}$"
+        with pytest.raises(GraphError, match=message):
+            build_graph(spec)
+        with pytest.raises(GraphError, match=message):
+            graph_family(kind + params)(least - 1)
 
     def test_complete_edge_count(self):
         g = build_graph("complete:4")
