@@ -1,10 +1,11 @@
 """Resolution of protocol and input specification strings.
 
-Protocol strings are `kind[:p1[:p2...]]` with integer parameters. `KINDS`
-is their grammar: kind -> (accepted parameter counts, `build(*params)`),
-and `build` returns (protocol, truth). `truth(counts)` is plain arithmetic
-over per-color counts (r is the count of color 0), None when there is
-nothing to report; ValueError means there is no answer.
+Protocol strings are `kind[:p1[:p2...]]` with integer parameters in digits
+0-9 (`engine.parse_decimal`). `KINDS` is their grammar: kind -> (accepted
+parameter counts, `build(*params)`), and `build` returns (protocol, truth).
+`truth(counts)` is plain arithmetic over per-color counts (r is the count
+of color 0), None when there is nothing to report; ValueError means there
+is no answer.
 
     or                 1 if any agent has color 1
     lsb:c              r mod 2^c
@@ -35,7 +36,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import circuits, protocols
-from .engine import stream
+from .engine import parse_decimal, stream
 
 __all__ = ["KINDS", "ResolvedProtocol", "resolve_protocol", "parse_inputs", "counts_of",
            "ConfigError"]
@@ -100,7 +101,7 @@ def resolve_protocol(spec: str) -> ResolvedProtocol:
                                     partial(circuits.evaluate, circ))
         arities, build = KINDS.get(kind, ((), None))
         if len(params) in arities:
-            return ResolvedProtocol(*build(*map(int, params)))
+            return ResolvedProtocol(*build(*map(parse_decimal, params)))
     except ValueError as exc:  # CircuitError included
         if isinstance(exc, ConfigError):
             raise
@@ -123,13 +124,13 @@ def parse_inputs(spec: str, n: int, colors: int, seed: int = 0) -> list[int]:
     fields = [f.strip() for f in spec.split(",")]
     if all(":" not in f for f in fields):
         try:
-            values = [int(f) for f in fields]
+            values = [parse_decimal(f) for f in fields]
         except ValueError as exc:
             raise ConfigError(f"bad input list {spec!r}") from exc
         if len(values) != n:
             raise ConfigError(f"input list has {len(values)} entries, graph has {n}")
         for v in values:
-            if not (0 <= v < colors):
+            if v >= colors:
                 raise ConfigError(f"input color {v} out of range [0, {colors})")
         return values
 
@@ -141,12 +142,12 @@ def parse_inputs(spec: str, n: int, colors: int, seed: int = 0) -> list[int]:
             raise ConfigError(f"mixed input spec {spec!r}")
         color_s, count_s = f.split(":", 1)
         try:
-            color = int(color_s)
-            count = None if count_s == "rest" else int(count_s.removesuffix("%"))
+            color = parse_decimal(color_s)
+            count = None if count_s == "rest" else parse_decimal(count_s.removesuffix("%"))
         except ValueError as exc:
             raise ConfigError(f"bad input block {f!r}: expected color:count, color:p% "
                               "or color:rest") from exc
-        if not (0 <= color < colors):
+        if color >= colors:
             raise ConfigError(f"input color {color} out of range [0, {colors})")
         if count is None:
             if rest_color is not None:
@@ -155,8 +156,6 @@ def parse_inputs(spec: str, n: int, colors: int, seed: int = 0) -> list[int]:
             continue
         if count_s.endswith("%"):
             count = n * count // 100
-        if count < 0:
-            raise ConfigError(f"negative count in {f!r}")
         counts[color] += count
         used += count
     if rest_color is not None:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .engine import Activation
+from .engine import Activation, parse_decimal
 from .protocols import ProtocolDef
 
 __all__ = [
@@ -111,9 +111,10 @@ def parse_circuit(text: str) -> "Circuit":
             return (left, right)
         if tok == ")":
             raise CircuitError("unexpected ')'")
-        if not tok.isdecimal():
-            raise CircuitError(f"bad token {tok!r}: a leaf is a colour, a decimal integer >= 0")
-        return int(tok)
+        try:
+            return parse_decimal(tok)
+        except ValueError as exc:
+            raise CircuitError(f"bad token {tok!r}: a leaf is a colour in digits 0-9") from exc
 
     tree = parse()
     if pos != len(tokens):

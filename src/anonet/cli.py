@@ -27,6 +27,7 @@ from .engine import (
     graph_family,
     map_jobs,
     measure_meeting_time,
+    parse_decimal,
     parse_rewire,
     run,
     write_trace,
@@ -232,7 +233,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
-    sizes = _flag("--sizes", lambda spec: [int(s) for s in spec.split(",") if s], args.sizes)
+    sizes = _flag("--sizes", lambda s: [parse_decimal(x) for x in s.split(",") if x], args.sizes)
     if not sizes:
         raise ConfigError(f"--sizes {args.sizes!r}: no size given")
     _at_least("--seeds", args.seeds, 1)
@@ -350,7 +351,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     """One `audit_memory` call for all the protocols, so the audit forks at
-    most once to spread their (graph, protocol) jobs over the CPUs."""
+    most once to spread them over the CPUs, one job per protocol."""
     n = args.n
     protocols = [resolve_protocol(spec).protocol for spec in args.protocols]
     graphs = [build_graph(f"complete:{n}"), build_graph(f"cycle:{n}")]
@@ -368,6 +369,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_meet(args) -> int:
+    _at_least("--trials", args.trials, 1)
     graphs = [build_graph(spec, seed=args.seed) for spec in args.graph]
     with _lines(args.output) as (out,):
         stats = [measure_meeting_time(graph, args.trials, seed=args.seed) for graph in graphs]

@@ -39,6 +39,7 @@ limits) give bit-identical traces and results.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
@@ -56,6 +57,7 @@ __all__ = [
     "MAX_EDGES",
     "build_graph",
     "graph_family",
+    "parse_decimal",
     "parse_rewire",
     "load_edge_list",
     "write_trace",
@@ -93,8 +95,8 @@ class TransitionTable:
     interned states are not all held: `held[i]` is 1 for a state some agent
     held, an initial state (`start`) or one an activation moved an agent to
     (`run`). `verdicts` is the stop rule's memo, keyed by the set of states
-    present. The runs that share a table (a sweep's, or an audit's of one
-    protocol in one process) share its fills and its memo.
+    present. The runs that share a table (a sweep's in one process, or all of
+    one protocol's in an audit) share its fills and its memo.
     """
 
     def __init__(self, protocol):
@@ -274,13 +276,22 @@ class RunResult:
     trace: Optional[list[Activation]] = None
 
 
+def parse_decimal(text: str) -> int:
+    """The integer `text` writes in ASCII digits 0-9 alone, every spec's one
+    integer syntax: a sign, an underscore or another script's digit is a ValueError."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected an integer >= 0 in digits 0-9, got {text!r}")
+
+
 def parse_rewire(spec: str) -> int:
     """The swap period of a `--rewire` spec: 0 for "none", p for "swap:p"."""
     if spec == "none":
         return 0
     kind, _, period = spec.partition(":")
-    if kind == "swap" and period.isdecimal() and int(period) >= 1:
-        return int(period)
+    with suppress(ValueError):
+        if kind == "swap" and parse_decimal(period) >= 1:
+            return int(period)
     raise ValueError("expected none or swap:p with p >= 1")
 
 
@@ -377,7 +388,7 @@ def build_graph(spec: str, seed: int = 0) -> Graph:
     n, *fields = rest.split(":")
     try:
         edges, params = _kind(kind, fields)
-        n = int(n)
+        n = parse_decimal(n)
     except ValueError as exc:  # GraphError included
         raise GraphError(f"bad graph spec {spec!r}: {exc}") from exc
     _bounded(spec, kind, n)
@@ -408,10 +419,12 @@ def load_edge_list(path: str) -> Graph:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                fields = line.split()
-                if len(fields) != 2 or not all(f.isdecimal() for f in fields):
-                    raise GraphError(f"{path}:{lineno}: expected 'u v' with ids >= 0, got {line!r}")
-                edges.append(tuple(map(int, fields)))
+                try:
+                    u, v = map(parse_decimal, line.split())
+                except ValueError as exc:
+                    raise GraphError(f"{path}:{lineno}: expected 'u v' with ids >= 0, "
+                                     f"got {line!r}") from exc
+                edges.append((u, v))
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
     if not edges:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -298,43 +298,29 @@ def audit_memory(
 ) -> list[AuditReport]:
     """One report per (protocol, input sets) pair of `audits`: the distinct
     states that agents held across sampled runs (AUDIT_MAX_STEPS activations
-    at most) of every (graph, input, seed) combination, and ceil(log2 count)
-    against the declared bit budget.
+    at most) of every (graph, input, seed) combination, and their width,
+    ceil(log2 count) bits and at least 1, against the declared bit budget.
 
-    One `map_jobs` call spreads the (graph, protocol) jobs, graph by graph,
-    over the CPUs, so the whole audit forks at most once; a job runs every
-    input with every seed. Each process keeps one TransitionTable per
-    protocol, so its jobs of one protocol share their fills and stop-rule
-    verdicts. A job returns the states held in its process's table so far:
-    `held` marks the initial states and those an activation moved an agent
-    to, not those only the stop rule's look-ahead interned. A protocol's
-    count is the union over its jobs. An input whose length is not its
+    Each pair is one `map_jobs` job, so the whole audit forks at most once.
+    A job runs every graph (outermost), input and seed on its own
+    TransitionTable, so all its runs share their fills and stop-rule
+    verdicts, and sends back the number of states `held` marks: the initial
+    states and those an activation moved an agent to, not those only the
+    stop rule's look-ahead interned. An input whose length is not its
     graph's n raises ValueError, as in `run`.
     """
-    audits, seeds = list(audits), list(seeds)
-    tables = [TransitionTable(protocol) for protocol, _ in audits]  # copied by the fork
+    audits, graphs, seeds = list(audits), list(graphs), list(seeds)
 
-    def held(job) -> list:
-        """The states agents held in this process's runs of the job's
-        protocol so far, the job's included."""
-        graph, k = job
-        protocol, input_sets = audits[k]
-        table = tables[k]
-        for inputs in input_sets:
-            for seed in seeds:
-                run(protocol, graph, inputs, seed=seed, max_steps=AUDIT_MAX_STEPS, table=table)
-        return list(compress(table.objs, table.held))
+    def held(audit) -> int:
+        protocol, input_sets = audit
+        table = TransitionTable(protocol)
+        for graph, inputs, seed in product(graphs, input_sets, seeds):
+            run(protocol, graph, inputs, seed=seed, max_steps=AUDIT_MAX_STEPS, table=table)
+        return sum(table.held)
 
-    jobs = [(graph, k) for graph in graphs for k in range(len(audits))]
-    states: list = [set() for _ in audits]
-    for (_, k), found in zip(jobs, map_jobs(held, jobs)):
-        states[k].update(found)
-    reports = []
-    for (protocol, _), found in zip(audits, states):
-        count = len(found)
-        measured = max(1, math.ceil(math.log2(count))) if count > 1 else 1
-        reports.append(AuditReport(protocol.name, protocol.budget_bits, count, measured))
-    return reports
+    return [AuditReport(protocol.name, protocol.budget_bits, count,
+                        max(1, (count - 1).bit_length()))
+            for (protocol, _), count in zip(audits, map_jobs(held, audits))]
 
 
 def audit_inputs(colors: int, n: int) -> list[list[int]]:

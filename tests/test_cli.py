@@ -581,14 +581,13 @@ class TestParallelRuns:
         (["sweep", "--protocol", "plurality:4", "--graph", "gnp:0.5", "--sizes", "8,12,16",
           "--seeds", "3", "--rewire", "swap:8", "--input", "0:50%,1:20%,2:10%,3:rest",
           "--output", "OUT", "--summary", "SUM"], 1),
-        # one fork for the whole audit, whatever the number of protocols: the
-        # (graph, protocol) jobs of an even number of protocols give each
-        # process both graphs of its protocols, an odd number deals them out
-        # graph by graph, and a single protocol's two jobs still use two CPUs
+        # each protocol is one job that runs both graphs, so an audit of
+        # several protocols forks once, whether their number is even or odd,
+        # and an audit of one protocol forks not at all
         (["audit", "lsb:2", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"],
          1),
         (["audit", "lsb:2", "max-gate", "plurality:4", "--n", "8", "--output", "OUT"], 1),
-        (["audit", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"], 1),
+        (["audit", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"], 0),
     ], ids=["lsb-cycle", "plurality-gnp-rewired", "audit", "audit-odd", "audit-one"])
     def test_outputs_are_identical_on_one_and_two_cpus(self, capsys, tmp_path, monkeypatch,
                                                        argv, forks):
@@ -736,6 +735,47 @@ class TestConfigFile:
         assert err == "error: unrecognized arguments: --rate 2\n"
 
 
+_RUN_OR = ["run", "--protocol", "or", "--input", "0:1,1:rest"]
+# every integer of the spec grammar is in ASCII digits 0-9 alone: no sign, no
+# underscore and no other script's digits, all of which int() takes
+BAD_INTEGERS = {
+    "cycle-underscore": ([*_RUN_OR, "--graph", "cycle:1_0"], "error: bad graph spec "
+                         "'cycle:1_0': expected an integer >= 0 in digits 0-9, got '1_0'\n"),
+    "cycle-plus": ([*_RUN_OR, "--graph", "cycle:+5"], "error: bad graph spec 'cycle:+5': "
+                   "expected an integer >= 0 in digits 0-9, got '+5'\n"),
+    "cycle-arabic-indic": ([*_RUN_OR, "--graph", "cycle:\u0664"], "error: bad graph spec "
+                           "'cycle:\u0664': expected an integer >= 0 in digits 0-9, got "
+                           "'\u0664'\n"),
+    "lsb-fullwidth": (["run", "--protocol", "lsb:\uff11", "--graph", "cycle:4", "--input",
+                       "0:1,1:rest"], "error: bad protocol spec 'lsb:\uff11': expected an "
+                      "integer >= 0 in digits 0-9, got '\uff11'\n"),
+    "sweep-sizes-plus": (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,+5",
+                          "--output", "TMP/rows.csv"],
+                         "error: --sizes '4,+5': expected an integer >= 0 in digits 0-9, "
+                         "got '+5'\n"),
+    "input-count-underscore": (["run", "--protocol", "or", "--graph", "cycle:10", "--input",
+                                "0:1_0,1:rest"],
+                               "error: --input '0:1_0,1:rest': bad input block '0:1_0': "
+                               "expected color:count, color:p% or color:rest\n"),
+    "rewire-arabic-indic": ([*_RUN_OR, "--graph", "cycle:4", "--rewire", "swap:\u0661"],
+                            "error: --rewire 'swap:\u0661': expected none or swap:p with "
+                            "p >= 1\n"),
+    "circuit-leaf-arabic-indic": (["run", "--protocol", "circuit:TMP/digit.circ", "--graph",
+                                   "cycle:4", "--input", "0:1,1:rest"],
+                                  "error: bad protocol spec 'circuit:TMP/digit.circ': bad "
+                                  "token '\u0661': a leaf is a colour in digits 0-9\n"),
+    "edge-list-arabic-indic": ([*_RUN_OR, "--graph", "file:TMP/digit.edges"],
+                               "error: TMP/digit.edges:1: expected 'u v' with ids >= 0, got "
+                               "'\u0660 \u0661'\n"),
+}
+
+
+def write_bad_integer_files(tmp_path):
+    """The circuit and the edge list of `BAD_INTEGERS`, in Arabic-Indic digits."""
+    (tmp_path / "digit.circ").write_text("(max 0 \u0661)\n", encoding="utf-8")
+    (tmp_path / "digit.edges").write_text("\u0660 \u0661\n", encoding="utf-8")
+
+
 class TestBadInputs:
     @pytest.mark.parametrize(
         "argv,names",
@@ -791,7 +831,7 @@ class TestBadInputs:
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "-3"],
              "--seeds"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,-5,6"],
-             "error: bad graph spec 'cycle:-5': need at least 3 nodes, got -5\n"),
+             "error: --sizes '4,-5,6': expected an integer >= 0 in digits 0-9, got '-5'\n"),
             *((["sweep", "--protocol", "or", "--graph", family, "--sizes", "4,5,6"],
                f"--graph {family!r}") for family in ("cycle:8", "file:x", "gnp", "nope")),
             *((["run", "--protocol", "or", "--graph", "cycle:4", "--input", f"{block},1:rest"],
@@ -803,7 +843,8 @@ class TestBadInputs:
               for spec, message in (("", "empty input spec"),
                                     ("0,1,5,0", "input color 5 out of range [0, 2)"),
                                     ("0:2,1", "mixed input spec '0:2,1'"),
-                                    ("0:-1,1:rest", "negative count in '0:-1'"))),
+                                    ("0:-1,1:rest", "bad input block '0:-1': expected "
+                                     "color:count, color:p% or color:rest"))),
             *((["run", "--protocol", spec, "--graph", "cycle:4", "--input", "0:2,1:rest"],
                f"error: bad protocol spec {spec!r}: {message}\n")
               for spec, message in (
@@ -821,9 +862,11 @@ class TestBadInputs:
              "error: --sizes ',': no size given\n"),
             (["verify", "--protocol", "plurality:8", "--graph", "cycle:8", "--all-inputs"],
              "error: --all-inputs: 8^8 inputs is over the limit of 2^22\n"),
-            (["meet", "--graph", "cycle:4", "--trials", "0"], "error: trials must be >= 1\n"),
+            (["meet", "--graph", "cycle:4", "--trials", "0"],
+             "error: --trials must be >= 1, got 0\n"),
             (["run", "--config", "TMP/missing.json", "--protocol", "or", "--graph", "cycle:4",
               "--input", "0:4"], "error: cannot read config file TMP/missing.json: "),
+            *BAD_INTEGERS.values(),
         ],
         ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
              "rewire-empty-period",
@@ -842,11 +885,12 @@ class TestBadInputs:
              "circuit-unclosed", "circuit-trailing", "lsb-0", "estimate-1", "bit-index",
              "plurality-1",
              "cycle-2", "complete-1", "sweep-sizes-empty", "verify-all-inputs-too-many",
-             "meet-trials-0", "config-missing"],
+             "meet-trials-0", "config-missing", *BAD_INTEGERS],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
         (tmp_path / "open.circ").write_text("(max 0\n")
         (tmp_path / "trailing.circ").write_text("(max 0 1) 2\n")
+        write_bad_integer_files(tmp_path)
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         names = names.replace("TMP", str(tmp_path))
         code, out, err = run_cli(capsys, argv)
@@ -982,6 +1026,18 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err == "error: bad graph spec 'cycle:2': need at least 3 nodes, got 2\n"
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("argv,line", BAD_INTEGERS.values(), ids=BAD_INTEGERS)
+    def test_a_bad_integer_ends_the_command_before_its_runs(
+            self, capsys, tmp_path, monkeypatch, argv, line):
+        def work(*args, **kwargs):
+            pytest.fail("the command started its runs")
+
+        monkeypatch.setattr(cli, "run", work)
+        write_bad_integer_files(tmp_path)
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (1, "", line.replace("TMP", str(tmp_path)))
 
     def test_a_sweep_input_that_fits_no_later_size_ends_it_before_its_runs(
             self, capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import os
 import random
 from collections import Counter
 
@@ -193,6 +194,41 @@ class TestAuditMemory:
                     top = max(counts)
                     assert sum(counts) == n and counts.count(top) == 1
                     assert counts.index(top) == winner
+
+    def test_each_protocol_runs_on_one_table_across_both_graphs(self, monkeypatch):
+        # one CPU, so that every run is seen in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = []
+
+        def spy(protocol, graph, inputs, **kwargs):
+            calls.append((protocol.name, graph.generator_tag, kwargs["table"]))
+            return run(protocol, graph, inputs, **kwargs)
+
+        monkeypatch.setattr(oracle, "run", spy)
+        protos = [lsb_counter_protocol(2), or_protocol(), threshold_protocol(2, 1, 1)]
+        graphs = [build_graph("complete:5"), build_graph("cycle:5")]
+        audit_memory([(p, audit_inputs(2, 5)) for p in protos], graphs, seeds=range(2))
+        # protocol by protocol, graphs outermost, 6 inputs x 2 seeds per graph
+        assert [(name, tag) for name, tag, _ in calls] == [
+            (p.name, g.generator_tag) for p in protos for g in graphs for _ in range(12)]
+        tables = [{id(table) for name, _, table in calls if name == p.name} for p in protos]
+        assert [len(ids) for ids in tables] == [1, 1, 1] and len(set.union(*tables)) == 3
+        assert all(table.protocol.name == name for name, _, table in calls)
+
+    @pytest.mark.parametrize("states,bits", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3),
+                                             (9, 4)])
+    def test_width_of_exactly_k_states(self, states, bits):
+        # each initiator counts up to states - 1, so the agents hold 0 .. states - 1
+        counter = ProtocolDef(
+            name=f"counter:{states}",
+            init=lambda color: 0,
+            transition=lambda a, b: (min(a + 1, states - 1), b),
+            output=lambda s: s,
+            budget_bits=bits,
+        )
+        [report] = audit_memory([(counter, [[0] * 4])], [build_graph("complete:4")])
+        assert (report.distinct_states, report.measured_bits) == (states, bits)
+        assert bits == max(1, math.ceil(math.log2(states)))
 
     def test_overbudget_detected(self):
         import dataclasses

@@ -24,3 +24,18 @@ def test_every_exported_name_resolves():
                     assert hasattr(source, alias.name), (path.name, alias.name)
                     assert alias.name.startswith("_") or alias.name in source.__all__, (
                         path.name, alias.name)
+
+
+def test_every_module_level_import_is_used():
+    # a deletion can leave behind an import that nothing reads any more;
+    # `__init__.py` imports only to re-export
+    for path in Path(anonet.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == [], path.name
