@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from . import circuits, protocols
+from . import protocols
 from .engine import parse_decimal, stream
 
 __all__ = ["KINDS", "ResolvedProtocol", "resolve_protocol", "parse_inputs", "counts_of",
@@ -50,6 +50,14 @@ class ConfigError(ValueError):
 class ResolvedProtocol:
     protocol: protocols.ProtocolDef
     oracle_fn: Callable[[Sequence[int]], object]
+
+
+def _circuits():
+    """The `circuits` module, imported when a spec first needs it, so that
+    the kinds outside it never load it."""
+    from . import circuits
+
+    return circuits
 
 
 def _threshold(a: int, b: int, c: Optional[int] = None):
@@ -78,11 +86,11 @@ KINDS: dict[str, tuple[tuple[int, ...], Callable]] = {
     "estimate": ((1,), lambda nmax: (
         protocols.estimate_protocol(nmax),
         lambda counts: counts[0].bit_length() - 1 if counts[0] else None)),
-    "max-gate": ((0,), lambda: (circuits.max_gate_protocol(),
+    "max-gate": ((0,), lambda: (_circuits().max_gate_protocol(),
                                 lambda counts: max(counts[0], counts[1]))),
-    "min-gate": ((0,), lambda: (circuits.min_gate_protocol(),
+    "min-gate": ((0,), lambda: (_circuits().min_gate_protocol(),
                                 lambda counts: min(counts[0], counts[1]))),
-    "plurality": ((1,), lambda k: (circuits.plurality_protocol(k), _plurality)),
+    "plurality": ((1,), lambda k: (_circuits().plurality_protocol(k), _plurality)),
 }
 
 
@@ -92,6 +100,7 @@ def resolve_protocol(spec: str) -> ResolvedProtocol:
     params = rest.split(":") if colon else []
     try:
         if kind == "circuit" and colon:
+            circuits = _circuits()
             try:
                 with open(rest, "r", encoding="utf-8") as fh:
                     circ = circuits.parse_circuit(fh.read())

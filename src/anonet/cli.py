@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import __version__
@@ -54,9 +53,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def integer(text: str) -> int:
+    """The type of the integer flags: `parse_decimal`'s digits, after a '-'
+    that is kept, so that a negative value reaches the flag's bound check.
+    argparse names the function in its error: invalid integer value."""
+    return -parse_decimal(text[1:]) if text.startswith("-") else parse_decimal(text)
+
+
 _COMMON = {
-    "--seed": dict(type=int, default=0),
-    "--max-steps": dict(type=int, default=10_000_000),
+    "--seed": dict(type=integer, default=0),
+    "--max-steps": dict(type=integer, default=10_000_000),
     "--rewire": dict(default="none",
                      help="none | swap:p, where p is an integer period: every p "
                           "activations, try one connectivity-preserving double edge swap"),
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--protocol", required=True)
     p_sweep.add_argument("--graph", required=True, help="a graph spec without its n: kind[:params]")
     p_sweep.add_argument("--sizes", required=True, help="comma-separated n grid")
-    p_sweep.add_argument("--seeds", type=int, default=20, help="seeds per size")
+    p_sweep.add_argument("--seeds", type=integer, default=20, help="seeds per size")
     p_sweep.add_argument("--input", default="0:50%,1:rest")
     p_sweep.add_argument("--summary", default=None, help="write summary JSON here")
     _add_common(p_sweep, cmd_sweep, *_RUN_FLAGS)
@@ -106,18 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--input")
     group.add_argument("--all-inputs", action="store_true")
-    p_verify.add_argument("--max-configs", type=int, default=10_000_000)
+    p_verify.add_argument("--max-configs", type=integer, default=10_000_000)
     _add_common(p_verify, cmd_verify, "--seed")
 
     p_audit = sub.add_parser("audit", help="memory budget audit")
     p_audit.add_argument("protocols", nargs="+")
-    p_audit.add_argument("--n", type=int, default=8)
+    p_audit.add_argument("--n", type=integer, default=8)
     p_audit.add_argument("--format", choices=("table", "json"), default="table")
     _add_common(p_audit, cmd_audit)
 
     p_meet = sub.add_parser("meet", help="token meeting-time statistics")
     p_meet.add_argument("--graph", nargs="+", required=True)
-    p_meet.add_argument("--trials", type=int, default=200)
+    p_meet.add_argument("--trials", type=integer, default=200)
     _add_common(p_meet, cmd_meet, "--seed")
 
     return parser
@@ -361,8 +367,8 @@ def cmd_audit(args) -> int:
         lines = []
         for spec, report in zip(args.protocols, reports):
             if spec.startswith("bit:"):
-                report.note = "output register adds one bit over the counter tuple"
-            lines.append(json.dumps({**asdict(report), "ok": report.ok}, sort_keys=True)
+                report = report._replace(note="output register adds one bit over the counter tuple")
+            lines.append(json.dumps({**report._asdict(), "ok": report.ok}, sort_keys=True)
                          if args.format == "json" else report.row())
         print("\n".join(lines), file=out, flush=True)
     return EXIT_OK if all(report.ok for report in reports) else EXIT_FAILURE
@@ -374,7 +380,7 @@ def cmd_meet(args) -> int:
     with _lines(args.output) as (out,):
         stats = [measure_meeting_time(graph, args.trials, seed=args.seed) for graph in graphs]
         record: dict = {"schema_version": SCHEMA_VERSION,
-                        "measurements": [asdict(s) for s in stats]}
+                        "measurements": [s._asdict() for s in stats]}
         sizes = [s.n for s in stats]
         if len(sizes) >= 3 and len(set(sizes)) == len(sizes):  # one mean per distinct n
             record["time_exponent"] = scaling_report({s.n: [s.mean_time] for s in stats}).exponent

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -208,7 +207,6 @@ def _closed(table: TransitionTable, present: frozenset, out) -> bool:
     return True
 
 
-@dataclass
 class Graph:
     """Undirected connected graph on nodes 0..n-1.
 
@@ -217,14 +215,12 @@ class Graph:
     contract and is validated on construction.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    generator_tag: str = "manual"
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]],
+                 generator_tag: str = "manual") -> None:
+        self.n, self.generator_tag = n, generator_tag
         if self.n < 2:
             raise GraphError(f"need at least 2 nodes, got {self.n}")
-        self.edges = tuple((min(u, v), max(u, v)) for u, v in self.edges)
+        self.edges = tuple((min(u, v), max(u, v)) for u, v in edges)
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -258,8 +254,7 @@ class Activation(NamedTuple):
     step: int
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """What `run` returns; `trace`, with `record_trace` only, is the list of
     the run's activations, which `write_trace` writes with `final_outputs`."""
 
@@ -771,8 +766,7 @@ def _share(job: Callable, jobs: Sequence, start: int, step: int, parent: Optiona
     return results, None
 
 
-@dataclass
-class MeetingStats:
+class MeetingStats(NamedTuple):
     graph: str
     n: int
     trials: int

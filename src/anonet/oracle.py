@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, product
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Graph, TransitionTable, map_jobs, match_rule, run
 
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     verdict: str  # "PASS" | "FAIL" | "SKIPPED"
     states_explored: int  # configurations up to `symmetry`
     value: object
@@ -266,8 +264,7 @@ def _grow(marked, off, adj, *seeds):
     return marked
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     protocol: str
     declared_bits: int
     distinct_states: int
@@ -333,8 +330,7 @@ def audit_inputs(colors: int, n: int) -> list[list[int]]:
     return [sorted(i % colors for i in range(n)), lead, [colors - 1 - c for c in lead]]
 
 
-@dataclass
-class ScalingFit:
+class ScalingFit(NamedTuple):
     exponent: float
     stderr: float
     intercept: float

@@ -13,16 +13,11 @@ import random
 import time
 
 from anonet.catalog import resolve_protocol
-from anonet.circuits import (
-    collision_count_check,
-    compile_circuit,
-    evaluate,
-    parse_circuit,
-    plurality_protocol,
-)
+from anonet.circuits import compile_circuit, evaluate, parse_circuit, plurality_protocol
 from anonet.engine import build_graph, measure_meeting_time, run
 from anonet.oracle import audit_memory, scaling_report, verify_exhaustive
 from anonet.protocols import lsb_counter_protocol, threshold_protocol
+from ledger import collision_count_check
 from replay import replay
 
 MAX_STEPS = 10_000_000
@@ -272,7 +267,7 @@ def test_criterion_5_memory_audits():
         [(bit, binary_inputs(8))],
         [build_graph("complete:8"), build_graph("cycle:8")],
     )
-    report.note = "output register adds one bit"
+    report = report._replace(note="output register adds one bit")
     assert report.ok, report.row()
     audits.append(report)
     return "; ".join(f"{r.protocol} {r.measured_bits}<={r.declared_bits}b" for r in audits)

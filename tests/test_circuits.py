@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from anonet.circuits import (
     CircuitError,
-    LedgerReport,
-    collision_count_check,
     compile_circuit,
     complete_max_tree,
     evaluate,
@@ -19,6 +17,7 @@ from anonet.circuits import (
     plurality_protocol,
 )
 from anonet.engine import TransitionTable, build_graph, run
+from ledger import LedgerReport, collision_count_check
 from test_protocols import state_closure
 
 
