@@ -139,7 +139,7 @@ def _load_config_defaults(argv: list) -> list:
     known, _ = pre.parse_known_args(argv[1:])
     if not known.config:
         return argv
-    overrides = []
+    extra = []  # config entries go right after the subcommand, so explicit flags win
     try:
         with open(known.config, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -149,13 +149,9 @@ def _load_config_defaults(argv: list) -> list:
                 if "=" not in line:
                     raise ConfigError(f"{known.config}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
-                overrides.append((key.strip(), value.strip()))
+                extra += [f"--{key.strip()}", value.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read config file {known.config}: {exc}") from exc
-    # config entries go right after the subcommand, so explicit flags win
-    extra = []
-    for key, value in overrides:
-        extra.extend([f"--{key}", value])
     return argv[:1] + extra + argv[1:]
 
 
@@ -240,8 +236,10 @@ def cmd_sweep(args) -> int:
     options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
     sizes = _flag("--sizes", lambda s: [parse_decimal(x) for x in s.split(",") if x], args.sizes)
-    if not sizes:
-        raise ConfigError(f"--sizes {args.sizes!r}: no size given")
+    repeated = [n for i, n in enumerate(sizes) if n in sizes[:i]]
+    if not sizes or repeated:
+        raise ConfigError(f"--sizes {args.sizes!r}: " + (
+            f"size {repeated[0]} is given more than once" if repeated else "no size given"))
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors

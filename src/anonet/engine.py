@@ -405,8 +405,8 @@ def graph_family(family: str) -> Callable[[int], str]:
 def load_edge_list(path: str) -> Graph:
     """Read a plain-text edge list: one "u v" pair per line, 0-indexed.
 
-    Blank lines are ignored; comments start with '#'.
-    """
+    Blank lines are ignored; comments start with '#'. At most MAX_EDGES
+    edges: one more is a GraphError as soon as it is read."""
     edges = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -419,6 +419,8 @@ def load_edge_list(path: str) -> Graph:
                 except ValueError as exc:
                     raise GraphError(f"{path}:{lineno}: expected 'u v' with ids >= 0, "
                                      f"got {line!r}") from exc
+                if len(edges) == MAX_EDGES:
+                    raise GraphError(f"{path}:{lineno}: over the limit of {MAX_EDGES:,} edges")
                 edges.append((u, v))
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc

@@ -2,11 +2,10 @@
 
 `verify_exhaustive` decides the convergence contract on a concrete instance:
 it enumerates every configuration reachable from the initial one under all
-ordered edge activations, and passes iff every configuration can reach one
-that cannot reach a bad configuration. Two backward reachability closures
-decide this, and it holds iff every terminal component is correct throughout.
-Under any fair schedule the run ends up in a terminal component, so a PASS
-certifies stabilization for all fair schedules, not just sampled ones.
+ordered edge activations, and one Tarjan pass checks that every terminal
+component (a strongly connected component no arc leaves) is correct
+throughout. Under any fair schedule a run ends up in a terminal component and
+visits all of it forever, so a PASS certifies stabilization for all of them.
 
 Agents are anonymous, so configurations are explored up to the graph's
 symmetry: `states_explored` counts multisets on complete graphs, classes
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import accumulate, compress, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,17 +46,10 @@ class VerifyResult(NamedTuple):
     symmetry: str = "none"  # "complete" | "cycle" | "none"
 
     def record(self, protocol: str, graph: str, inputs: Sequence[int]) -> dict:
-        rec = {
-            "protocol": protocol,
-            "graph": graph,
-            "input": "".join(str(c) for c in inputs),
-            "verdict": self.verdict,
-            "states_explored": self.states_explored,
-            "symmetry": self.symmetry,
-            "value": self.value,
-        }
-        if self.detail:
-            rec["detail"] = self.detail
+        rec = {"protocol": protocol, "graph": graph, "input": "".join(str(c) for c in inputs),
+               **self._asdict()}
+        if not self.detail:
+            del rec["detail"]
         return rec
 
 
@@ -163,13 +155,11 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
     activations often give the same one), and none to itself (a null
     activation, or a swap or rotation onto the same form).
 
-    Let W hold the configurations that cannot reach a bad one. PASS iff all
-    reach W, iff every terminal component T is correct. (=>) Each reaches
-    some T; a correct T lies in W, since nothing leaves T. (<=) If T holds a
-    bad b, all of T reaches b, and nothing reachable from T is in W. A FAIL
-    moves from an x that cannot reach W to any y in reach(x) that cannot
-    reach x, which shrinks reach(x); when none is left, reach(x) is a
-    terminal component, and its lowest-index bad member is the evidence."""
+    PASS iff every terminal component is correct: each of its members
+    matches `expected`. A fair run enters some terminal component, each one
+    for some run, and then visits all its members forever. A FAIL's evidence
+    is the lowest-index bad member of the first terminal component that the
+    pass completes (`_first_bad_terminal`)."""
     table = TransitionTable(protocol)
     rows, fill = table.rows, table.fill
     start = table.start(len(order), inputs)
@@ -214,54 +204,55 @@ def _explore(protocol, inputs, expected, max_configs, symmetry, order, arcs, can
         offsets.append(len(succ))
     del index
 
-    n_cfg = len(configs)
-    cfgs = range(n_cfg)
-    counts = array("I", [0]) * (n_cfg + 1)  # succ reversed, by a counting sort
-    for w in succ:
-        counts[w] += 1
-    pred_off = array("I", accumulate(counts))  # where each block ends, then starts
-    pred = array("I", [0]) * len(succ)
-    for v in cfgs:
-        for w in succ[offsets[v] : offsets[v + 1]]:
-            pred_off[w] -= 1
-            pred[pred_off[w]] = v
-
     want, target = match_rule(protocol, expected, len(inputs))
     hit = [o == want for o in table.outs]
-    bad = bytearray(sum(map(hit.__getitem__, cfg)) != target for cfg in configs)
-    doomed = _grow(bytearray(n_cfg), pred_off, pred, *compress(cfgs, bad))
-    # W is the rest; y is the first configuration that cannot reach W
-    y = _grow(bytearray(n_cfg), pred_off, pred, *compress(cfgs, doomed.translate(_FLIP))).find(0)
-    if y < 0:
-        return VerifyResult("PASS", n_cfg, expected, "", symmetry)
-    while y >= 0:
-        x = y
-        reach = _grow(bytearray(n_cfg), offsets, succ, x)
-        # unmarked: in reach(x) and not reaching x; the last is deepest breadth
-        # first, which shortens the descent
-        y = _grow(reach.translate(_FLIP), pred_off, pred, x).rfind(0)
-    v = next(v for v in compress(cfgs, reach) if bad[v])
+    v = _first_bad_terminal(offsets, succ,
+                            lambda v: sum(map(hit.__getitem__, configs[v])) != target)
+    if v < 0:
+        return VerifyResult("PASS", len(configs), expected, "", symmetry)
     outs = [table.outs[s] for s in configs[v]]
-    return VerifyResult("FAIL", n_cfg, expected,
+    return VerifyResult("FAIL", len(configs), expected,
                         f"terminal configuration with outputs {outs}", symmetry)
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # complements a 0/1 bytearray
-
-
-def _grow(marked, off, adj, *seeds):
-    """Mark `seeds` and all they reach along the arcs adj[off[v] : off[v + 1]]
-    out of each v; return `marked`."""
-    stack = list(seeds)
-    for v in stack:
-        marked[v] = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[off[v] : off[v + 1]]:
-            if not marked[w]:
-                marked[w] = 1
+def _first_bad_terminal(offsets, succ, bad) -> int:
+    """The lowest-index `bad` member of the first terminal component that
+    Tarjan's pass from 0, which reaches every v, completes, or -1. A component
+    completes after all it reaches, so it is terminal iff none of its members
+    has an arc succ[offsets[v] : offsets[v + 1]] into a completed one."""
+    done = len(offsets)  # above every place on the stack, which numbers v while it is there
+    low = array("I", [0]) * (done - 1)  # 0 until reached, then the low link; done once completed
+    leaves = bytearray(done - 1)  # v has an arc into a completed component
+    stack, path = array("I", [0]), array("I")  # path: (v, arc, place) above v
+    v, i, place = 0, 0, 1
+    low[0] = 1
+    while True:
+        end = offsets[v + 1]
+        while i < end:
+            w = succ[i]
+            k = low[w]
+            if not k:  # descend, and read this arc again on the way back
+                path.extend((v, i, place))
                 stack.append(w)
-    return marked
+                v, i, end = w, offsets[w], offsets[w + 1]
+                low[w] = place = len(stack)
+                continue
+            i += 1
+            if k == done:
+                leaves[v] = 1
+            elif k < low[v]:
+                low[v] = k
+        if low[v] == place:  # v's component: v and all above it on the stack
+            members = stack[place - 1 :]
+            del stack[place - 1 :]
+            for w in members:
+                low[w] = done
+            if not any(map(leaves.__getitem__, members)) and any(map(bad, members)):
+                return min(filter(bad, members))
+        if not path:
+            return -1
+        v, i, place = path[-3:]
+        del path[-3:]
 
 
 class AuditReport(NamedTuple):

@@ -872,6 +872,9 @@ class TestBadInputs:
                                     ("complete:1", "need at least 2 nodes, got 1"))),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", ","],
              "error: --sizes ',': no size given\n"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,8,8", "--seeds",
+              "2", "--output", "TMP/rows.csv"],
+             "error: --sizes '8,8,8': size 8 is given more than once\n"),
             (["verify", "--protocol", "plurality:8", "--graph", "cycle:8", "--all-inputs"],
              "error: --all-inputs: 8^8 inputs is over the limit of 2^22\n"),
             (["meet", "--graph", "cycle:4", "--trials", "0"],
@@ -896,7 +899,8 @@ class TestBadInputs:
              "input-empty", "input-list-color", "input-mixed", "input-count-negative",
              "circuit-unclosed", "circuit-trailing", "lsb-0", "estimate-1", "bit-index",
              "plurality-1",
-             "cycle-2", "complete-1", "sweep-sizes-empty", "verify-all-inputs-too-many",
+             "cycle-2", "complete-1", "sweep-sizes-empty", "sweep-sizes-repeated",
+             "verify-all-inputs-too-many",
              "meet-trials-0", "config-missing", *BAD_INTEGERS],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
@@ -1020,6 +1024,19 @@ class TestBadInputs:
         assert err.startswith("error: graph '") and err.endswith(
             " edges, over the limit of 10,000,000\n")
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_an_edge_list_over_the_edge_limit_ends_the_command_as_it_is_read(
+            self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(engine, "MAX_EDGES", 3)
+        (tmp_path / "path.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "cycle.edges").write_text("0 1\n1 2\n# the fourth edge\n2 3\n3 0\n")
+        argv = [command, "--protocol", "or", "--input", "0:3,1:rest"]
+        code, out, err = run_cli(capsys, [*argv, "--graph", f"file:{tmp_path}/path.edges"])
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, [*argv, "--graph", f"file:{tmp_path}/cycle.edges"])
+        assert code == 1 and out == ""
+        assert err == f"error: {tmp_path}/cycle.edges:5: over the limit of 3 edges\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "2,3,4", "--seeds", "1",

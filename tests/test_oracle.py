@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 import math
@@ -368,6 +369,56 @@ def test_verdicts_agree_with_attracting_components(protocol, oracle):
     assert checked >= 2 * 2 * 10
 
 
+def random_tables():
+    """Protocols of 2 or 3 states from two colours, per-node or matched on the
+    ones-count, whose transition table holds null pairs among random ones."""
+    def protocol(k, pairs, outs, mode):
+        table = dict(zip(itertools.product(range(k), repeat=2), pairs))
+        return ProtocolDef(f"table:{k}", init=int,
+                           transition=lambda a, b: table[a, b] or (a, b),
+                           output=outs.__getitem__, match_mode=mode)
+
+    def tables(k):
+        state = st.integers(min_value=0, max_value=k - 1)
+        return st.builds(protocol, st.just(k),
+                         st.lists(st.none() | st.tuples(state, state), min_size=k * k,
+                                  max_size=k * k),
+                         st.lists(st.integers(min_value=0, max_value=1), min_size=k, max_size=k),
+                         st.sampled_from(["per_node", "ones_count"]))
+
+    return st.integers(min_value=2, max_value=3).flatmap(tables)
+
+
+def up_to(symmetry, outs):
+    """`outs` up to the symmetry `verify_exhaustive` explores under."""
+    if symmetry == "complete":
+        return tuple(sorted(outs))
+    if symmetry == "cycle":
+        n = len(outs)
+        return min(tuple(outs[(s + d * k) % n] for k in range(n)) for s in range(n)
+                   for d in (1, -1))
+    return tuple(outs)
+
+
+@given(random_tables())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_random_tables_agree_with_attracting_components(protocol):
+    # every input and every answer: the verdict pass must tell terminal
+    # components from those an arc leaves, which random tables mix freely
+    for spec in ("path:3", "star:4", "cycle:4", "complete:4"):
+        graph = build_graph(spec)
+        answers = range(graph.n + 1) if protocol.match_mode == "ones_count" else (0, 1)
+        for inputs in itertools.product((0, 1), repeat=graph.n):
+            for expected in answers:
+                res = verify_exhaustive(protocol, graph, inputs, expected)
+                verdict, bad = attracting_verdict(protocol, graph, inputs, expected)
+                assert res.verdict == verdict, (spec, inputs, expected)
+                if verdict == "FAIL":
+                    outs = ast.literal_eval(res.detail.removeprefix(
+                        "terminal configuration with outputs "))
+                    assert up_to(res.symmetry, outs) in {up_to(res.symmetry, b) for b in bad}
+
+
 def test_every_kind_is_cross_checked():
     assert set(KINDS) <= {spec.partition(":")[0] for spec in CATALOG_SPECS}
 
@@ -466,17 +517,18 @@ class TestSymmetryReduction:
     def test_each_arc_is_stored_once(self, monkeypatch, spec, protocol, inputs, expected):
         # two distinct labelled successors can share one canonical form (on
         # cycle:7, 198 of 34,025 arcs once repeated one); every block of arcs
-        # the closures walk must be a set, and their number that of the
+        # the verdict pass walks must be a set, and their number that of the
         # (configuration, other canonical successor) pairs, found apart here
         symmetry, order, arcs, canon = _symmetry(build_graph(spec))
         walked = []
-        grow = oracle._grow
+        first_bad_terminal = oracle._first_bad_terminal
 
-        def spy(marked, off, adj, *seeds):
-            walked.append([list(adj[off[v] : off[v + 1]]) for v in range(len(off) - 1)])
-            return grow(marked, off, adj, *seeds)
+        def spy(offsets, succ, bad):
+            walked.append([list(succ[offsets[v] : offsets[v + 1]])
+                           for v in range(len(offsets) - 1)])
+            return first_bad_terminal(offsets, succ, bad)
 
-        monkeypatch.setattr(oracle, "_grow", spy)
+        monkeypatch.setattr(oracle, "_first_bad_terminal", spy)
         res = _explore(protocol, inputs, expected, 10_000_000, symmetry, order, arcs, canon)
         assert walked and all(len(set(b)) == len(b) for blocks in walked for b in blocks)
 
