@@ -520,6 +520,14 @@ def plurality_protocol(k: int) -> ProtocolDef:
     path, it copies that agent's initial color into its final register;
     with a unique plurality color those agents are eventually exactly the
     plurality-colored ones, so every final register converges to it.
+
+    `core` drops the final register for the audit. Call (color, levels) a
+    state's core. `_gossip_meeting` computes levels and certifications from
+    cores alone, and the final registers feed only `fired`, which orders the
+    result: so the cores of δ(x, y), as a set, depend only on those of x and
+    y, and no pair raises. By induction, the closure's cores are the closure
+    of the initial cores; a final register holds one of the k colors, so the
+    closure lies inside those cores times [0, k).
     """
     tree = complete_max_tree(k)
 
@@ -541,4 +549,5 @@ def plurality_protocol(k: int) -> ProtocolDef:
         output=output,
         budget_bits=4 * tree.depth + 2 * math.ceil(math.log2(k)),
         colors=k,
+        core=(lambda s: PluralityState(s.color, 0, s.levels), k),
     )

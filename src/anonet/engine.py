@@ -91,18 +91,15 @@ class TransitionTable:
     reaches, which raise ProtocolViolation for `bit` and `estimate`. A
     violating pair is never stored, so each request raises afresh. The stop
     rule (`settled`) fills the pairs it looks ahead at like any others, so
-    interned states are not all held: `held[i]` is 1 for a state some agent
-    held, an initial state (`start`) or one an activation moved an agent to
-    (`run`). `verdicts` is the stop rule's memo, keyed by the set of states
-    present. The runs that share a table (a sweep's in one process, or all of
-    one protocol's in an audit) share its fills and its memo.
+    not every interned state is one an agent held. `verdicts` is the stop
+    rule's memo, keyed by the set of states present. The runs that share a
+    table (a sweep's in one process) share its fills and its memo.
     """
 
     def __init__(self, protocol):
         self.protocol = protocol
         self.ids: dict = {}
         self.objs, self.outs, self.rows = [], [], []
-        self.held = bytearray()  # 1 for a state some agent held
         self.verdicts: dict[frozenset, list] = {}  # `settled`'s, by the states present
 
     def intern(self, state) -> int:
@@ -112,14 +109,12 @@ class TransitionTable:
             self.objs.append(state)
             self.outs.append(self.protocol.output(state))
             self.rows.append({})
-            self.held.append(0)
         return i
 
     def start(self, n: int, inputs: Sequence[int]) -> list[int]:
         """The ids of the initial configuration `inputs` of n agents, interned in
-        colour order, so that they depend only on the colours present, and
-        marked held; a ValueError for another length or a colour outside
-        [0, protocol.colors)."""
+        colour order, so that they depend only on the colours present; a
+        ValueError for another length or a colour outside [0, protocol.colors)."""
         if len(inputs) != n:
             raise ValueError(f"input length {len(inputs)} != n {n}")
         colors = sorted(set(inputs))
@@ -127,8 +122,6 @@ class TransitionTable:
             if not (0 <= c < self.protocol.colors):
                 raise ValueError(f"input color {c} invalid for {self.protocol.name}")
         initial = {c: self.intern(self.protocol.init(c)) for c in colors}
-        for i in initial.values():
-            self.held[i] = 1
         return [initial[c] for c in inputs]
 
     def fill(self, a: int, b: int) -> tuple[int, int]:
@@ -159,8 +152,8 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
 
     Neither tier reads the graph, so both hold under rewiring. A pair that
     raises ProtocolViolation fails the check: a run that meets it raises.
-    The rule fills the pairs it reads in `table`, as a run does, but marks
-    no state held. Only (a)'s self pairs depend on more than P, so
+    The rule fills the pairs it reads in `table`, as a run does. Only (a)'s
+    self pairs depend on more than P, so
     `table.verdicts[P]` keeps [whether (a) holds but for them, (b)'s verdict
     or None until a call needs it], and a call with a known P reads only the
     self pairs of the states present twice. A pair of P that raises makes
@@ -580,8 +573,7 @@ def run(
     double edge swap every `swap_period` of them (0: none). The step loop
     does only the pair lookup, the match bookkeeping and the check at step
     `due`; a trace's arcs are drawn from the schedule again after the run.
-    Agents hold ids of `table`, which runs may share, and every id an agent
-    takes is marked in `table.held`.
+    Agents hold ids of `table`, which runs may share.
     """
     n = graph.n
     if max_steps < 0:
@@ -594,7 +586,7 @@ def run(
         raise ValueError("transition table belongs to another protocol")
 
     states = table.start(n, inputs)
-    objs, outs, rows, held, fill = table.objs, table.outs, table.rows, table.held, table.fill
+    objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
 
     # one output count for every run: against `expected`, or without one
     # against an output some agent holds, which only the gate reads: the
@@ -636,7 +628,6 @@ def run(
                 pair = rows[a][b]
             if pair:  # () for a null pair
                 na, nb = pair
-                held[na] = held[nb] = 1
                 if due == never:
                     due = step + -step % n
                 match_count += (outs[na] == want) - (outs[a] == want)

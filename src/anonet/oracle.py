@@ -1,4 +1,4 @@
-"""Exhaustive stabilization checking, budget audits and scaling fits.
+"""Exhaustive stabilization checking, certified budget audits and scaling fits.
 
 `verify_exhaustive` decides the convergence contract on a concrete instance:
 it enumerates every configuration reachable from the initial one under all
@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import Graph, TransitionTable, map_jobs, match_rule, run
+from .engine import Graph, ProtocolViolation, TransitionTable, match_rule
 
 __all__ = [
     "verify_exhaustive",
     "VerifyResult",
     "orbit_key",
     "audit_memory",
-    "audit_inputs",
     "AuditReport",
     "scaling_report",
     "ScalingFit",
@@ -275,50 +273,40 @@ class AuditReport(NamedTuple):
         )
 
 
-AUDIT_MAX_STEPS = 200_000  # activations per audited run, at most
+def audit_memory(protocols: Iterable) -> list[AuditReport]:
+    """One report per protocol: the size of its closure (`_closure`), times
+    its `core`'s spread if it has one, and its width, ceil(log2 count) bits
+    and at least 1, against the declared bit budget. Every state that any
+    run reaches, on any graph and under any rewiring, lies in the closure,
+    so the count is an upper bound and a PASS certifies the budget."""
+    reports = []
+    for protocol in protocols:
+        count = len(_closure(protocol)) * (protocol.core[1] if protocol.core else 1)
+        reports.append(AuditReport(protocol.name, protocol.budget_bits, count,
+                                   max(1, (count - 1).bit_length())))
+    return reports
 
 
-def audit_memory(
-    audits: Sequence[tuple],
-    graphs: Iterable[Graph],
-    *,
-    seeds: Iterable[int] = range(5),
-) -> list[AuditReport]:
-    """One report per (protocol, input sets) pair of `audits`: the distinct
-    states that agents held across sampled runs (AUDIT_MAX_STEPS activations
-    at most) of every (graph, input, seed) combination, and their width,
-    ceil(log2 count) bits and at least 1, against the declared bit budget.
-
-    Each pair is one `map_jobs` job, so the whole audit forks at most once.
-    A job runs every graph (outermost), input and seed on its own
-    TransitionTable, so all its runs share their fills and stop-rule
-    verdicts, and sends back the number of states `held` marks: the initial
-    states and those an activation moved an agent to, not those only the
-    stop rule's look-ahead interned. An input whose length is not its
-    graph's n raises ValueError, as in `run`.
-    """
-    audits, graphs, seeds = list(audits), list(graphs), list(seeds)
-
-    def held(audit) -> int:
-        protocol, input_sets = audit
-        table = TransitionTable(protocol)
-        for graph, inputs, seed in product(graphs, input_sets, seeds):
-            run(protocol, graph, inputs, seed=seed, max_steps=AUDIT_MAX_STEPS, table=table)
-        return sum(table.held)
-
-    return [AuditReport(protocol.name, protocol.budget_bits, count,
-                        max(1, (count - 1).bit_length()))
-            for (protocol, _), count in zip(audits, map_jobs(held, audits))]
-
-
-def audit_inputs(colors: int, n: int) -> list[list[int]]:
-    """The inputs `anonet audit` runs on n agents: with two colours every
-    count of colour 0; with k >= 3 the round-robin (a tie when k divides n),
-    the round-robin of n - 2 and two more 0s (0 wins), and its mirror (k - 1 wins)."""
-    if colors == 2:
-        return [[0] * r + [1] * (n - r) for r in range(n + 1)]
-    lead = sorted([0, 0] + [i % colors for i in range(n - 2)])
-    return [sorted(i % colors for i in range(n)), lead, [colors - 1 - c for c in lead]]
+def _closure(protocol) -> set:
+    """The closure of the initial states under all ordered pairs: a reachable
+    state is an initial state or a result of two reachable ones. A pair that
+    raises ProtocolViolation is skipped, as a run that meets it raises. With
+    a `core`, every state is projected, each result included."""
+    project = protocol.core[0] if protocol.core else (lambda s: s)
+    walk = list(dict.fromkeys(project(protocol.init(c)) for c in range(protocol.colors)))
+    known = set(walk)
+    for i, a in enumerate(walk):  # walk grows as it is read
+        for b in walk[: i + 1]:
+            for x, y in ((a, b), (b, a)):
+                try:
+                    pair = protocol.transition(x, y)
+                except ProtocolViolation:
+                    continue
+                for s in map(project, pair):
+                    if s not in known:
+                        known.add(s)
+                        walk.append(s)
+    return known
 
 
 class ScalingFit(NamedTuple):

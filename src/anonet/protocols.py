@@ -3,7 +3,7 @@
 Each protocol is a `ProtocolDef`: an initializer from input colors to agent
 states, a total deterministic pairwise transition rule applied to the
 (initiator, responder) state pair, an output map, and a declared bit budget
-that the reachable state set must fit (audited in oracle.audit_memory). No
+that the reachable state set must fit (certified by oracle.audit_memory). No
 protocol writes its own stop rule: every run stops by `engine.settled`,
 which is derived from the transition rule.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .engine import ProtocolViolation, settled
 
@@ -43,7 +43,9 @@ class ProtocolDef:
     single instance is safe to share across parallel runs. `quiescent(table,
     ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
     rule must fail while a per-node kind's outputs differ, and `engine.run`
-    skips it then, whether or not the run is given an answer."""
+    skips it then, whether or not the run is given an answer. `core`, set
+    only by `plurality_protocol`, is (projection, spread): the audit closes
+    projected states and counts each `spread` times."""
 
     name: str
     init: Callable
@@ -53,6 +55,7 @@ class ProtocolDef:
     budget_bits: int = 0
     colors: int = 2
     match_mode: str = "per_node"  # "per_node" | "ones_count"
+    core: Optional[tuple[Callable, int]] = None  # (projection, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def level_count(n_max: int) -> int:
     """Number of levels L = ceil(log2(n_max)) + 1; tokens live in [0, L)."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    return math.ceil(math.log2(n_max)) + 1
+    return (n_max - 1).bit_length() + 1  # in integers: a float log2 is one short at 2^49 + 1
 
 
 class BitState(NamedTuple):

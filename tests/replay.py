@@ -14,10 +14,3 @@ def replay(protocol, inputs, result, check):
         check(act.step, list(states))
     assert tuple(states) == result.final_states
 
-
-def held(protocol, inputs, result):
-    """The set of states that agents held along `result.trace` (a run with
-    `record_trace=True`), replayed as `replay` does, initial states included."""
-    seen = {protocol.init(c) for c in inputs}
-    replay(protocol, inputs, result, lambda step, states: seen.update(states))
-    return seen

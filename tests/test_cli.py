@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from anonet import cli, engine, oracle
-from anonet.catalog import KINDS, ConfigError, counts_of, parse_inputs, resolve_protocol
+from anonet import cli, engine
+from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
 
@@ -46,6 +46,14 @@ class TestResolver:
                      "max-gate", "min-gate", "plurality:4"):
             resolved = resolve_protocol(spec)
             assert resolved.protocol.name
+
+    @pytest.mark.parametrize("nmax,levels", [(2, 2), (3, 3), (4, 3), (5, 4), (2**49, 50),
+                                             (2**49 + 1, 51), (2**53 + 1, 55)])
+    def test_bit_has_ceil_log2_nmax_plus_one_levels(self, nmax, levels):
+        # in integers: a float log2 is one level short from 2^49 + 1 on
+        assert resolve_protocol(f"bit:{levels - 1}:{nmax}").protocol.name
+        with pytest.raises(ConfigError, match=rf"bit index {levels} outside \[0, {levels}\)"):
+            resolve_protocol(f"bit:{levels}:{nmax}")
 
     def test_threshold_infers_minimal_c(self):
         assert resolve_protocol("threshold:1:1").protocol.budget_bits == 3  # c=1
@@ -532,27 +540,40 @@ class TestAuditCommand:
         assert (code, err) == (0, "")
         assert "(7 states)  PASS" in out
 
-    def test_plurality_inputs_have_a_unique_winner(self, capsys, monkeypatch):
-        # besides the round-robin input, an exact tie at n = 16, colour 0 and
-        # colour 3 each win one audited input
-        audited = []
+    def test_benchmark_audit_counts_and_makes_no_run_and_no_fork(self, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            pytest.fail("the audit ran or forked")
 
-        def audit_memory(audits, graphs, **kwargs):
-            for _, input_sets in audits:
-                audited.extend(input_sets)
-            return oracle.audit_memory(audits, graphs, **kwargs)
+        monkeypatch.setattr(os, "fork", work)
+        monkeypatch.setattr(engine, "run", work)
+        monkeypatch.setattr(cli, "run", work)
+        code, out, err = run_cli(capsys, ["audit", "lsb:2", "threshold:2:1", "max-gate",
+                                          "min-gate", "plurality:4", "bit:2:64", "estimate:64",
+                                          "--n", "16", "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = [strict_json(line) for line in out.strip().split("\n")]
+        assert all(r["ok"] for r in rows)
+        assert [r["distinct_states"] for r in rows] == [8, 8, 4, 4, 488, 38, 71]
+        assert [r["measured_bits"] for r in rows] == [3, 3, 2, 2, 9, 6, 7]
 
-        monkeypatch.setattr(cli, "audit_memory", audit_memory)
-        code, out, _ = run_cli(capsys, ["audit", "plurality:4", "--n", "16"])
-        assert code == 0 and "PASS" in out
-        oracle_fn = resolve_protocol("plurality:4").oracle_fn
-        winners = []
-        for inputs in audited:
-            try:
-                winners.append(oracle_fn(counts_of(inputs, 4)))
-            except ValueError:  # a tie
-                winners.append(None)
-        assert winners == [None, 0, 3]
+    @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "5000"], ["--n", "-3"],
+                                      ["--n", "8"]])
+    def test_n_is_parsed_and_ignored(self, capsys, argv):
+        # the counts hold for every n; the benchmark's command line still passes --n
+        plain = run_cli(capsys, ["audit", "or", "bit:0:4", "plurality:3"])
+        assert plain[0] == 0
+        assert run_cli(capsys, ["audit", "or", "bit:0:4", "plurality:3", *argv]) == plain
+
+    def test_n_is_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["audit", "--help"])
+        assert "--n" not in capsys.readouterr().out
+
+    def test_a_pair_that_raises_is_skipped(self, capsys):
+        # a run of bit:0:4 with r = 8 raises; the audit skips that pair
+        code, out, err = run_cli(capsys, ["audit", "bit:0:4", "--n", "8"])
+        assert (code, err) == (0, "")
+        assert "(14 states)  PASS" in out
 
     @pytest.mark.parametrize("argv", [
         ["audit", "or", "--format", "csv"],
@@ -567,8 +588,8 @@ class TestAuditCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="runs are spread over CPUs by os.fork")
 class TestParallelRuns:
-    """`sweep` and `audit` spread their runs over the CPUs (`engine.map_jobs`),
-    with the output of one CPU."""
+    """`sweep` spreads its runs over the CPUs (`engine.map_jobs`), with the
+    output of one CPU."""
 
     @staticmethod
     def no_child_left():
@@ -581,14 +602,7 @@ class TestParallelRuns:
         (["sweep", "--protocol", "plurality:4", "--graph", "gnp:0.5", "--sizes", "8,12,16",
           "--seeds", "3", "--rewire", "swap:8", "--input", "0:50%,1:20%,2:10%,3:rest",
           "--output", "OUT", "--summary", "SUM"], 1),
-        # each protocol is one job that runs both graphs, so an audit of
-        # several protocols forks once, whether their number is even or odd,
-        # and an audit of one protocol forks not at all
-        (["audit", "lsb:2", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"],
-         1),
-        (["audit", "lsb:2", "max-gate", "plurality:4", "--n", "8", "--output", "OUT"], 1),
-        (["audit", "plurality:4", "--n", "8", "--format", "json", "--output", "OUT"], 0),
-    ], ids=["lsb-cycle", "plurality-gnp-rewired", "audit", "audit-odd", "audit-one"])
+    ], ids=["lsb-cycle", "plurality-gnp-rewired"])
     def test_outputs_are_identical_on_one_and_two_cpus(self, capsys, tmp_path, monkeypatch,
                                                        argv, forks):
         real_fork, forked = os.fork, []
@@ -807,9 +821,6 @@ class TestBadInputs:
             (["run", "--protocol", "bit:0:4", "--graph", "complete:8", "--input", "0:8"], ""),
             (["sweep", "--protocol", "bit:0:4", "--graph", "complete", "--sizes", "8",
               "--input", "0:8"], ""),
-            (["audit", "bit:0:4", "--n", "8"], ""),
-            (["audit", "or", "--n", "2"],
-             "error: bad graph spec 'cycle:2': need at least 3 nodes, got 2\n"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8",
               "--input", "x:3,1:rest"],
              "error: --input 'x:3,1:rest': bad input block 'x:3': expected color:count, "
@@ -886,7 +897,7 @@ class TestBadInputs:
         ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
              "rewire-empty-period",
              "rewire-period-0", "rewire-unknown", "input-color", "sweep-sizes",
-             "run-violation", "sweep-violation", "audit-violation", "audit-n-2",
+             "run-violation", "sweep-violation",
              "sweep-input-color",
              "sweep-input-too-large", "max-configs-0", "verify-input-list",
              "missing-required", "run-max-steps-negative", "run-confirm-window-0",
@@ -1005,9 +1016,8 @@ class TestBadInputs:
         ["run", "--protocol", "or", "--graph", "complete:10000", "--input", "0:rest"],
         ["sweep", "--protocol", "or", "--graph", "complete", "--sizes", "8,10000",
          "--output", "TMP/rows.csv"],
-        ["audit", "or", "--n", "5000"],
         ["verify", "--protocol", "or", "--graph", "gnp:5000:0.001", "--input", "0:rest"],
-    ], ids=["run", "sweep", "audit", "verify"])
+    ], ids=["run", "sweep", "verify"])
     def test_a_graph_over_the_edge_limit_ends_the_command_before_it_is_built(
             self, capsys, tmp_path, monkeypatch, argv):
         # complete:10000 may have 49,995,000 edges, ~13 GB at ~275 bytes each
@@ -1016,7 +1026,7 @@ class TestBadInputs:
 
         for kind, (parsers, _, *size) in list(GRAPH_KINDS.items()):
             monkeypatch.setitem(GRAPH_KINDS, kind, (parsers, work, *size))
-        for name in ("run", "verify_exhaustive", "audit_memory"):
+        for name in ("run", "verify_exhaustive"):
             monkeypatch.setattr(cli, name, work)
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, argv)
@@ -1038,20 +1048,15 @@ class TestBadInputs:
         assert code == 1 and out == ""
         assert err == f"error: {tmp_path}/cycle.edges:5: over the limit of 3 edges\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "2,3,4", "--seeds", "1",
-         "--output", "TMP/rows.csv"],
-        ["audit", "or", "--n", "2"],
-    ], ids=["sweep", "audit"])
-    def test_a_size_under_its_kinds_smallest_n_ends_the_command_before_its_runs(
-            self, capsys, tmp_path, monkeypatch, argv):
+    def test_a_size_under_its_kinds_smallest_n_ends_the_sweep_before_its_runs(
+            self, capsys, tmp_path, monkeypatch):
         def work(*args, **kwargs):
             pytest.fail("the command started its runs")
 
-        for name in ("run", "audit_memory"):
-            monkeypatch.setattr(cli, name, work)
-        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
-        code, out, err = run_cli(capsys, argv)
+        monkeypatch.setattr(cli, "run", work)
+        code, out, err = run_cli(capsys, [
+            "sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "2,3,4", "--seeds", "1",
+            "--output", str(tmp_path / "rows.csv")])
         assert code == 1 and out == ""
         assert err == "error: bad graph spec 'cycle:2': need at least 3 nodes, got 2\n"
         assert not (tmp_path / "rows.csv").exists()

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from anonet import engine
-from anonet.catalog import resolve_protocol
-from anonet.circuits import compile_circuit, parse_circuit, plurality_protocol
+from anonet.circuits import plurality_protocol
 from anonet.engine import (
     CHUNK,
     GRAPH_KINDS,
@@ -49,7 +48,7 @@ from anonet.protocols import (
     lsb_counter_protocol,
     or_protocol,
 )
-from replay import held, replay
+from replay import replay
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -544,27 +543,6 @@ class TestTransitionTable:
                 for b in range(len(table.objs)):
                     table.fill(a, b)
 
-    def test_held_marks_exactly_the_states_agents_held(self):
-        # the stop rule fills pairs ahead of the runs, interning states no
-        # agent holds: `held` leaves them out, and `audit` counts it
-        kinds = [resolve_protocol(spec).protocol
-                 for spec in ("plurality:4", "estimate:64", "bit:2:64", "threshold:2:1")]
-        kinds.append(compile_circuit(parse_circuit("(max (max 0 1) (max 2 3))")))
-        look_ahead = []
-        for p in kinds:
-            inputs = [i % p.colors for i in range(8)]
-            table, seen = TransitionTable(p), set()
-            for spec in ("complete:8", "cycle:8"):
-                for seed in range(4):
-                    res = run(p, build_graph(spec), inputs, seed=seed, table=table,
-                              record_trace=True)
-                    seen |= held(p, inputs, res)
-            marked = {table.objs[i] for i, h in enumerate(table.held) if h}
-            assert len(table.held) == len(table.objs)
-            assert marked == seen, p.name
-            look_ahead.append(len(marked) < len(table.objs))
-        assert any(look_ahead)
-
     def test_table_of_another_protocol_rejected(self):
         g = build_graph("path:3")
         with pytest.raises(ValueError):
@@ -611,7 +589,7 @@ class TestStopRule:
         assert list(table.verdicts) == [frozenset({token, passive})]
         assert token not in table.rows[token]
 
-    def test_the_rules_pairs_are_filled_once_and_held_by_no_agent(self):
+    def test_the_rules_pairs_are_filled_once(self):
         import dataclasses
 
         calls = []
@@ -623,8 +601,8 @@ class TestStopRule:
         a = ids[0]
         assert table.objs[a] == ParityState(1, 1)
         assert not settled(table, ids)  # the two tokens merge into counter 0
-        # only the initial state is held, not the two the rule looked ahead at
-        assert list(table.held) == [1, 0, 0] and table.rows[a] and table.verdicts
+        # the initial state and the two the rule looked ahead at
+        assert len(table.objs) == 3 and table.rows[a] and table.verdicts
         filled = len(calls)
         table.fill(a, a)
         assert len(calls) == filled and len(table.objs) == 3

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from anonet.catalog import resolve_protocol
 from anonet.circuits import compile_circuit, parse_circuit
 from anonet.engine import ProtocolViolation, TransitionTable, build_graph, run
+from anonet.oracle import _closure, audit_memory
 from anonet.protocols import (
     bit_protocol,
     estimate_protocol,
@@ -277,12 +280,16 @@ def state_closure(proto) -> set:
     return seen
 
 
+# plurality:k's closed cores: bounds of 18, 195 and 488 states
+PLURALITY_CORES = {"plurality:2": 9, "plurality:3": 65, "plurality:4": 122}
+
+
 class TestStateClosure:
     @pytest.mark.parametrize("spec,size", [
         ("or", 2), ("lsb:2", 8), ("lsb:4", 32), ("threshold:2:1", 8), ("threshold:3:5:3", 18),
         ("bit:2:64", 38), ("bit:0:1024", 62), ("estimate:64", 71), ("estimate:1024", 177),
-        ("max-gate", 4), ("min-gate", 4), ("plurality:3", 122), ("plurality:4", 316),
-        pytest.param("(max (max 0 1) 2)", 29, id="max-tree-29"),
+        ("max-gate", 4), ("min-gate", 4), ("plurality:2", 12), ("plurality:3", 122),
+        ("plurality:4", 316), pytest.param("(max (max 0 1) 2)", 29, id="max-tree-29"),
     ])
     def test_closure_size_budget_and_runs(self, spec, size):
         proto = (compile_circuit(parse_circuit(spec)) if spec.startswith("(")
@@ -290,6 +297,17 @@ class TestStateClosure:
         closure = state_closure(proto)
         assert len(closure) == size
         assert (size - 1).bit_length() <= proto.budget_bits
+        # the audit counts the closure; plurality's, its cores times k
+        [report] = audit_memory([proto])
+        if proto.core:
+            project, spread = proto.core
+            cores = _closure(proto)
+            assert cores == {project(s) for s in closure}
+            assert len(cores) == PLURALITY_CORES[spec]
+            assert report.distinct_states == len(cores) * spread >= size
+        else:
+            assert report.distinct_states == size
+        assert report.ok
         # every state that sampled runs reach on complete:8 lies in the closure
         table = TransitionTable(proto)
         g = build_graph("complete:8")
@@ -298,3 +316,29 @@ class TestStateClosure:
             inputs = [rng.randrange(proto.colors) for _ in range(8)]
             run(proto, g, inputs, seed=seed, max_steps=20_000, table=table)
         assert set(table.objs) <= closure
+
+
+def readme_memory_table() -> dict:
+    """The rows of the README's table of certified counts: spec -> (states,
+    bits, budget, how they are counted)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z]+:\d+)` \| ([\d,]+) \| (\d+) \| (\d+) \| (.*) \|$", readme,
+                      re.M)
+    return {spec: (int(states.replace(",", "")), int(bits), int(budget), counted)
+            for spec, states, bits, budget, counted in rows}
+
+
+def test_readme_memory_table_rows_are_the_paper_claims():
+    assert list(readme_memory_table()) == [
+        *(f"estimate:{1 << e}" for e in (6, 10, 16, 32)), *(f"plurality:{k}" for k in range(2, 9))]
+
+
+# the rows that close in under a second; the others take up to ~30 s
+@pytest.mark.parametrize("spec", ["estimate:64", "estimate:1024", "estimate:65536",
+                                  "plurality:2", "plurality:3", "plurality:4"])
+def test_readme_memory_table_matches_the_audit(spec):
+    proto = resolve_protocol(spec).protocol
+    [report] = audit_memory([proto])
+    counted = f"{len(_closure(proto)):,} cores × {proto.core[1]}" if proto.core else "closure"
+    assert readme_memory_table()[spec] == (report.distinct_states, report.measured_bits,
+                                           report.declared_bits, counted)

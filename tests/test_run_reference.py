@@ -129,7 +129,7 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
         spec = f"circuit:{path}"
     resolved = resolve_protocol(spec)
     protocol = resolved.protocol
-    # each side shares one table across its runs, as `sweep` and `audit` do
+    # each side shares one table across its runs, as `sweep` does
     table, ref_table = TransitionTable(protocol), TransitionTable(protocol)
     traces = itertools.cycle([False, True])  # 2 is prime to the grid of 27
     for g_spec in GRAPHS:
