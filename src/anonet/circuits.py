@@ -73,7 +73,14 @@ __all__ = [
     "CircuitState",
     "PLevel",
     "PluralityState",
+    "MAX_COLORS",
 ]
+
+# the most colours of `plurality:k` and of a circuit file (its largest leaf
+# + 1), checked before the tree is built: a colour costs ~580 bytes in
+# `plurality_protocol` and ~115 in a circuit file's `Circuit`, so this many
+# take ~610 MB and ~120 MB
+MAX_COLORS = 1 << 20
 
 
 class CircuitError(ValueError):
@@ -107,9 +114,12 @@ def parse_circuit(text: str) -> "Circuit":
         if tok == ")":
             raise CircuitError("unexpected ')'")
         try:
-            return parse_decimal(tok)
+            leaf = parse_decimal(tok)
         except ValueError as exc:
             raise CircuitError(f"bad token {tok!r}: a leaf is a colour in digits 0-9") from exc
+        if leaf >= MAX_COLORS:
+            raise CircuitError(f"leaf {leaf} is over the limit of {MAX_COLORS:,} colours")
+        return leaf
 
     tree = parse()
     if pos != len(tokens):
@@ -124,6 +134,8 @@ def complete_max_tree(k: int) -> "Circuit":
     to a power of two; the padding colors are phantom leaves no agent holds."""
     if k < 2:
         raise CircuitError("need k >= 2")
+    if k > MAX_COLORS:
+        raise CircuitError(f"k = {k} is over the limit of {MAX_COLORS:,} colours")
     padded = 1 << math.ceil(math.log2(k))
 
     def build(lo: int, hi: int):

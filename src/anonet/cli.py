@@ -160,7 +160,15 @@ def _lines(*paths: Optional[str]):
     """Open each path given for writing; yield the files, None for a path not
     given (`print(..., file=None)` prints to stdout). Every subcommand enters
     it for all it writes before its first run, verification, audit or walk,
-    and prints with flush=True, so that a long command holds back no output."""
+    and prints with flush=True, so that a long command holds back no output.
+    Two paths of one file would overwrite each other: a ConfigError before
+    any is opened, unless the path exists and is no regular file (/dev/null)."""
+    files = [p for p in paths if p and (os.path.isfile(p) or not os.path.exists(p))]
+    real = [os.path.realpath(p) for p in files]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ConfigError(f"output paths {files[real.index(path)]!r} and {files[i]!r} "
+                              "name one file")
     with contextlib.ExitStack() as stack:
         yield [stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
                for path in paths]
@@ -235,11 +243,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     options = _run_options(args)
     resolved = resolve_protocol(args.protocol)
-    sizes = _flag("--sizes", lambda s: [parse_decimal(x) for x in s.split(",") if x], args.sizes)
+    sizes = _flag("--sizes", lambda s: [parse_decimal(x) for x in s.split(",")], args.sizes)
     repeated = [n for i, n in enumerate(sizes) if n in sizes[:i]]
-    if not sizes or repeated:
-        raise ConfigError(f"--sizes {args.sizes!r}: " + (
-            f"size {repeated[0]} is given more than once" if repeated else "no size given"))
+    if repeated:
+        raise ConfigError(f"--sizes {args.sizes!r}: size {repeated[0]} is given more than once")
     _at_least("--seeds", args.seeds, 1)
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors

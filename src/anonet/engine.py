@@ -42,7 +42,7 @@ import random
 from contextlib import suppress
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -52,6 +52,7 @@ __all__ = [
     "ProtocolViolation",
     "TransitionTable",
     "settled",
+    "closure",
     "GRAPH_KINDS",
     "MAX_EDGES",
     "build_graph",
@@ -161,14 +162,14 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
     before it can hold.
     """
     present = frozenset(ids)
-    fill = table.fill
+    fill, outs = table.fill, table.outs
     try:
         verdict = table.verdicts.get(present)
         if verdict is None:
             # False for both if the outputs differ or a pair raises
             verdict = table.verdicts[present] = [False, False]
             per_node = table.protocol.match_mode != "ones_count"
-            if not per_node or len({table.outs[a] for a in present}) == 1:
+            if not per_node or len({outs[a] for a in present}) == 1:
                 verdict[:] = (all(fill(a, b) in ((a, b), (b, a))
                                   for a in present for b in present if a != b),
                               None if per_node else False)
@@ -176,28 +177,29 @@ def settled(table: TransitionTable, ids: Sequence[int]) -> bool:
             return True
         if verdict[1] is None:
             verdict[1] = False  # if a pair raises
-            verdict[1] = _closed(table, present, table.outs[ids[0]])
+            out = outs[ids[0]]
+            verdict[1] = all(outs[c] == out for c in closure(
+                present, lambda a, b: (*fill(a, b), *fill(b, a))))
     except ProtocolViolation:
         return False
     return verdict[1]
 
 
-def _closed(table: TransitionTable, present: frozenset, out) -> bool:
-    """Whether every state in the closure of the ids `present` under all
-    ordered pairs outputs `out`, read from `outs`; walked on ids, filling
-    the pairs it meets, so a violating pair raises."""
-    outs, fill = table.outs, table.fill
-    walk = list(present)
+def closure(start: Iterable, successors: Callable[[Any, Any], Iterable]) -> Iterator:
+    """Each member of the closure of `start` once, `start` first: a member is
+    in `start` or among `successors(a, b)` of two members, read once for each
+    unordered pair {a, b}, a == b included. Lazy: a consumer that stops early
+    (`settled`'s tier (b)) reads no further pair."""
+    walk = list(dict.fromkeys(start))
     known = set(walk)
+    yield from walk
     for i, a in enumerate(walk):  # walk grows as it is read
         for b in walk[: i + 1]:
-            for c in (*fill(a, b), *fill(b, a)):
+            for c in successors(a, b):
                 if c not in known:
-                    if outs[c] != out:
-                        return False
                     known.add(c)
                     walk.append(c)
-    return True
+                    yield c
 
 
 class Graph:
@@ -556,17 +558,15 @@ def run(
     The run stops by "quiescence" once `protocol.quiescent(table, ids)`
     (`settled`) proves that no output can change again. The rule is checked
     at step 0, and at every multiple of n activations at which a state
-    changed since the last check. Every run counts the outputs that equal a
-    reference (`match_rule`): `expected`, or, if it is None, the first
-    agent's initial output, moved to agent 0's current output (and
-    recounted) at a check at which no agent holds it. For a per-node match
-    mode, a check while some but not all outputs equal it skips the rule,
-    which must fail there (see `ProtocolDef.quiescent`). A run so stopped
-    is stabilized if it matches `expected` or expected is None; any other
-    run stops by "max_steps", not stabilized. `first_correct_step` is the
-    start of the final matching stretch (0: the initial configuration
-    matched); None if the run ends unmatched or expected is None, since the
-    count then serves only the gate. `elapsed_time` is the time of the last
+    changed since the last check. Every run counts the outputs that match
+    `expected` (`match_rule`). For a per-node match mode, a check while some
+    but not all outputs equal it skips the rule, which must fail there (see
+    `ProtocolDef.quiescent`). No output is None, so a run without `expected`
+    matches nothing and calls the rule at every check. A run so stopped is
+    stabilized if it matches `expected` or expected is None; any other run
+    stops by "max_steps", not stabilized. `first_correct_step` is the start
+    of the final matching stretch (0: the initial configuration matched);
+    None if the run ends unmatched. `elapsed_time` is the time of the last
     activation, every edge's clock running at rate 1 (`clock`).
 
     The activations are `schedule(graph, seed, swap_period)`, which tries a
@@ -588,16 +588,14 @@ def run(
     states = table.start(n, inputs)
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
 
-    # one output count for every run: against `expected`, or without one
-    # against an output some agent holds, which only the gate reads: the
-    # first agent's, again at a check at which no agent holds the last one
-    want, target = match_rule(protocol, outs[states[0]] if expected is None else expected, n)
+    # one output count for every run; no output is None, so a run without
+    # `expected` matches nothing
+    want, target = match_rule(protocol, expected, n)
     match_count = sum(1 for s in states if outs[s] == want)
     matched = match_count == target
     # per-node outputs differ while 0 < match_count < n: no check then
     # calls the stop rule
     gated = protocol.match_mode != "ones_count"
-    reanchor = gated and expected is None
 
     streak_start = 0  # where the matching stretch began; read only while matched
     step = 0
@@ -609,9 +607,6 @@ def run(
     arcs, draws = schedule(graph, seed, swap_period)
     draws = islice(draws, max_steps)
     while True:  # the check at step 0, then one at each step `due`
-        if reanchor and not match_count:
-            want = outs[states[0]]
-            match_count = sum(1 for s in states if outs[s] == want)
         if not (gated and 0 < match_count < n) and protocol.quiescent(table, states):
             stopped_by = "quiescence"
             break
@@ -655,7 +650,7 @@ def run(
     return RunResult(
         protocol=protocol.name,
         n=n,
-        first_correct_step=streak_start if matched and expected is not None else None,
+        first_correct_step=streak_start if matched else None,
         stabilized=stabilized,
         final_outputs=outputs,
         total_steps=step,

@@ -23,7 +23,7 @@ from array import array
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .engine import Graph, ProtocolViolation, TransitionTable, match_rule
+from .engine import Graph, ProtocolViolation, TransitionTable, closure, match_rule
 
 __all__ = [
     "verify_exhaustive",
@@ -288,25 +288,21 @@ def audit_memory(protocols: Iterable) -> list[AuditReport]:
 
 
 def _closure(protocol) -> set:
-    """The closure of the initial states under all ordered pairs: a reachable
+    """The `closure` of the initial states under all ordered pairs: a reachable
     state is an initial state or a result of two reachable ones. A pair that
     raises ProtocolViolation is skipped, as a run that meets it raises. With
     a `core`, every state is projected, each result included."""
     project = protocol.core[0] if protocol.core else (lambda s: s)
-    walk = list(dict.fromkeys(project(protocol.init(c)) for c in range(protocol.colors)))
-    known = set(walk)
-    for i, a in enumerate(walk):  # walk grows as it is read
-        for b in walk[: i + 1]:
-            for x, y in ((a, b), (b, a)):
-                try:
-                    pair = protocol.transition(x, y)
-                except ProtocolViolation:
-                    continue
-                for s in map(project, pair):
-                    if s not in known:
-                        known.add(s)
-                        walk.append(s)
-    return known
+
+    def successors(a, b):
+        for x, y in ((a, b), (b, a)):
+            try:
+                pair = protocol.transition(x, y)
+            except ProtocolViolation:
+                continue
+            yield from map(project, pair)
+
+    return set(closure((project(protocol.init(c)) for c in range(protocol.colors)), successors))
 
 
 class ScalingFit(NamedTuple):

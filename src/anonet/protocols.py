@@ -34,7 +34,18 @@ __all__ = [
     "bit_protocol",
     "estimate_protocol",
     "level_count",
+    "MAX_COUNTER_BITS",
 ]
+
+# the largest c of `lsb:c` and `threshold:a:b:c`, checked before 2^c is
+# built; that integer takes c / 8 bytes, 8 KB at the bound
+MAX_COUNTER_BITS = 1 << 16
+
+
+def _counter_bits(c: int) -> int:
+    if c > MAX_COUNTER_BITS:
+        raise ValueError(f"c = {c} is over the limit of {MAX_COUNTER_BITS:,}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -43,8 +54,8 @@ class ProtocolDef:
     single instance is safe to share across parallel runs. `quiescent(table,
     ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
     rule must fail while a per-node kind's outputs differ, and `engine.run`
-    skips it then, whether or not the run is given an answer. `core`, set
-    only by `plurality_protocol`, is (projection, spread): the audit closes
+    skips it then if the run is given an answer. `core`, set only by
+    `plurality_protocol`, is (projection, spread): the audit closes
     projected states and counts each `spread` times."""
 
     name: str
@@ -104,7 +115,7 @@ def lsb_counter_protocol(c: int) -> ProtocolDef:
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    mod = 1 << c
+    mod = 1 << _counter_bits(c)
 
     def init(color: int) -> ParityState:
         return ParityState(1, 1) if color == 0 else ParityState(0, 0)
@@ -153,7 +164,8 @@ def threshold_protocol(a: int, b: int, c: int) -> ProtocolDef:
     cannot keep feeding 0 alongside them. Everything else swaps states.
     Output is [counter > 0]; exact ties stabilize to 0.
     """
-    if not (1 <= a <= (1 << c) and 1 <= b <= (1 << c)):
+    most = 1 << _counter_bits(c)
+    if not (1 <= a <= most and 1 <= b <= most):
         raise ValueError(f"need 1 <= a,b <= 2^c, got a={a} b={b} c={c}")
 
     def init(color: int) -> ThresholdState:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from anonet import cli, engine
+from anonet import circuits, cli, engine, protocols
 from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
@@ -767,6 +767,10 @@ BAD_INTEGERS = {
                           "--output", "TMP/rows.csv"],
                          "error: --sizes '4,+5': expected an integer >= 0 in digits 0-9, "
                          "got '+5'\n"),
+    "sweep-sizes-empty-entries": (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes",
+                                   ",4,,5,", "--seeds", "1", "--output", "TMP/rows.csv"],
+                                  "error: --sizes ',4,,5,': expected an integer >= 0 in "
+                                  "digits 0-9, got ''\n"),
     "input-count-underscore": (["run", "--protocol", "or", "--graph", "cycle:10", "--input",
                                 "0:1_0,1:rest"],
                                "error: --input '0:1_0,1:rest': bad input block '0:1_0': "
@@ -876,13 +880,24 @@ class TestBadInputs:
                   ("lsb:0", "c must be >= 1"),
                   ("estimate:1", "n_max must be >= 2"),
                   ("bit:9:4", "bit index 9 outside [0, 3)"),
-                  ("plurality:1", "need k >= 2"))),
+                  ("plurality:1", "need k >= 2"),
+                  ("plurality:1048577", "k = 1048577 is over the limit of 1,048,576 colours"),
+                  ("circuit:TMP/wide.circ",
+                   "leaf 1048576 is over the limit of 1,048,576 colours"),
+                  ("lsb:100000000000", "c = 100000000000 is over the limit of 65,536"),
+                  ("threshold:1:1:65537", "c = 65537 is over the limit of 65,536"))),
             *((["run", "--protocol", "or", "--graph", spec, "--input", "0:1,1:rest"],
                f"error: bad graph spec {spec!r}: {message}\n")
               for spec, message in (("cycle:2", "need at least 3 nodes, got 2"),
                                     ("complete:1", "need at least 2 nodes, got 1"))),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", ","],
-             "error: --sizes ',': no size given\n"),
+             "error: --sizes ',': expected an integer >= 0 in digits 0-9, got ''\n"),
+            (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4",
+              "--output", "TMP/o.json", "--trace", "TMP/./o.json"],
+             "error: output paths 'TMP/o.json' and 'TMP/./o.json' name one file\n"),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
+              "--output", "TMP/rows.csv", "--summary", "TMP/rows.csv"],
+             "error: output paths 'TMP/rows.csv' and 'TMP/rows.csv' name one file\n"),
             (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "8,8,8", "--seeds",
               "2", "--output", "TMP/rows.csv"],
              "error: --sizes '8,8,8': size 8 is given more than once\n"),
@@ -909,14 +924,17 @@ class TestBadInputs:
              "input-count-word", "input-count-fraction", "input-count-percent",
              "input-empty", "input-list-color", "input-mixed", "input-count-negative",
              "circuit-unclosed", "circuit-trailing", "lsb-0", "estimate-1", "bit-index",
-             "plurality-1",
-             "cycle-2", "complete-1", "sweep-sizes-empty", "sweep-sizes-repeated",
+             "plurality-1", "plurality-over-the-colour-limit", "circuit-over-the-colour-limit",
+             "lsb-over-the-bit-limit", "threshold-over-the-bit-limit",
+             "cycle-2", "complete-1", "sweep-sizes-empty", "run-output-and-trace-one-file",
+             "sweep-output-and-summary-one-file", "sweep-sizes-repeated",
              "verify-all-inputs-too-many",
              "meet-trials-0", "config-missing", *BAD_INTEGERS],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
         (tmp_path / "open.circ").write_text("(max 0\n")
         (tmp_path / "trailing.circ").write_text("(max 0 1) 2\n")
+        (tmp_path / "wide.circ").write_text("(max 0 1048576)\n")
         write_bad_integer_files(tmp_path)
         argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         names = names.replace("TMP", str(tmp_path))
@@ -927,6 +945,37 @@ class TestBadInputs:
         # paths are checked before the first run: no CSV row was written
         rows = tmp_path / "rows.csv"
         assert not rows.exists() or rows.read_text() == ""
+        # nor was any file opened that two outputs name
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4", "--trace"],
+        ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4", "--seeds", "1",
+         "--summary"],
+    ], ids=["run", "sweep"])
+    def test_two_outputs_may_both_be_dev_null(self, capsys, argv):
+        # /dev/null is no regular file: writing it twice overwrites nothing
+        code, out, err = run_cli(capsys, [*argv, os.devnull, "--output", os.devnull])
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("under,over", [
+        ("plurality:4", "plurality:5"), ("circuit:TMP/c3.circ", "circuit:TMP/c4.circ"),
+        ("lsb:3", "lsb:4"), ("threshold:1:1:3", "threshold:1:1:4")])
+    def test_a_protocol_spec_over_its_bound_ends_the_command_before_it_is_built(
+            self, capsys, tmp_path, monkeypatch, under, over):
+        # the bounds, lowered here so that no test builds much: the colours
+        # of a plurality or a circuit file, and the c that 2^c is built of
+        monkeypatch.setattr(circuits, "MAX_COLORS", 4)
+        monkeypatch.setattr(protocols, "MAX_COUNTER_BITS", 3)
+        (tmp_path / "c3.circ").write_text("(max 0 3)\n")
+        (tmp_path / "c4.circ").write_text("(max 0 4)\n")
+        argv = ["run", "--graph", "complete:4", "--input", "0:3,1:rest", "--protocol"]
+        under, over = (spec.replace("TMP", str(tmp_path)) for spec in (under, over))
+        code, out, err = run_cli(capsys, [*argv, under])
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, [*argv, over])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: bad protocol spec {over!r}: ") and "over the limit" in err
 
     @pytest.mark.parametrize("command,flag", [
         ("sweep", "--seed"), ("sweep", "--trace"),

@@ -44,6 +44,7 @@ from anonet.engine import (
 from anonet.protocols import (
     BitState,
     ParityState,
+    ProtocolDef,
     bit_protocol,
     lsb_counter_protocol,
     or_protocol,
@@ -329,15 +330,14 @@ class TestRunSemantics:
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
         for expected in (inputs.count(0) % 2, None):
-            # outputs are counted against the answer, or without one against
-            # the first agent's initial output (1 here, against the answer 0)
-            want = base.output(base.init(inputs[0])) if expected is None else expected
+            # outputs are counted against the answer; no output is None, so
+            # without one no check is skipped
             calls = []
             p = dataclasses.replace(base, quiescent=lambda table, ids: calls.append(1) or
                                     settled(table, ids))
 
             def mixed(states):  # some but not all outputs match: the rule must fail, and is skipped
-                return 0 < sum(p.output(s) == want for s in states) < g.n
+                return 0 < sum(p.output(s) == expected for s in states) < g.n
 
             last, dirty = [p.init(c) for c in inputs], False
             due = 0 if mixed(last) else 1  # the check at step 0
@@ -354,31 +354,35 @@ class TestRunSemantics:
             assert len(calls) == due < 1 + res.total_steps // g.n, expected
 
     @pytest.mark.parametrize("c", [1, 2])
-    def test_an_unanswered_run_skips_the_rule_while_outputs_differ(self, c):
-        # a run without `expected` counts its outputs against the first
-        # agent's initial output and skips the rule while some but not all
-        # outputs equal it; at a check at which none does, it counts
-        # against agent 0's output instead. So with any number of output
-        # values, the rule is never called while outputs differ.
+    def test_an_unanswered_run_calls_the_rule_at_every_check_after_a_change(self, c):
+        # a run without `expected` matches nothing, so no check skips the
+        # rule, while outputs differ too; there it fails, from its memo
         import dataclasses
 
         base = lsb_counter_protocol(c)
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
-        want = base.output(base.init(inputs[0]))
-        calls = []  # (distinct outputs, outputs equal to `want`) at each call
-
-        def recorded(table, ids):
-            outputs = [table.outs[i] for i in ids]
-            calls.append((len(set(outputs)), outputs.count(want)))
-            return settled(table, ids)
-
-        p = dataclasses.replace(base, quiescent=recorded)
         for seed in range(5):
-            res = run(p, g, inputs, seed=seed)
+            calls = []  # the distinct outputs at each call
+            dirty, checks = False, 1  # the check at step 0 counts
+
+            def recorded(table, ids):
+                calls.append(len({table.outs[i] for i in ids}))
+                return settled(table, ids)
+
+            def check(step, states):
+                nonlocal last, dirty, checks
+                dirty, last = dirty or states != last, states
+                if step % g.n == 0:
+                    checks, dirty = checks + dirty, False
+
+            p = dataclasses.replace(base, quiescent=recorded)
+            last = [p.init(x) for x in inputs]
+            res = run(p, g, inputs, seed=seed, record_trace=True)
             assert res.stopped_by == "quiescence" and res.stabilized
-        assert calls and all(count in (0, g.n) for _, count in calls)
-        assert {distinct for distinct, _ in calls} == {1}
+            assert res.first_correct_step is None and res.matched
+            replay(p, inputs, res, check)
+            assert len(calls) == checks and calls[-1] == 1 and max(calls) > 1, seed
 
     def test_max_steps_reported_not_fatal(self):
         g = build_graph("cycle:8")
@@ -606,6 +610,19 @@ class TestStopRule:
         filled = len(calls)
         table.fill(a, a)
         assert len(calls) == filled and len(table.objs) == 3
+
+    def test_the_closure_reads_no_pair_after_a_state_with_another_output(self):
+        # (x, y) -> (x, y + 1) up to 5; states from 3 on output 1. From {0},
+        # tier (b) meets 1, then 2, then 3 in (0, 2), and reads nothing more
+        p = ProtocolDef("chain", init=lambda c: 0, output=lambda s: int(s >= 3),
+                        transition=lambda x, y: (x, min(y + 1, 5)))
+        table = TransitionTable(p)
+        ids = table.start(2, [0, 0])
+        assert not settled(table, ids)
+        filled = {(table.objs[a], table.objs[b]) for a, row in enumerate(table.rows) for b in row}
+        assert sum(map(len, table.rows)) == 6
+        assert filled == {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)}
+        assert table.objs == [0, 1, 2, 3]
 
     def test_each_violation_is_raised_afresh(self):
         # a violating pair is never stored: an exception raised again would
