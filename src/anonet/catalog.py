@@ -2,7 +2,8 @@
 
 Protocol strings are `kind[:p1[:p2...]]` with integer parameters in digits
 0-9 (`engine.parse_decimal`). `KINDS` is their grammar: kind -> (accepted
-parameter counts, `build(*params)`), and `build` returns (protocol, truth).
+parameter counts, `build(*params)`), and `build` returns (protocol, truth)
+or (protocol, truth, audit note), the fields of `ResolvedProtocol`.
 `truth(counts)` is plain arithmetic over per-color counts (r is the count
 of color 0), None when there is nothing to report; ValueError means there
 is no answer.
@@ -50,6 +51,7 @@ class ConfigError(ValueError):
 class ResolvedProtocol:
     protocol: protocols.ProtocolDef
     oracle_fn: Callable[[Sequence[int]], object]
+    audit_note: str = ""  # what `anonet audit` adds to the kind's row
 
 
 def _circuits():
@@ -82,7 +84,8 @@ KINDS: dict[str, tuple[tuple[int, ...], Callable]] = {
                              lambda counts: counts[0] % (1 << c))),
     "threshold": ((2, 3), _threshold),
     "bit": ((2,), lambda j, nmax: (protocols.bit_protocol(j, nmax),
-                                   lambda counts: (counts[0] >> j) & 1)),
+                                   lambda counts: (counts[0] >> j) & 1,
+                                   "output register adds one bit over the counter tuple")),
     "estimate": ((1,), lambda nmax: (
         protocols.estimate_protocol(nmax),
         lambda counts: counts[0].bit_length() - 1 if counts[0] else None)),

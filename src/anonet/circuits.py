@@ -47,13 +47,17 @@ gossip semantics (`plurality_protocol` only)
     belief. Exactly tied gates leave a strong-zero tie marker that
     broadcasts a fixed convention. This variant places the out=1 bits on
     winning-side agents (not just the right number of them), which the
-    plurality color copy rule requires.
+    plurality color copy rule requires. A plurality state is the plain
+    tuple (color, final, levels), a level one int, unit << 2 | ghost << 1 |
+    out. No other register of a meeting's result depends on a final
+    register, so the audit closes the cores (color, 0, levels) (the proof
+    is in `plurality_protocol`).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple, Sequence
 
 from .engine import parse_decimal
@@ -71,8 +75,6 @@ __all__ = [
     "plurality_protocol",
     "LevelState",
     "CircuitState",
-    "PLevel",
-    "PluralityState",
     "MAX_COLORS",
 ]
 
@@ -400,88 +402,55 @@ def compile_circuit(circuit: Circuit) -> ProtocolDef:
 # ---------------------------------------------------------------------------
 # Gossip semantics (belief-carried outputs; serves plurality)
 
-ARMED, DEBT, SHED, SPENT = 0, 1, 2, 3
+ARMED, DEBT, SHED, SPENT = 0, 1, 2, 3  # a level's unit; its ghost is the tie marker
 
 
-class PLevel(NamedTuple):
-    unit: int  # ARMED / DEBT / SHED / SPENT
-    ghost: int  # strong-zero tie marker
-    out: int  # belief bit
+def _eff(lv: int, side: int) -> int:
+    """The charge a level broadcasts: its side armed, the opposite as a debt."""
+    return (side, -side, 0, 0)[lv >> 2]  # by unit: ARMED, DEBT, SHED, SPENT
 
 
-class PluralityState(NamedTuple):
-    color: int
-    final: int
-    levels: tuple
+def _consume(lv: int) -> int:
+    """The level after its charge collides: armed is spent, a debt shed."""
+    return (SPENT if lv >> 2 == ARMED else SHED) << 2 | lv & 3
 
 
-def _eff(lv: PLevel, side: int) -> int:
-    if lv.unit == ARMED:
-        return side
-    if lv.unit == DEBT:
-        return -side
-    return 0
-
-
-def _belief(side: int, verdict: int, in_bit: int) -> int:
-    return 1 if (in_bit and side == verdict) else 0
-
-
-def _gossip_sync(color: int, levels: list, circuit: Circuit) -> bool:
+def _gossip_sync(circuit: Circuit, color: int, levels: tuple) -> tuple[tuple, bool]:
     """Re-derive each level's unit from the agent's own lower output: armed
     units shed when the input unit disappears, spent units turn into debts,
     and both moves reverse when the input comes back. Keeps the signed pool
     sum of every gate equal to its current input difference. An agent also
     applies its own broadcasts to itself (its armed charge, or the tie
     marker it carries: the last collision of a tied gate may leave the sole
-    marker on an agent nobody else can correct)."""
-    sides = circuit.sides[color]
-    changed = False
+    marker on an agent nobody else can correct). Returns (levels, changed)."""
+    synced = []
     in_bit = 1
-    for i, lv in enumerate(levels):
-        unit, ghost, out = lv
+    for side, lv in zip(circuit.sides[color], levels):
+        unit, ghost = lv >> 2, lv & 2
         if in_bit:
             if unit == SHED:
                 unit, ghost = ARMED, 0
             elif unit == DEBT:
                 unit = SPENT
-            if unit == ARMED:
-                out = 1
-            elif ghost:
-                out = _belief(sides[i], 1, in_bit)
+            in_bit = 1 if unit == ARMED else int(side == 1) if ghost else lv & 1
         else:
             if unit == ARMED:
                 unit = SHED
             elif unit == SPENT:
                 unit = DEBT
-            out = 0
-        if (unit, ghost, out) != lv:
-            levels[i] = PLevel(unit, ghost, out)
-            changed = True
-        in_bit = levels[i].out
-    return changed
+            in_bit = 0
+        synced.append(unit << 2 | ghost | in_bit)
+    synced = tuple(synced)
+    return synced, synced != levels
 
 
-def _hear(lv: PLevel, side: int, in_bit: int, eff: int, ghost: int) -> PLevel:
-    """Set the belief from the other party's broadcast at the same gate: the
-    sign of its live charge `eff`, else its tie marker's fixed verdict +1."""
-    if not (eff or ghost):
-        return lv
-    return lv._replace(out=_belief(side, eff or 1, in_bit))
-
-
-def _consume(unit: int) -> int:
-    return SPENT if unit == ARMED else SHED
-
-
-def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
-    cx, cy = sx.color, sy.color
-    lx = list(sx.levels)
-    ly = list(sy.levels)
-    chx = _gossip_sync(cx, lx, circuit)
-    chy = _gossip_sync(cy, ly, circuit)
-    sides_x = circuit.sides[cx]
-    sides_y = circuit.sides[cy]
+def _gossip_meeting(sx: tuple, sy: tuple, circuit: Circuit, sync):
+    cx, final_x, lx = sx
+    cy, final_y, ly = sy
+    lx, chx = sync(cx, lx)
+    ly, chy = sync(cy, ly)
+    lx, ly = list(lx), list(ly)
+    sides_x, sides_y = circuit.sides[cx], circuit.sides[cy]
     fired = False
 
     for i, j in circuit.shared(cx, cy):
@@ -489,70 +458,72 @@ def _gossip_meeting(sx: PluralityState, sy: PluralityState, circuit: Circuit):
         b = ly[j]
         effx = _eff(a, sides_x[i])
         effy = _eff(b, sides_y[j])
-        if effx and effy and effx == -effy:
-            lx[i] = PLevel(_consume(a.unit), 1, a.out)  # initiator keeps the tie marker
-            ly[j] = PLevel(_consume(b.unit), b.ghost, b.out)
-            a, b = lx[i], ly[j]
+        if effx and effx == -effy:
+            a = _consume(a) | 2  # initiator keeps the tie marker
+            b = _consume(b)
             effx = effy = 0
-            fired = True
-        if a.ghost and effy:
-            lx[i] = a = PLevel(a.unit, 0, a.out)
-            fired = True
-        if b.ghost and effx:
-            ly[j] = b = PLevel(b.unit, 0, b.out)
-            fired = True
-        heard_x = _hear(a, sides_x[i], lx[i - 1].out if i > 0 else 1, effy, b.ghost)
-        heard_y = _hear(b, sides_y[j], ly[j - 1].out if j > 0 else 1, effx, a.ghost)
-        if heard_x != a or heard_y != b:
-            lx[i], ly[j] = heard_x, heard_y
+        if a & 2 and effy:
+            a ^= 2
+        if b & 2 and effx:
+            b ^= 2
+        # each hears the other's broadcast: the sign of its live charge,
+        # else its tie marker's fixed verdict +1
+        if effy or b & 2:
+            a = a & ~1 | (i == 0 or lx[i - 1] & 1) & (sides_x[i] == (effy or 1))
+        if effx or a & 2:
+            b = b & ~1 | (j == 0 or ly[j - 1] & 1) & (sides_y[j] == (effx or 1))
+        if a != lx[i] or b != ly[j]:
+            lx[i], ly[j] = a, b
             fired = True
 
-    cert_x = all(lv.out for lv in lx)
-    cert_y = all(lv.out for lv in ly)
+    cert_x = all(lv & 1 for lv in lx)
+    cert_y = all(lv & 1 for lv in ly)
     # a certified agent's final register holds its own colour; any other
     # copies a certified partner's
-    fx = cx if cert_x else cy if cert_y else sx.final
-    fy = cy if cert_y else cx if cert_x else sy.final
+    fx = cx if cert_x else cy if cert_y else final_x
+    fy = cy if cert_y else cx if cert_x else final_y
     # two certified agents of different colours fire even when neither
     # register changes, so they do not swap
-    fired |= (fx, fy) != (sx.final, sy.final) or cert_x and cert_y and cx != cy
-    nx = PluralityState(cx, fx, tuple(lx))
-    ny = PluralityState(cy, fy, tuple(ly))
-    if fired or chx or chy:
-        return (nx, ny)
-    return (ny, nx)
+    fired |= (fx, fy) != (final_x, final_y) or cert_x and cert_y and cx != cy
+    nx, ny = (cx, fx, tuple(lx)), (cy, fy, tuple(ly))
+    return (nx, ny) if fired or chx or chy else (ny, nx)
 
 
 def plurality_protocol(k: int) -> ProtocolDef:
     """Plurality over k colors via the complete MAX tree, 6*ceil(log2 k) bits.
 
-    Each agent simulates the gates on its color's root-leaf path with the
-    gossip semantics and carries initial and final color registers. Whenever
-    it meets an agent whose out bits are 1 at every level of that agent's
-    path, it copies that agent's initial color into its final register;
-    with a unique plurality color those agents are eventually exactly the
-    plurality-colored ones, so every final register converges to it.
+    A state is the tuple (color, final, levels): initial and final colour
+    registers, and a gossip level int per gate on the colour's root-leaf
+    path. Whenever it meets an agent whose out bits are 1 at every level of
+    that agent's path, it copies that agent's initial color into its final
+    register; with a unique plurality color those agents are eventually
+    exactly the plurality-colored ones, so every final register converges
+    to it.
 
-    `core` drops the final register for the audit. Call (color, levels) a
-    state's core. `_gossip_meeting` computes levels and certifications from
-    cores alone, and the final registers feed only `fired`, which orders the
-    result: so the cores of δ(x, y), as a set, depend only on those of x and
-    y, and no pair raises. By induction, the closure's cores are the closure
-    of the initial cores; a final register holds one of the k colors, so the
-    closure lies inside those cores times [0, k).
+    `core` maps s to (s[0], 0, s[2]), dropping the final register for the
+    audit. Call (color, levels) a state's core. `_gossip_meeting` computes
+    levels and certifications from cores alone, and the final registers
+    feed only `fired`, which orders the result: so the cores of δ(x, y), as
+    a set, depend only on those of x and y, and no pair raises. By
+    induction, the closure's cores are the closure of the initial cores; a
+    final register holds one of the k colors, so the closure lies inside
+    those cores times [0, k).
     """
     tree = complete_max_tree(k)
+    # `_gossip_sync` depends on (color, levels) alone: memoized for as long
+    # as the protocol lives
+    sync = cache(partial(_gossip_sync, tree))
 
-    def init(color: int) -> PluralityState:
+    def init(color: int) -> tuple:
         if color not in tree.paths:
             raise ValueError(f"color {color} is not a circuit leaf")
-        return PluralityState(color, color, (PLevel(ARMED, 0, 1),) * len(tree.paths[color]))
+        return (color, color, (ARMED << 2 | 1,) * len(tree.paths[color]))
 
-    def transition(x: PluralityState, y: PluralityState):
-        return _gossip_meeting(x, y, tree)
+    def transition(x: tuple, y: tuple):
+        return _gossip_meeting(x, y, tree, sync)
 
-    def output(s: PluralityState) -> int:
-        return s.final
+    def output(s: tuple) -> int:
+        return s[1]
 
     return ProtocolDef(
         name=f"plurality:{k}",
@@ -561,5 +532,5 @@ def plurality_protocol(k: int) -> ProtocolDef:
         output=output,
         budget_bits=4 * tree.depth + 2 * math.ceil(math.log2(k)),
         colors=k,
-        core=(lambda s: PluralityState(s.color, 0, s.levels), k),
+        core=(lambda s: (s[0], 0, s[2]), k),
     )

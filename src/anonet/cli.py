@@ -363,14 +363,13 @@ def cmd_verify(args) -> int:
 def cmd_audit(args) -> int:
     """One certified count per protocol (`audit_memory`), in this process:
     it builds no graph and makes no run, so `--n` changes nothing."""
-    protocols = [resolve_protocol(spec).protocol for spec in args.protocols]
+    resolved = [resolve_protocol(spec) for spec in args.protocols]
     with _lines(args.output) as (out,):
-        reports = audit_memory(protocols)
+        reports = audit_memory([r.protocol for r in resolved])
         lines = []
-        for spec, report in zip(args.protocols, reports):
-            if spec.startswith("bit:"):
-                report = report._replace(note="output register adds one bit over the counter tuple")
-            lines.append(json.dumps({**report._asdict(), "ok": report.ok}, sort_keys=True)
+        for r, report in zip(resolved, reports):
+            report = report._replace(note="; ".join(filter(None, (r.audit_note, report.note))))
+            lines.append(json.dumps(report.record(), sort_keys=True)
                          if args.format == "json" else report.row())
         print("\n".join(lines), file=out, flush=True)
     return EXIT_OK if all(report.ok for report in reports) else EXIT_FAILURE

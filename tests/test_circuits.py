@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonet.circuits import (
+    ARMED,
+    SHED,
+    SPENT,
     CircuitError,
     compile_circuit,
     complete_max_tree,
@@ -267,6 +270,51 @@ class TestPlurality:
             assert res.stabilized and set(res.final_outputs) == {4}
 
 
+def level(unit, ghost, out):
+    """A gossip level as `plurality_protocol`'s states hold it."""
+    return unit << 2 | ghost << 1 | out
+
+
+class TestGossipMeetings:
+    """Meetings of `plurality:4` worked by hand from the gossip rules. Its tree
+    is ((0, 1), (2, 3)): colours 0 and 1 meet at gate 0 on sides +1 and -1,
+    colours 2 and 3 at gate 1, and the two pairs at the root, 0 and 1 on
+    side +1. A fresh agent is armed with belief 1 at each of its levels."""
+
+    fresh = (level(ARMED, 0, 1),) * 2
+
+    def test_a_collision_at_the_first_gate(self):
+        # the armed charges +1 and -1 cancel: both units are spent, and the
+        # initiator keeps the tie marker, whose fixed verdict +1 the responder
+        # hears, so its belief falls to 0; with that input it hears the
+        # root's +1 as a loss too. The initiator is now certified, so the
+        # responder copies its colour
+        x, y = plurality_protocol(4).transition((0, 0, self.fresh), (1, 1, self.fresh))
+        assert x == (0, 0, (level(SPENT, 1, 1), level(ARMED, 0, 1)))
+        assert y == (1, 0, (level(SPENT, 0, 0), level(ARMED, 0, 0)))
+
+    def test_a_tie_markers_broadcast(self):
+        # a colour-0 agent whose gate-0 belief is 0 first syncs its root
+        # (no input: the armed unit is shed); then it hears the partner's
+        # tie marker at gate 0, verdict +1, its own side, so its belief is
+        # 1, and with that input it hears the partner's armed +1 at the root
+        w = (0, 1, (level(SPENT, 0, 0), level(ARMED, 0, 0)))
+        x = (0, 0, (level(SPENT, 1, 1), level(ARMED, 0, 1)))
+        assert plurality_protocol(4).transition(w, x) == (
+            (0, 0, (level(SPENT, 0, 1), level(SHED, 0, 1))), x)
+
+    def test_a_certified_colour_is_copied_into_the_partners_final_register(self):
+        # colours 0 and 2 share only the root, where the spent-out partner
+        # carries no charge and hears +1 without an input; nothing but its
+        # final register changes, and it takes the certified agent's colour
+        x = (0, 0, (level(SPENT, 1, 1), level(ARMED, 0, 1)))
+        z = (2, 2, (level(SPENT, 0, 0), level(SHED, 0, 0)))
+        assert plurality_protocol(4).transition(x, z) == (x, (2, 0, z[2]))
+        assert plurality_protocol(4).transition(z, x) == ((2, 0, z[2]), x)
+        # uncertified, the partner's register stays, and nothing fires: a swap
+        assert plurality_protocol(4).transition((0, 0, z[2]), z) == (z, (0, 0, z[2]))
+
+
 def eager_shared(p1, p2):
     """Reference rule: the index pairs, bottom-up, of the common suffix of two
     gate paths, found by walking down from both roots while the gates agree."""
@@ -299,7 +347,7 @@ class TestSharedGates:
         table = TransitionTable(plurality_protocol(2048))
         a, b = (table.intern(table.protocol.init(c)) for c in (0, 2047))
         x, y = table.fill(a, b)
-        assert {table.objs[x].color, table.objs[y].color} == {0, 2047}
+        assert {table.objs[x][0], table.objs[y][0]} == {0, 2047}
 
 
 @given(

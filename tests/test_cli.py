@@ -9,11 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from anonet import circuits, cli, engine, protocols
+from anonet import circuits, cli, engine, oracle, protocols
 from anonet.catalog import KINDS, ConfigError, parse_inputs, resolve_protocol
 from anonet.cli import main
 from anonet.engine import GRAPH_KINDS, GraphError, build_graph
@@ -555,6 +556,36 @@ class TestAuditCommand:
         assert all(r["ok"] for r in rows)
         assert [r["distinct_states"] for r in rows] == [8, 8, 4, 4, 488, 38, 71]
         assert [r["measured_bits"] for r in rows] == [3, 3, 2, 2, 9, 6, 7]
+
+    def test_the_bit_kinds_note_comes_from_its_entry_and_its_row_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, ["audit", "bit:2:64", "--format", "json"])
+        assert code == 0
+        assert out == ('{"declared_bits": 6, "distinct_states": 38, "measured_bits": 6, '
+                       '"note": "output register adds one bit over the counter tuple", '
+                       '"ok": true, "protocol": "bit:2:64"}\n')
+        assert "bit:" not in inspect.getsource(cli)  # no test of the kind in the CLI
+
+    def test_a_closure_past_the_guard_is_skipped_and_exits_0(self, capsys):
+        # unguarded, lsb:20's 2^21 states would take hours; the guard stops
+        # the walk in ~1.5 s
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["audit", "lsb:20", "lsb:2"])
+        assert time.perf_counter() - start < 6
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "lsb:20                   declared 21  measured 12 (at least 2049 states)  SKIPPED"
+            "  [stopped past the guard of 2,048 members]",
+            "lsb:2                    declared  3  measured  3 (8 states)  PASS"]
+
+    def test_a_skipped_rows_json_says_it_did_not_close(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_AUDIT_MEMBERS", 5)
+        code, out, _ = run_cli(capsys, ["audit", "bit:2:64", "lsb:1", "--format", "json"])
+        assert code == 0
+        skipped, closed = map(strict_json, out.splitlines())
+        assert (skipped["distinct_states"], skipped["ok"], skipped["closed"]) == (6, True, False)
+        assert skipped["note"] == ("output register adds one bit over the counter tuple; "
+                                   "stopped past the guard of 5 members")
+        assert closed["distinct_states"] == 4 and "closed" not in closed
 
     @pytest.mark.parametrize("argv", [["--n", "2"], ["--n", "5000"], ["--n", "-3"],
                                       ["--n", "8"]])

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from anonet import oracle
 from anonet.catalog import KINDS, resolve_protocol
-from anonet.circuits import compile_circuit, complete_max_tree, evaluate, parse_circuit
+from anonet.circuits import (compile_circuit, complete_max_tree, evaluate, parse_circuit,
+                             plurality_protocol)
 from anonet.engine import build_graph, match_rule, run
 from anonet.oracle import (
     _explore,
@@ -175,6 +176,41 @@ class TestAuditMemory:
         tight = dataclasses.replace(p, budget_bits=1)
         [report] = audit_memory([tight])
         assert not report.ok
+
+    def test_an_over_budget_closure_fails_as_soon_as_it_passes_the_budget(self):
+        import dataclasses
+
+        # lsb:2 closes 8 states; with 1 bit the third member decides FAIL
+        calls = []
+        full = lsb_counter_protocol(2)
+        tight = dataclasses.replace(full, budget_bits=1,
+                                    transition=lambda a, b: calls.append(1) or full.transition(a, b))
+        [report] = audit_memory([tight])
+        assert (report.distinct_states, report.measured_bits, report.closed) == (3, 2, False)
+        assert report.verdict == "FAIL" and "(at least 3 states)  FAIL" in report.row()
+        assert report.note == "stopped past 2^1 states"
+        assert len(calls) < 2 * 8 * 9 // 2  # fewer than the full closure's ordered pairs
+
+    def test_the_guard_stops_a_closure_past_its_members_with_skipped(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_AUDIT_MEMBERS", 5)
+        [report] = audit_memory([lsb_counter_protocol(2)])
+        assert (report.distinct_states, report.measured_bits, report.closed) == (6, 3, False)
+        assert report.ok and report.verdict == "SKIPPED"
+        assert report.note == "stopped past the guard of 5 members"
+        assert report.record()["closed"] is False
+        # at the guard the closure is complete, and its row is a PASS
+        monkeypatch.setattr(oracle, "MAX_AUDIT_MEMBERS", 8)
+        [report] = audit_memory([lsb_counter_protocol(2)])
+        assert (report.distinct_states, report.verdict, report.note) == (8, "PASS", "")
+        assert "closed" not in report.record()
+
+    def test_the_guard_counts_plurality_cores_not_states(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_AUDIT_MEMBERS", 100)  # plurality:4 has 122 cores
+        [report] = audit_memory([plurality_protocol(4)])
+        assert (report.distinct_states, report.verdict) == (101 * 4, "SKIPPED")
+        # plurality:3's 65 cores close within it, though they count 195 states
+        [report] = audit_memory([plurality_protocol(3)])
+        assert (report.distinct_states, report.verdict) == (195, "PASS")
 
 
 class TestScalingReport:

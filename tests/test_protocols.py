@@ -333,7 +333,7 @@ def test_readme_memory_table_rows_are_the_paper_claims():
         *(f"estimate:{1 << e}" for e in (6, 10, 16, 32)), *(f"plurality:{k}" for k in range(2, 9))]
 
 
-# the rows that close in under a second; the others take up to ~30 s
+# the rows that close in under a second; the others take up to ~10 s
 @pytest.mark.parametrize("spec", ["estimate:64", "estimate:1024", "estimate:65536",
                                   "plurality:2", "plurality:3", "plurality:4"])
 def test_readme_memory_table_matches_the_audit(spec):
