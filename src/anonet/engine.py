@@ -676,8 +676,13 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
     before the first fork, and a worker leaves only by `os._exit`, so it
     writes out no buffer it inherited. A worker exits between jobs once its
     parent is gone, and every worker is reaped before this returns or
-    raises. With one CPU, fewer than 2 jobs or no `os.fork`, it is the
-    loop, and forks nothing.
+    raises. Each process is pinned to one CPU of the mask it read, sorted:
+    worker i to mask[i], and the process to mask[0] while it computes its
+    share, so that the scheduler cannot keep a short job's worker on its
+    parent's CPU. The process's mask is restored before this returns or
+    raises. Where `os.sched_setaffinity` is missing or raises OSError, a
+    process stays unpinned; no result depends on it. With one CPU, fewer
+    than 2 jobs or no `os.fork`, it is the loop, and forks and pins nothing.
     """
     import os
     import pickle
@@ -685,10 +690,16 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
     import sys
 
     jobs = list(jobs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    w = min(cpus, len(jobs)) if hasattr(os, "fork") else 1
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    w = min(len(mask), len(jobs)) if hasattr(os, "fork") else 1
     if w < 2:
         return [job(x) for x in jobs]
+
+    def pin(cpus) -> None:
+        if hasattr(os, "sched_setaffinity"):
+            with suppress(OSError):
+                os.sched_setaffinity(0, cpus)
+
     sys.stdout.flush()
     sys.stderr.flush()
     parent = os.getpid()
@@ -702,6 +713,7 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
             if pid == 0:
                 code = 1
                 try:
+                    pin({mask[i]})
                     for fd in fds - {wr}:
                         os.close(fd)
                     share = _share(job, jobs, i, w, parent)
@@ -713,6 +725,7 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
             workers[pid] = r
             os.close(wr)
             fds.discard(wr)
+        pin({mask[0]})
         shares = [_share(job, jobs, 0, w)]
         for pid, r in list(workers.items()):
             data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
@@ -723,6 +736,7 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
                                         "before sending its results")
             shares.append(pickle.loads(data))
     finally:
+        pin(mask)
         for pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

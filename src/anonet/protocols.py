@@ -11,7 +11,9 @@ Conventions shared by all protocols here:
 
 * input color 0 is the counted color ("red"); r denotes its multiplicity,
 * in asymmetric rules the initiator takes the first listed outcome,
-* states are small NamedTuples, hashable so the engine can memoize pairs.
+* states are hashable, so the engine can memoize pairs: an int for `or`,
+  NamedTuples for `lsb` and `threshold`, and plain (color, active, level,
+  register) tuples for `bit` and `estimate`, whose audits build many.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "ProtocolDef",
     "ParityState",
     "ThresholdState",
-    "BitState",
-    "EstState",
     "or_protocol",
     "lsb_counter_protocol",
     "threshold_protocol",
@@ -206,30 +206,25 @@ def level_count(n_max: int) -> int:
     return (n_max - 1).bit_length() + 1  # in integers: a float log2 is one short at 2^49 + 1
 
 
-class BitState(NamedTuple):
-    color: int
-    active: int
-    level: int
-    out: int
-
-
-def _move_tokens(x, y, levels: int):
-    """The token move shared by `bit` and `estimate`, on states with `color`,
-    `active` and `level` fields; every other field carries through.
+def _move_tokens(x: tuple, y: tuple, levels: int):
+    """The token move shared by `bit` and `estimate`, on states (color,
+    active, level, register); the register carries through.
 
     Two equal-level tokens merge: (1,1) promotes the responder one level up,
     and any other color pair leaves the XOR on the initiator and kills the
     responder. A token meeting any other agent swaps the two states, so tokens
     random-walk. Two passive agents give None.
     """
-    if x.active and y.active and x.level == y.level:
-        if x.color and y.color:
-            if y.level + 1 >= levels:
+    xc, xa, level, xr = x
+    yc, ya, ylevel, yr = y
+    if xa and ya and level == ylevel:
+        if xc and yc:
+            if level + 1 >= levels:
                 raise ProtocolViolation(f"token would exceed level {levels - 1}: r, the "
                                         f"count of color 0, must be < 2^{levels}")
-            return (x._replace(color=0), y._replace(level=y.level + 1))
-        return (x._replace(color=x.color ^ y.color), y._replace(color=0, active=0))
-    if x.active or y.active:
+            return ((0, 1, level, xr), (1, 1, level + 1, yr))
+        return ((xc ^ yc, 1, level, xr), (0, 0, level, yr))
+    if xa or ya:
         return (y, x)
     return None
 
@@ -245,32 +240,32 @@ def bit_protocol(j: int, n_max: int) -> ProtocolDef:
     random-walk shuffle), and a passive agent meeting an active one swaps
     full states after recording its observation.
 
-    Every agent keeps an `out` register updated whenever it meets an active
-    level-j agent. The output map reads `color` for an active level-j agent
-    itself (its own register may hold a stale observation of an earlier
-    level-j token) and `out` for everyone else; passive agents that never
-    meet a level-j token answer the default 0.
+    A state is (color, active, level, out). Every agent keeps an `out`
+    register updated whenever it meets an active level-j agent. The output
+    map reads `color` for an active level-j agent itself (its own register
+    may hold a stale observation of an earlier level-j token) and `out` for
+    everyone else; passive agents that never meet a level-j token answer
+    the default 0.
     """
     levels = level_count(n_max)
     if not (0 <= j < levels):
         raise ValueError(f"bit index {j} outside [0, {levels})")
 
-    def init(color: int) -> BitState:
-        return BitState(1, 1, 0, 0) if color == 0 else BitState(0, 0, 0, 0)
+    def init(color: int) -> tuple:
+        return (1, 1, 0, 0) if color == 0 else (0, 0, 0, 0)
 
-    def observe(s: BitState, other: BitState) -> BitState:
-        if other.active and other.level == j and s.out != other.color:
-            return s._replace(out=other.color)
-        return s
+    def transition(x: tuple, y: tuple):
+        xc, xa, xl, xo = x
+        yc, ya, yl, yo = y
+        if ya and yl == j and xo != yc:  # x observes y
+            x = (xc, xa, xl, yc)
+        if xa and xl == j and yo != xc:  # y observes x
+            y = (yc, ya, yl, xc)
+        return _move_tokens(x, y, levels) or (x, y)
 
-    def transition(x: BitState, y: BitState):
-        x2, y2 = observe(x, y), observe(y, x)
-        return _move_tokens(x2, y2, levels) or (x2, y2)
-
-    def output(s: BitState) -> int:
-        if s.active and s.level == j:
-            return s.color
-        return s.out
+    def output(s: tuple) -> int:
+        color, active, level, out = s
+        return color if active and level == j else out
 
     return ProtocolDef(
         name=f"bit:{j}:{n_max}",
@@ -285,37 +280,25 @@ def bit_protocol(j: int, n_max: int) -> ProtocolDef:
 # Factor-2 count estimator
 
 
-class EstState(NamedTuple):
-    color: int
-    active: int
-    level: int
-    est: int
-
-
 def estimate_protocol(n_max: int) -> ProtocolDef:
     """Estimates r within a factor of 2: runs the per-bit token dynamics and
     gossips est = max level ever observed on an active agent, which settles
-    at floor(log2 r), so 2^est is the estimate. For r = 0 every register
-    stays 0 and the caller reports the run as empty. Like `bit_protocol` it
-    needs r < 2^level_count(n_max).
+    at floor(log2 r), so 2^est is the estimate. A state is (color, active,
+    level, est). For r = 0 every register stays 0 and the caller reports the
+    run as empty. Like `bit_protocol` it needs r < 2^level_count(n_max).
     """
     levels = level_count(n_max)
 
-    def init(color: int) -> EstState:
-        return EstState(1, 1, 0, 0) if color == 0 else EstState(0, 0, 0, 0)
+    def init(color: int) -> tuple:
+        return (1, 1, 0, 0) if color == 0 else (0, 0, 0, 0)
 
-    def transition(x: EstState, y: EstState):
-        ax, ay = _move_tokens(x, y, levels) or (x, y)
-        est = max(
-            ax.est,
-            ay.est,
-            ax.level if ax.active else 0,
-            ay.level if ay.active else 0,
-        )
-        return (ax._replace(est=est), ay._replace(est=est))
+    def transition(x: tuple, y: tuple):
+        (xc, xa, xl, xe), (yc, ya, yl, ye) = _move_tokens(x, y, levels) or (x, y)
+        est = max(xe, ye, xl if xa else 0, yl if ya else 0)
+        return ((xc, xa, xl, est), (yc, ya, yl, est))
 
-    def output(s: EstState) -> int:
-        return s.est
+    def output(s: tuple) -> int:
+        return s[3]
 
     log_l = math.ceil(math.log2(levels))
     return ProtocolDef(

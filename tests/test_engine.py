@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import itertools
 import math
 import os
+import posix
 import random
 import time
 import traceback
@@ -42,7 +44,6 @@ from anonet.engine import (
     write_trace,
 )
 from anonet.protocols import (
-    BitState,
     ParityState,
     ProtocolDef,
     bit_protocol,
@@ -573,7 +574,7 @@ class TestStopRule:
         # two level-1 tokens of bit:0:2 would merge past the top level
         p = bit_protocol(0, 2)
         table = TransitionTable(p)
-        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        token, passive = table.intern((1, 1, 1, 0)), table.intern((0, 0, 0, 0))
         assert not settled(table, [token, token, passive])
         assert settled(table, [token, passive, passive])  # (token, token) never meets
         with pytest.raises(ProtocolViolation):
@@ -586,7 +587,7 @@ class TestStopRule:
         # absence to the one with two tokens
         p = bit_protocol(0, 2)
         table = TransitionTable(p)
-        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        token, passive = table.intern((1, 1, 1, 0)), table.intern((0, 0, 0, 0))
         for _ in range(2):
             assert settled(table, [passive, token, passive])
             assert not settled(table, [token, passive, token])
@@ -629,7 +630,7 @@ class TestStopRule:
         # carry every earlier raise in its traceback
         p = bit_protocol(0, 2)
         table = TransitionTable(p)
-        token, passive = table.intern(BitState(1, 1, 1, 0)), table.intern(BitState(0, 0, 0, 0))
+        token, passive = table.intern((1, 1, 1, 0)), table.intern((0, 0, 0, 0))
         depths, raised = [], []
         for _ in range(4):
             assert not settled(table, [token, token, passive])
@@ -672,6 +673,12 @@ class TestRewiring:
         dynamic = run(p, g, inputs, seed=4, expected=1, swap_period=8)
         assert static.stabilized and dynamic.stabilized
         assert set(static.final_outputs) == set(dynamic.final_outputs) == {1}
+
+
+def real_mask() -> set:
+    """This process's CPU mask as the kernel holds it, which `TestMapJobs`'s
+    fake `os.sched_getaffinity` does not change."""
+    return posix.sched_getaffinity(0) if hasattr(posix, "sched_getaffinity") else set()
 
 
 @contextlib.contextmanager
@@ -744,6 +751,69 @@ class TestMapJobs:
     def test_one_cpu_or_one_job_forks_nothing(self, monkeypatch, cpus, jobs):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert map_jobs(lambda x: 2 * x, jobs) == [2 * x for x in jobs]
+
+    def test_each_process_computes_its_share_pinned_to_its_cpu_of_the_mask(self, monkeypatch):
+        # worker i computes jobs[i::3] on mask[i] and this process jobs[0::3]
+        # on mask[0], of the mask sorted; each job reports the last mask its
+        # process set, and this process sets the mask it read once it is done
+        pins = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 3, 5})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append((pid, set(cpus))))
+        with leaves_nothing():
+            seen = map_jobs(lambda x: pins[-1], range(7))
+        assert seen == [(0, {[3, 5, 9][x % 3]}) for x in range(7)]
+        assert pins == [(0, {3}), (0, {3, 5, 9})]
+
+    @pytest.mark.skipif(len(real_mask()) < 2, reason="needs two CPUs to pin the processes to")
+    @pytest.mark.parametrize("error", [None, ValueError, KeyboardInterrupt])
+    def test_the_callers_mask_is_restored_on_return_and_raise(self, monkeypatch, error):
+        # the kernel's own mask and calls: the jobs see their process pinned,
+        # and a return, a job's exception or an interrupt in this process's
+        # share restores the mask as it was
+        mask, calls = real_mask(), []
+
+        def pin(pid, cpus):
+            calls.append(set(cpus))
+            posix.sched_setaffinity(pid, cpus)
+
+        def job(x):
+            if error and x == 0:
+                raise error("job 0")
+            return posix.sched_getaffinity(0)
+
+        monkeypatch.setattr(os, "sched_getaffinity", posix.sched_getaffinity)
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+        with leaves_nothing(), pytest.raises(error) if error else contextlib.nullcontext():
+            assert map_jobs(job, range(2)) == [{cpu} for cpu in sorted(mask)[:2]]
+        assert calls == [{min(mask)}, mask]
+        assert real_mask() == mask
+
+    @pytest.mark.parametrize("refused", [True, False], ids=["oserror", "no-setaffinity"])
+    def test_a_process_that_cannot_be_pinned_changes_no_result(self, monkeypatch, refused):
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if refused:
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        mask = real_mask()
+        with leaves_nothing():
+            results = map_jobs(lambda x: (x * x, os.getpid()), range(7))
+        assert [square for square, _ in results] == [x * x for x in range(7)]
+        assert len({pid for _, pid in results}) == 2
+        assert real_mask() == mask
+
+    @pytest.mark.parametrize("cpus,jobs,fork", [({0}, range(5), True), ({0, 1}, [3], True),
+                                                ({0, 1}, range(5), False)],
+                             ids=["one-cpu", "one-job", "no-fork"])
+    def test_the_loop_pins_nothing(self, monkeypatch, cpus, jobs, fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pytest.fail("pinned"))
+        if not fork:
+            monkeypatch.delattr(os, "fork")
         assert map_jobs(lambda x: 2 * x, jobs) == [2 * x for x in jobs]
 
 

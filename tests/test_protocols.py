@@ -186,16 +186,17 @@ class TestBit:
         arrivals = [r] + [0] * 8
         for act in res.trace:
             sx, sy = states[act.initiator], states[act.responder]
-            if sx.active and sy.active and sx.level == sy.level and sx.color == sy.color == 1:
-                arrivals[sx.level + 1] += 1
+            (cx, ax, lx, _), (cy, ay, ly, _) = sx, sy  # (color, active, level, out)
+            if ax and ay and lx == ly and cx == cy == 1:
+                arrivals[lx + 1] += 1
             states[act.initiator], states[act.responder] = p.transition(sx, sy)
         levels_hit = [i for i, a in enumerate(arrivals) if a > 0]
         for i in levels_hit:
             if arrivals[i] >= 2:
                 assert arrivals[i + 1] == arrivals[i] // 2
-            survivor = [s for s in states if s.active and s.level == i]
+            survivor = [color for color, active, level, _ in states if active and level == i]
             assert len(survivor) == 1
-            assert survivor[0].color == (r >> i) & 1
+            assert survivor[0] == (r >> i) & 1
 
     def test_active_level_multiset_changes_only_by_merges(self):
         n, r = 10, 7
@@ -205,7 +206,7 @@ class TestBit:
         prev = {"levels": sorted([0] * r)}
 
         def check(step, states):
-            now = sorted(s.level for s in states if s.active)
+            now = sorted(level for _, active, level, _ in states if active)
             before = prev["levels"]
             if now != before:
                 # exactly one merge: two tokens at some level l become one
