@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_FAILURE = 2
 
+# the most rows a sweep or trials a meet holds in memory (see the README)
+MAX_SAMPLES = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     """A usage error raises ConfigError, so that it ends in `error: ...` and
@@ -182,18 +185,22 @@ def _flag(flag: str, parse, value, *args, **kwargs):
         raise ConfigError(f"{flag} {value!r}: {exc}") from exc
 
 
-def _at_least(flag: str, value, low: int) -> None:
-    if value is not None and value < low:
+def _within(flag: str, value: int, low: int, high: Optional[int] = None) -> None:
+    if value < low:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{flag} must be <= {high:,}, got {value}")
 
 
 def _run_options(args) -> dict:
     """engine.run's keywords from the flags that `run` and `sweep` share. The
     bounds that engine.run checks are checked here first, so that the error
     names the flag and a sweep fails before its first graph."""
-    _at_least("--max-steps", args.max_steps, 0)
-    return dict(max_steps=args.max_steps,
-                swap_period=_flag("--rewire", parse_rewire, args.rewire))
+    options = dict(max_steps=args.max_steps,
+                   swap_period=_flag("--rewire", parse_rewire, args.rewire))
+    for flag, value in zip(_RUN_FLAGS, options.values()):
+        _within(flag, value, 0, sys.maxsize)
+    return options
 
 
 def cmd_run(args) -> int:
@@ -233,11 +240,11 @@ def cmd_run(args) -> int:
             "elapsed_time": result.elapsed_time,
             "outputs_histogram": Counter(map(str, result.final_outputs)),  # keys sorted on dump
             "oracle_value": expected,
-            "match": bool(result.matched),
+            "match": result.matched,
             "empty": expected is None,
         }
         print(json.dumps(record, sort_keys=True), file=out, flush=True)
-    return EXIT_OK if (result.stabilized and result.matched) else EXIT_FAILURE
+    return EXIT_OK if result.stabilized else EXIT_FAILURE
 
 
 def cmd_sweep(args) -> int:
@@ -247,7 +254,9 @@ def cmd_sweep(args) -> int:
     repeated = [n for i, n in enumerate(sizes) if n in sizes[:i]]
     if repeated:
         raise ConfigError(f"--sizes {args.sizes!r}: size {repeated[0]} is given more than once")
-    _at_least("--seeds", args.seeds, 1)
+    _within("--seeds", args.seeds, 1)
+    if len(sizes) * args.seeds > MAX_SAMPLES:
+        raise ConfigError(f"--seeds: {len(sizes)} x {args.seeds} runs is over the limit of 2^20")
     spec_of = _flag("--graph", graph_family, args.graph)
     colors = resolved.protocol.colors
     # whether a size fits its graph kind and the edge limit, and whether the
@@ -289,7 +298,7 @@ def cmd_sweep(args) -> int:
         for _, n, _, _, _, first, _, _, stabilized in rows:
             if isinstance(stabilized, str):  # an error row
                 failures += 1
-            elif stabilized and first != "":
+            elif stabilized:
                 samples[n].append(max(1, first))
             else:
                 excluded += 1
@@ -322,7 +331,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _at_least("--max-configs", args.max_configs, 1)
+    _within("--max-configs", args.max_configs, 1)
     resolved = resolve_protocol(args.protocol)
     graph = build_graph(args.graph, seed=args.seed)
     colors = resolved.protocol.colors
@@ -376,7 +385,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_meet(args) -> int:
-    _at_least("--trials", args.trials, 1)
+    _within("--trials", args.trials, 1, MAX_SAMPLES)
     graphs = [build_graph(spec, seed=args.seed) for spec in args.graph]
     with _lines(args.output) as (out,):
         stats = [measure_meeting_time(graph, args.trials, seed=args.seed) for graph in graphs]

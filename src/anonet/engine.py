@@ -39,6 +39,7 @@ limits) give bit-identical traces and results.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import suppress
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
@@ -253,8 +254,6 @@ class RunResult(NamedTuple):
     """What `run` returns; `trace`, with `record_trace` only, is the list of
     the run's activations, which `write_trace` writes with `final_outputs`."""
 
-    protocol: str
-    n: int
     first_correct_step: Optional[int]
     stabilized: bool
     final_outputs: tuple
@@ -262,8 +261,8 @@ class RunResult(NamedTuple):
     elapsed_time: float
     stopped_by: str  # "quiescence" (proved, by the stop rule) | "max_steps" (never stabilized)
     matched: bool
-    final_states: tuple = ()
-    trace: Optional[list[Activation]] = None
+    final_states: tuple
+    trace: Optional[list[Activation]]
 
 
 def parse_decimal(text: str) -> int:
@@ -548,7 +547,7 @@ def run(
     *,
     seed: int = 0,
     max_steps: int = 10_000_000,
-    expected: Any = None,
+    expected: Any,
     swap_period: int = 0,
     record_trace: bool = False,
     table: Optional[TransitionTable] = None,
@@ -561,13 +560,12 @@ def run(
     changed since the last check. Every run counts the outputs that match
     `expected` (`match_rule`). For a per-node match mode, a check while some
     but not all outputs equal it skips the rule, which must fail there (see
-    `ProtocolDef.quiescent`). No output is None, so a run without `expected`
-    matches nothing and calls the rule at every check. A run so stopped is
-    stabilized if it matches `expected` or expected is None; any other run
-    stops by "max_steps", not stabilized. `first_correct_step` is the start
-    of the final matching stretch (0: the initial configuration matched);
-    None if the run ends unmatched. `elapsed_time` is the time of the last
-    activation, every edge's clock running at rate 1 (`clock`).
+    `ProtocolDef.quiescent`). A run so stopped is stabilized if it matches
+    `expected`; any other run stops by "max_steps", not stabilized.
+    `first_correct_step` is the start of the final matching stretch (0: the
+    initial configuration matched); None if the run ends unmatched.
+    `elapsed_time` is the time of the last activation, every edge's clock
+    running at rate 1 (`clock`).
 
     The activations are `schedule(graph, seed, swap_period)`, which tries a
     double edge swap every `swap_period` of them (0: none). The step loop
@@ -576,10 +574,9 @@ def run(
     Agents hold ids of `table`, which runs may share.
     """
     n = graph.n
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if swap_period < 0:
-        raise ValueError(f"swap_period must be >= 0, got {swap_period}")
+    for name, limit in (("max_steps", max_steps), ("swap_period", swap_period)):
+        if not 0 <= limit <= sys.maxsize:  # `islice`'s range
+            raise ValueError(f"{name} must be in [0, sys.maxsize], got {limit}")
     if table is None:
         table = TransitionTable(protocol)
     elif table.protocol is not protocol:
@@ -588,8 +585,6 @@ def run(
     states = table.start(n, inputs)
     objs, outs, rows, fill = table.objs, table.outs, table.rows, table.fill
 
-    # one output count for every run; no output is None, so a run without
-    # `expected` matches nothing
     want, target = match_rule(protocol, expected, n)
     match_count = sum(1 for s in states if outs[s] == want)
     matched = match_count == target
@@ -639,24 +634,19 @@ def run(
         else:  # all max_steps activations done
             break
 
-    # a settled run is stabilized if it matches
-    stabilized = stopped_by == "quiescence" and (matched or expected is None)
-
     now, times = clock(step, graph.m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     if record_trace:  # the run's arcs, drawn again: only the graph, seed and period fix them
         arcs, draws = schedule(graph, seed, swap_period)
         activations = [Activation(*arcs[k], t, i) for i, (t, k) in enumerate(zip(times, draws), 1)]
     return RunResult(
-        protocol=protocol.name,
-        n=n,
         first_correct_step=streak_start if matched else None,
-        stabilized=stabilized,
+        stabilized=stopped_by == "quiescence" and matched,
         final_outputs=outputs,
         total_steps=step,
         elapsed_time=now,
         stopped_by=stopped_by,
-        matched=matched if expected is not None else stabilized,
+        matched=matched,
         final_states=tuple(objs[s] for s in states),
         trace=activations if record_trace else None,
     )
@@ -687,7 +677,6 @@ def map_jobs(job: Callable, jobs: Sequence) -> list:
     import os
     import pickle
     import signal
-    import sys
 
     jobs = list(jobs)
     mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]

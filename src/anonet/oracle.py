@@ -268,8 +268,8 @@ class AuditReport(NamedTuple):
     declared_bits: int
     distinct_states: int
     measured_bits: int
-    note: str = ""
-    closed: bool = True  # else the walk stopped early and the count is a lower bound
+    note: str
+    closed: bool  # else the walk stopped early and the count is a lower bound
 
     @property
     def ok(self) -> bool:

@@ -54,9 +54,9 @@ class ProtocolDef:
     single instance is safe to share across parallel runs. `quiescent(table,
     ids)` is the stop rule: `engine.settled`, as no factory sets it. A stop
     rule must fail while a per-node kind's outputs differ, and `engine.run`
-    skips it then if the run is given an answer. `core`, set only by
-    `plurality_protocol`, is (projection, spread): the audit closes
-    projected states and counts each `spread` times."""
+    skips it then. `core`, set only by `plurality_protocol`, is (projection,
+    spread): the audit closes projected states and counts each `spread`
+    times."""
 
     name: str
     init: Callable

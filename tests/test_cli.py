@@ -938,6 +938,20 @@ class TestBadInputs:
              "error: --trials must be >= 1, got 0\n"),
             (["run", "--config", "TMP/missing.json", "--protocol", "or", "--graph", "cycle:4",
               "--input", "0:4"], "error: cannot read config file TMP/missing.json: "),
+            # one over the largest `islice` takes, and one over the held samples' bound
+            *(([*argv, "--max-steps", str(sys.maxsize + 1)],
+               f"error: --max-steps must be <= {sys.maxsize:,}, got {sys.maxsize + 1}\n")
+              for argv in (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4"],
+                           ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4"])),
+            *(([*argv, "--rewire", "swap:99999999999999999999"],
+               f"error: --rewire must be <= {sys.maxsize:,}, got 99999999999999999999\n")
+              for argv in (["run", "--protocol", "or", "--graph", "cycle:4", "--input", "0:4"],
+                           ["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4"])),
+            (["sweep", "--protocol", "or", "--graph", "cycle", "--sizes", "4,5", "--seeds",
+              str(cli.MAX_SAMPLES // 2 + 1), "--output", "TMP/rows.csv"],
+             f"error: --seeds: 2 x {cli.MAX_SAMPLES // 2 + 1} runs is over the limit of 2^20\n"),
+            (["meet", "--graph", "cycle:4", "--trials", str(cli.MAX_SAMPLES + 1)],
+             f"error: --trials must be <= 1,048,576, got {cli.MAX_SAMPLES + 1}\n"),
             *BAD_INTEGERS.values(),
         ],
         ids=["run-rate-retired", "sweep-rate-retired", "meet-rate-retired", "rewire-period",
@@ -960,7 +974,10 @@ class TestBadInputs:
              "cycle-2", "complete-1", "sweep-sizes-empty", "run-output-and-trace-one-file",
              "sweep-output-and-summary-one-file", "sweep-sizes-repeated",
              "verify-all-inputs-too-many",
-             "meet-trials-0", "config-missing", *BAD_INTEGERS],
+             "meet-trials-0", "config-missing", "run-max-steps-over-maxsize",
+             "sweep-max-steps-over-maxsize", "run-rewire-over-maxsize",
+             "sweep-rewire-over-maxsize", "sweep-runs-over-the-limit",
+             "meet-trials-over-the-limit", *BAD_INTEGERS],
     )
     def test_error_line_and_exit_1(self, capsys, tmp_path, argv, names):
         (tmp_path / "open.circ").write_text("(max 0\n")

@@ -5,6 +5,7 @@ import math
 import os
 import posix
 import random
+import sys
 import time
 import traceback
 from collections import Counter
@@ -330,9 +331,9 @@ class TestRunSemantics:
         base = lsb_counter_protocol(1)
         g = build_graph("cycle:12")
         inputs = [i % 3 % 2 for i in range(g.n)]
-        for expected in (inputs.count(0) % 2, None):
-            # outputs are counted against the answer; no output is None, so
-            # without one no check is skipped
+        for expected in (inputs.count(0) % 2, -1):
+            # outputs are counted against the answer; no output is -1, so
+            # against it no check is skipped
             calls = []
             p = dataclasses.replace(base, quiescent=lambda table, ids: calls.append(1) or
                                     settled(table, ids))
@@ -356,8 +357,9 @@ class TestRunSemantics:
 
     @pytest.mark.parametrize("c", [1, 2])
     def test_an_unanswered_run_calls_the_rule_at_every_check_after_a_change(self, c):
-        # a run without `expected` matches nothing, so no check skips the
-        # rule, while outputs differ too; there it fails, from its memo
+        # a run whose answer no output equals (-1) matches nothing, so no
+        # check skips the rule, while outputs differ too; there it fails,
+        # from its memo
         import dataclasses
 
         base = lsb_counter_protocol(c)
@@ -379,9 +381,9 @@ class TestRunSemantics:
 
             p = dataclasses.replace(base, quiescent=recorded)
             last = [p.init(x) for x in inputs]
-            res = run(p, g, inputs, seed=seed, record_trace=True)
-            assert res.stopped_by == "quiescence" and res.stabilized
-            assert res.first_correct_step is None and res.matched
+            res = run(p, g, inputs, seed=seed, expected=-1, record_trace=True)
+            assert res.stopped_by == "quiescence" and not res.stabilized
+            assert res.first_correct_step is None and not res.matched
             replay(p, inputs, res, check)
             assert len(calls) == checks and calls[-1] == 1 and max(calls) > 1, seed
 
@@ -392,11 +394,19 @@ class TestRunSemantics:
         assert not res.stabilized and res.stopped_by == "max_steps"
 
     @pytest.mark.parametrize("limits,name", [(dict(max_steps=-1), "max_steps"),
-                                             (dict(swap_period=-1), "swap_period")])
+                                             (dict(swap_period=-1), "swap_period"),
+                                             (dict(max_steps=sys.maxsize + 1), "max_steps"),
+                                             (dict(swap_period=sys.maxsize + 1), "swap_period")])
     def test_limits_must_be_in_range(self, limits, name):
         g = build_graph("cycle:8")
         with pytest.raises(ValueError, match=name):
             run(lsb_counter_protocol(2), g, [0] * 5 + [1] * 3, expected=1, **limits)
+
+    def test_a_run_needs_an_answer(self):
+        # every run is judged against the function's value: there is no
+        # default for `expected`
+        with pytest.raises(TypeError, match="expected"):
+            run(or_protocol(), build_graph("path:3"), [0, 1, 0])
 
     def test_input_validation(self):
         g = build_graph("path:3")
@@ -412,11 +422,11 @@ class TestRunSemantics:
 
         g = build_graph("complete:5")
         p = dataclasses.replace(lsb_counter_protocol(1), quiescent=lambda table, ids: False)
-        for expected in (1, None):
+        for expected in (1, -1):
             res = run(p, g, [0, 0, 0, 1, 1], seed=8, expected=expected, max_steps=5000)
             assert res.stopped_by == "max_steps" and res.total_steps == 5000
             assert not res.stabilized and set(res.final_outputs) == {1}
-            assert (res.first_correct_step is None) == (expected is None)
+            assert (res.first_correct_step is None) == (expected == -1)
 
     def test_stabilization_soundness_extension(self):
         # after a stabilized run, 10·n·|E| fresh activations never change
@@ -566,7 +576,7 @@ class TestStopRule:
     def test_plurality_on_rewired_gnp_without_expected(self):
         g = build_graph("gnp:16:0.5", seed=4)
         res = run(plurality_protocol(4), g, [0] * 6 + [1] * 4 + [2] * 3 + [3] * 3, seed=4,
-                  swap_period=8)
+                  expected=0, swap_period=8)
         assert res.stopped_by == "quiescence" and res.stabilized
         assert set(res.final_outputs) == {0}
 

@@ -165,13 +165,14 @@ class TestBit:
         with pytest.raises(ProtocolViolation):
             run(p, g, [0, 0, 0, 0], seed=0, expected=0)
         # the bound is on r, not n: L = level_count(n_max) levels hold r < 2^L
-        for proto in (bit_protocol(1, 8), estimate_protocol(8)):
+        # at r = 15: bit 1 of r is 1, and floor(log2 r) is 3
+        for proto, want in ((bit_protocol(1, 8), 1), (estimate_protocol(8), 3)):
             top = 1 << level_count(8)  # 16, although n_max is 8
             g = build_graph(f"complete:{top + 4}")
-            res = run(proto, g, inputs_with_r(top + 4, top - 1), seed=0)
+            res = run(proto, g, inputs_with_r(top + 4, top - 1), seed=0, expected=want)
             assert res.stabilized and res.stopped_by == "quiescence"
             with pytest.raises(ProtocolViolation, match="r, the count of color 0"):
-                run(proto, g, inputs_with_r(top + 4, top), seed=0)
+                run(proto, g, inputs_with_r(top + 4, top), seed=0, expected=-1)
 
     def test_level_arrivals_halve_and_survivor_colors(self):
         # replay a trace: l_{i+1} == floor(l_i / 2) arrivals, and the last
@@ -315,7 +316,7 @@ class TestStateClosure:
         rng = random.Random(spec)
         for seed in range(6):
             inputs = [rng.randrange(proto.colors) for _ in range(8)]
-            run(proto, g, inputs, seed=seed, max_steps=20_000, table=table)
+            run(proto, g, inputs, seed=seed, max_steps=20_000, expected=-1, table=table)
         assert set(table.objs) <= closure
 
 

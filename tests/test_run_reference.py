@@ -31,7 +31,7 @@ from anonet.engine import (
 )
 
 
-def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expected=None,
+def reference_run(protocol, graph, inputs, *, expected, seed=0, max_steps=10_000_000,
                   swap_period=0, record_trace=False, table=None):
     """`engine.run` as a loop that tests the trace, the swap and the check
     step at every activation, and calls the stop rule at every check step
@@ -46,11 +46,9 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
     rewirer, rewire_rng = _Rewirer(graph), stream("rewire", seed)
     arcs = rewirer.arcs
 
-    matched = False
-    if expected is not None:
-        want, target = match_rule(protocol, expected, n)
-        match_count = sum(1 for s in states if outs[s] == want)
-        matched = match_count == target
+    want, target = match_rule(protocol, expected, n)
+    match_count = sum(1 for s in states if outs[s] == want)
+    matched = match_count == target
 
     streak_start = 0 if matched else None
     step = 0
@@ -70,15 +68,14 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
             na, nb = fill(a, b)  # the successor ids, whatever form the row has
             if na != a or nb != b:
                 changed = True
-                if expected is not None:
-                    match_count += (outs[na] == want) - (outs[a] == want)
-                    match_count += (outs[nb] == want) - (outs[b] == want)
-                    now_matched = match_count == target
-                    if now_matched and not matched:
-                        streak_start = step
-                    elif not now_matched:
-                        streak_start = None
-                    matched = now_matched
+                match_count += (outs[na] == want) - (outs[a] == want)
+                match_count += (outs[nb] == want) - (outs[b] == want)
+                now_matched = match_count == target
+                if now_matched and not matched:
+                    streak_start = step
+                elif not now_matched:
+                    streak_start = None
+                matched = now_matched
                 states[u] = na
                 states[v] = nb
 
@@ -93,19 +90,16 @@ def reference_run(protocol, graph, inputs, *, seed=0, max_steps=10_000_000, expe
                     stopped_by = "quiescence"
                     break
 
-    stabilized = stopped_by != "max_steps" and (matched or expected is None)
     now, times = clock(step, m, stream("time", seed), record_trace)
     outputs = tuple(outs[s] for s in states)
     return RunResult(
-        protocol=protocol.name,
-        n=n,
         first_correct_step=streak_start,
-        stabilized=stabilized,
+        stabilized=stopped_by != "max_steps" and matched,
         final_outputs=outputs,
         total_steps=step,
         elapsed_time=now,
         stopped_by=stopped_by,
-        matched=matched if expected is not None else stabilized,
+        matched=matched,
         final_states=tuple(objs[s] for s in states),
         trace=([Activation(u, v, t, i) for i, ((u, v), t) in enumerate(zip(pairs, times), 1)]
                if record_trace else None),
@@ -142,9 +136,10 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
         rng.shuffle(inputs)
         truth = resolved.oracle_fn([inputs.count(c) for c in range(protocol.colors)])
         truth = 0 if truth is None else truth
+        # no kind outputs -1, so its runs call the rule while outputs differ;
         # max_steps ends on a multiple of n, off one, or lets runs stop
         for seed, (expected, rewire, max_steps) in enumerate(itertools.product(
-                (truth, truth + 1, None), ("none", "swap:1", "swap:7"),
+                (truth, truth + 1, -1), ("none", "swap:1", "swap:7"),
                 (6 * n, 6 * n + 3, 3000))):
             kwargs = dict(seed=seed, max_steps=max_steps, expected=expected,
                           swap_period=parse_rewire(rewire), record_trace=next(traces))
@@ -155,10 +150,10 @@ def test_run_equals_the_reference_loop(spec, tmp_path):
 
 @pytest.mark.parametrize("spec", ["lsb:2", "estimate:8", "plurality:3"])
 def test_an_unanswered_run_calls_the_rule_at_every_check_after_a_change(spec):
-    # per-node kinds with more than two outputs: a run without `expected`
-    # matches nothing, so it calls the rule at every check after a change,
-    # while outputs differ too, as the reference loop does, and its results
-    # are the reference loop's
+    # per-node kinds with more than two outputs: a run whose answer no
+    # output equals (-1) matches nothing, so it calls the rule at every check
+    # after a change, while outputs differ too, as the reference loop does,
+    # and its results are the reference loop's
     base = resolve_protocol(spec).protocol
     distinct = []  # the distinct outputs at each call
 
@@ -179,11 +174,12 @@ def test_an_unanswered_run_calls_the_rule_at_every_check_after_a_change(spec):
                                            for _ in range(n - n // 2 - 1)]
             rng.shuffle(inputs)
             del distinct[:]
-            result = run(protocol, graph, inputs, seed=seed, max_steps=3000, table=table)
+            result = run(protocol, graph, inputs, seed=seed, max_steps=3000, expected=-1,
+                         table=table)
             calls = distinct[:]
             del distinct[:]
             assert result == reference_run(protocol, graph, inputs, seed=seed, max_steps=3000,
-                                           table=ref_table), (g_spec, seed)
+                                           expected=-1, table=ref_table), (g_spec, seed)
             assert calls == distinct, (g_spec, seed)
             differ += sum(d > 1 for d in calls)
     assert differ
